@@ -8,7 +8,6 @@ frequencies, supermartingale decay, commutator rank conditions).
 """
 from .analysis import (
     RankReport,
-    antipodal_states,
     is_diagonal_set,
     iterated_commutators,
     kalman_like_rank,
@@ -33,7 +32,6 @@ from .dynamics import (
     hamiltonian_drift,
     lindblad_drift,
     measurement_increment,
-    purity_ito_drift,
     sme_drift,
     sse_diffusion,
     sse_drift,
@@ -49,13 +47,10 @@ from .ensemble import (
 )
 from .hermitian import (
     SpectralDecomposition,
-    born_probability,
     commutator,
     expectation,
-    fidelity_to,
     hermitize,
     is_hermitian,
-    luders_update,
     min_eigenvalue,
     project_to_density,
     purity,
@@ -67,11 +62,8 @@ from .integrate import (
     IntegrationError,
     SimConfig,
     Trajectory,
-    em_step,
     run_batch,
     simulate,
-    simulate_many,
-    sse_step,
 )
 from .lyapunov import (
     ControllerSpec,
@@ -83,7 +75,6 @@ from .lyapunov import (
     lb_v1,
     lb_v_tilde,
     l0_v_tilde,
-    lyapunov_report,
     third_central_moment,
     trace_term,
     v1,

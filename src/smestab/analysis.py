@@ -186,8 +186,3 @@ def is_diagonal_set(rho: np.ndarray, c: np.ndarray, tol: float = DIAGONAL_TOL) -
     r = dag(v) @ rho @ v
     off = r - np.diag(np.diagonal(r))
     return bool(np.linalg.norm(off) < tol)
-
-
-def antipodal_states(model: ModelSpec, rho_d: np.ndarray) -> list[np.ndarray]:
-    """Spectral projectors of c competing with rho_d, in ascending eigenvalue order."""
-    return TargetSpec.for_model(model, rho_d).antipodal

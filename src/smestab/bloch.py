@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermitian import EIG_FLOOR
-from .integrate import SimConfig, _substream
+from .integrate import SimConfig, _brownian_increments, _record_slots
 from .lyapunov import ControllerSpec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -127,36 +127,25 @@ def integrate_bloch(
     if b0.shape != (3,):
         raise ValueError("b0 must be a single Bloch vector of shape (3,)")
     n_steps = sim.n_steps
-    slots = list(range(0, n_steps + 1, sim.record_stride))
-    if slots[-1] != n_steps:
-        slots.append(n_steps)
-    slot_of = {k: j for j, k in enumerate(slots)}
+    slots = _record_slots(n_steps, sim.record_stride)
+    slot_of = {int(k): j for j, k in enumerate(slots)}
 
-    batch = len(indices)
-    b = np.broadcast_to(b0, (batch, 3)).copy()
-    gens = [_substream(sim.seed, i) for i in indices]
-    sqrt_dt = np.sqrt(sim.dt)
-    paths = np.zeros((batch, len(slots), 3))
-
-    dw_block = np.empty((batch, 0))
-    block_start = 0
+    b = np.broadcast_to(b0, (len(indices), 3)).copy()
+    paths = np.zeros((len(indices), len(slots), 3))
+    noise = _brownian_increments(sim.seed, indices, sim.dt, n_steps)
     for k in range(n_steps + 1):
         if k in slot_of:
             paths[:, slot_of[k]] = b
         if k == n_steps:
             break
-        if k >= block_start + dw_block.shape[1]:
-            block_start = k
-            width = min(4096, n_steps - k)
-            dw_block = np.stack([g.normal(0.0, sqrt_dt, width) for g in gens])
-        dw = dw_block[:, k - block_start]
+        dw = next(noise)
         u = bloch_feedback(b, ctrl, mu, eta)
         b = b + bloch_sme_increment(b, omega, u, mu, eta, sim.dt, dw)
         r = np.sqrt(np.sum(b**2, axis=-1))
         hot = 0.5 * (1.0 - r) < EIG_FLOOR
         if np.any(hot):
             b[hot] = b[hot] / r[hot, None]
-    return np.asarray(slots, dtype=float) * sim.dt, paths
+    return slots * sim.dt, paths
 
 
 def levelset_table(

@@ -175,16 +175,3 @@ def sse_diffusion(psi: np.ndarray, model: ModelSpec) -> np.ndarray:
     cpsi = np.einsum("ij,...j->...i", model.c, psi)
     ex = np.einsum("...i,...i->...", np.conj(psi), cpsi).real
     return np.sqrt(model.mu) * (cpsi - ex[..., None] * psi)
-
-
-def purity_ito_drift(rho: np.ndarray, model: ModelSpec, u=0.0) -> np.ndarray:
-    """Ito drift of tr(rho^2): tr(2 rho (F + D)) + tr(G^2).
-
-    Vanishes identically on rank-one states at eta = 1 and equals
-    -2 mu (1 - eta) tr(c^2 rho^2 - c rho c rho) there for eta < 1.
-    """
-    a = sme_drift(rho, model, u)
-    g = diffusion_term(rho, model.c, model.mu, model.eta)
-    return 2.0 * np.einsum("...ij,...ji->...", rho, a).real + np.einsum(
-        "...ij,...ji->...", g, g
-    ).real

@@ -14,7 +14,14 @@ import numpy as np
 
 from .dynamics import ModelSpec, TargetSpec
 from .hermitian import validate_density
-from .integrate import BatchResult, REJECTION_BUDGET, SimConfig, Trajectory, _classify, run_batch
+from .integrate import (
+    BatchResult,
+    SimConfig,
+    Trajectory,
+    _classify,
+    run_batch,
+    within_rejection_budget,
+)
 from .lyapunov import ControllerSpec
 
 INVALID_BUDGET = 0.01
@@ -86,7 +93,7 @@ def _count_supermartingale_violations(vt: np.ndarray) -> int:
 def reduce_batch(res: BatchResult, target: TargetSpec, sim: SimConfig) -> EnsembleStats:
     """Classify, exclude over-budget trajectories, and average the certificates."""
     b = len(res.indices)
-    valid = res.n_rejected <= REJECTION_BUDGET * res.n_steps
+    valid = within_rejection_budget(res.n_rejected, res.n_steps)
     excluded = [res.indices[i] for i in range(b) if not valid[i]]
     if len(excluded) > INVALID_BUDGET * b:
         raise EnsembleError(
@@ -136,26 +143,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """Columns t, u, dY, fidelity_target, purity, v1, v2, v_tilde, lv."""
+def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
+    """Header row, then row j holds _fmt of entry j of every column."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "u", "dY", "fidelity_target", "purity", "v1", "v2", "v_tilde", "lv"])
-        for j, t in enumerate(traj.times):
-            rep = traj.lyapunov[j]
-            w.writerow(
-                [
-                    _fmt(t),
-                    _fmt(traj.controls[j]),
-                    _fmt(traj.records[j]),
-                    _fmt(traj.fidelity_target[j]),
-                    _fmt(traj.purity[j]),
-                    _fmt(rep.v1),
-                    _fmt(rep.v2),
-                    _fmt(rep.v_tilde),
-                    _fmt(rep.lv_closed_loop),
-                ]
-            )
+        w.writerow(header)
+        w.writerows([_fmt(x) for x in row] for row in zip(*columns))
+
+
+def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
+    """Columns t, u, dY, fidelity_target, purity, v1, v2, v_tilde, lv."""
+    reps = traj.lyapunov
+    _write_columns(
+        path,
+        ["t", "u", "dY", "fidelity_target", "purity", "v1", "v2", "v_tilde", "lv"],
+        [
+            traj.times,
+            traj.controls,
+            traj.records,
+            traj.fidelity_target,
+            traj.purity,
+            [r.v1 for r in reps],
+            [r.v2 for r in reps],
+            [r.v_tilde for r in reps],
+            [r.lv_closed_loop for r in reps],
+        ],
+    )
 
 
 def write_summary_csv(path: str | Path, stats: EnsembleStats) -> None:
@@ -171,33 +184,21 @@ def write_summary_csv(path: str | Path, stats: EnsembleStats) -> None:
 
 def write_mean_curves_csv(path: str | Path, stats: EnsembleStats) -> None:
     """Columns t, mean_v1, mean_v2, mean_vtilde, mean_purity, mean_fidelity."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mean_v1", "mean_v2", "mean_vtilde", "mean_purity", "mean_fidelity"])
-        for j, t in enumerate(stats.times):
-            w.writerow(
-                [
-                    _fmt(t),
-                    _fmt(stats.mean_v1[j]),
-                    _fmt(stats.mean_v2[j]),
-                    _fmt(stats.mean_v_tilde[j]),
-                    _fmt(stats.mean_purity[j]),
-                    _fmt(stats.mean_fidelity[j]),
-                ]
-            )
+    _write_columns(
+        path,
+        ["t", "mean_v1", "mean_v2", "mean_vtilde", "mean_purity", "mean_fidelity"],
+        [
+            stats.times,
+            stats.mean_v1,
+            stats.mean_v2,
+            stats.mean_v_tilde,
+            stats.mean_purity,
+            stats.mean_fidelity,
+        ],
+    )
 
 
 def write_levelset_csv(path: str | Path, table: dict[str, np.ndarray]) -> None:
     """Columns y, z, lv, physical."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y", "z", "lv", "physical"])
-        for j in range(len(table["y"])):
-            w.writerow(
-                [
-                    _fmt(table["y"][j]),
-                    _fmt(table["z"][j]),
-                    _fmt(table["lv"][j]),
-                    int(table["physical"][j]),
-                ]
-            )
+    header = ["y", "z", "lv", "physical"]
+    _write_columns(path, header, [table[name] for name in header])

@@ -62,22 +62,6 @@ def purity(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", rho, rho).real
 
 
-def born_probability(p: np.ndarray, rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """tr(p rho) for an orthogonal projector p; rejects non-idempotent p."""
-    p = np.asarray(p)
-    if np.max(np.abs(p @ p - p)) > tol:
-        raise ValueError("p is not an orthogonal projector (p^2 != p)")
-    return expectation(p, rho)
-
-
-def luders_update(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Post-measurement state p rho p / tr(p rho); outcome probability must be positive."""
-    prob = born_probability(p, rho)
-    if np.any(prob <= 1e-12):
-        raise ValueError("Luders update undefined: outcome probability <= 1e-12")
-    return (p @ rho @ p) / np.asarray(prob)[..., None, None]
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending, merged within tol) and their spectral projectors."""
@@ -159,8 +143,3 @@ def validate_density(rho: np.ndarray, name: str = "rho") -> None:
         raise ValueError(f"{name} trace deviates from 1 beyond {TRACE_TOL}")
     if np.min(min_eigenvalue(rho)) < EIG_FLOOR:
         raise ValueError(f"{name} has an eigenvalue below {EIG_FLOOR}")
-
-
-def fidelity_to(rho_pure: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Overlap tr(rho_pure rho); the squared fidelity when rho_pure is rank one."""
-    return expectation(rho_pure, rho)

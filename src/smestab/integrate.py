@@ -1,13 +1,18 @@
 """Euler-Maruyama integration of the conditioned dynamics, one or many paths.
 
-Trajectories are advanced in lockstep on stacked (B, N, N) arrays. Each
-trajectory index draws its Brownian increments from its own counter-based
-substream keyed (master_seed, trajectory_index), so a path is bit-identical
-whether it runs alone or inside any batch, and reruns reproduce it exactly.
+One step loop, run_batch, advances trajectories in lockstep. The
+representation picks its step kernel once per call: _sme_step advances a
+(B, N, N) density stack, _sse_step a (B, N) state-vector stack (eta = 1
+only). Feedback, the detector record and the certificates are evaluated on
+the density of either. Each trajectory index draws its Brownian increments
+from its own counter-based substream keyed (master_seed, trajectory_index),
+so a path is bit-identical whether it runs alone or inside any batch, and
+reruns reproduce it exactly.
 
-Per step: the control is evaluated at the pre-step state, the Ito increment is
-applied, the state is re-Hermitized and trace-renormalized, and the positivity
-clip fires only when the smallest eigenvalue drops below the validity floor.
+Per step: the control is evaluated at the pre-step state and the Ito
+increment is applied. A density is then re-Hermitized and trace-renormalized,
+and hermitian.project_to_density clips it only when its smallest eigenvalue
+drops below the validity floor; a state vector is renormalized.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from .dynamics import (
     sse_diffusion,
     sse_drift,
 )
-from .hermitian import EIG_FLOOR, dag, hermitize, min_eigenvalue, purity, trace
+from .hermitian import EIG_FLOOR, hermitize, min_eigenvalue, project_to_density, purity, trace
 from .lyapunov import (
     ControllerSpec,
     LyapunovReport,
@@ -96,7 +101,12 @@ class Trajectory:
 
     @property
     def valid(self) -> bool:
-        return self.n_rejected <= REJECTION_BUDGET * self.n_steps
+        return within_rejection_budget(self.n_rejected, self.n_steps)
+
+
+def within_rejection_budget(n_rejected, n_steps: int):
+    """True where the step-rejection count fits REJECTION_BUDGET; counts or arrays."""
+    return n_rejected <= REJECTION_BUDGET * n_steps
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -104,65 +114,61 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def em_step(
-    rho: np.ndarray,
-    model: ModelSpec,
-    target: TargetSpec,
-    ctrl: ControllerSpec,
-    dt: float,
-    dW: float,
-) -> tuple[np.ndarray, float, float]:
-    """One Euler-Maruyama step of the density SME; control from the pre-step state.
+def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int):
+    """Yield the (B,) Brownian increments of steps 0..n_steps-1 in turn.
 
-    Returns (rho_next, u, dY). The result is re-Hermitized, trace-normalized,
-    and eigenvalue-clipped when the spectrum leaves the validity floor; a
-    non-positive trace raises IntegrationError (the step cannot be accepted).
+    Each trajectory's substream draws NOISE_WINDOW steps at a time, so memory
+    stays bounded on long horizons and no path depends on the others.
     """
-    if not np.isfinite(dW):
-        raise ValueError("dW must be finite")
-    rho = np.asarray(rho, dtype=complex)
-    u = float(feedback(rho, model, target, ctrl))
-    dY = float(measurement_increment(rho, model.c, model.eta, dt, dW))
+    gens = [_substream(seed, i) for i in indices]
+    sqrt_dt = np.sqrt(dt)
+    for start in range(0, n_steps, NOISE_WINDOW):
+        width = min(NOISE_WINDOW, n_steps - start)
+        yield from np.stack([g.normal(0.0, sqrt_dt, width) for g in gens]).T
+
+
+def _sme_step(rho, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+    """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
+
+    The increment is re-Hermitized and trace-normalized. A row left with a
+    non-positive trace keeps its pre-step state and counts in n_rejected; a row
+    whose smallest eigenvalue drops below EIG_FLOOR is projected onto the
+    density cone and counts in n_projected. Both counters update in place.
+    """
     g = diffusion_term(rho, model.c, model.mu, model.eta)
-    out = rho + sme_drift(rho, model, u) * dt + g * dW
-    out = hermitize(out)
-    tr = float(trace(out).real)
-    if not np.isfinite(tr) or tr <= 0.0:
-        raise IntegrationError("step rejected: non-positive trace after increment")
-    out = out / tr
-    if float(min_eigenvalue(out)) < EIG_FLOOR:
-        w, v = np.linalg.eigh(out)
-        w = np.clip(w, 0.0, None)
-        out = (v * (w / w.sum())) @ dag(v)
-    return out, u, dY
+    nxt = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
+    nxt = hermitize(nxt)
+    tr = trace(nxt).real
+    if not np.all(np.isfinite(tr)):
+        raise IntegrationError("non-finite state")
+    bad = tr <= 0.0
+    if np.any(bad):
+        n_rejected[bad] += 1
+        nxt[bad] = rho[bad]
+        tr = np.where(bad, 1.0, tr)
+    nxt = nxt / tr[:, None, None]
+    low = min_eigenvalue(nxt) < EIG_FLOOR
+    if np.any(low):
+        n_projected[low] += 1
+        nxt[low] = project_to_density(nxt[low])
+    return nxt
 
 
-def sse_step(
-    psi: np.ndarray,
-    model: ModelSpec,
-    target: TargetSpec,
-    ctrl: ControllerSpec,
-    dt: float,
-    dW: float,
-) -> tuple[np.ndarray, float, float]:
-    """One Euler-Maruyama step of the state-vector equation, renormalized.
+def _sse_step(psi, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+    """One Euler-Maruyama step of the state-vector equation on a (B, N) stack.
 
-    Valid at eta = 1 only; the control is evaluated on |psi><psi| with the same
-    law as the density path.
+    Valid at eta = 1 only. The result is renormalized, so it stays pure and
+    neither counter ever moves.
     """
-    if model.eta != 1.0:
-        raise ValueError("the state-vector representation requires eta = 1")
-    if not np.isfinite(dW):
-        raise ValueError("dW must be finite")
-    psi = np.asarray(psi, dtype=complex)
-    rho = np.einsum("...i,...j->...ij", psi, np.conj(psi))
-    u = float(feedback(rho, model, target, ctrl))
-    dY = float(measurement_increment(rho, model.c, model.eta, dt, dW))
-    out = psi + sse_drift(psi, model, u) * dt + sse_diffusion(psi, model) * dW
-    norm = float(np.linalg.norm(out))
-    if not np.isfinite(norm) or norm <= 0.0:
-        raise IntegrationError("step rejected: vanishing norm after increment")
-    return out / norm, u, dY
+    psi = psi + sse_drift(psi, model, u) * dt + sse_diffusion(psi, model) * dw[:, None]
+    norm = np.linalg.norm(psi, axis=-1)
+    if not np.all(np.isfinite(norm)) or np.any(norm <= 0.0):
+        raise IntegrationError("degenerate state-vector norm")
+    return psi / norm[:, None]
+
+
+def _pure_density(psi: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...j->...ij", psi, np.conj(psi))
 
 
 @dataclass
@@ -211,30 +217,6 @@ def _classify(final: np.ndarray, target: TargetSpec, threshold: float) -> list[s
     return labels
 
 
-def run_batch(
-    rho0: np.ndarray,
-    model: ModelSpec,
-    target: TargetSpec,
-    ctrl: ControllerSpec,
-    sim: SimConfig,
-    indices: list[int] | None = None,
-    n_trajectories: int = 1,
-    record_states: bool = False,
-) -> BatchResult:
-    """Integrate trajectories in lockstep from a shared or stacked initial state.
-
-    rho0 is broadcast against (B, N, N), so one state may be shared by the
-    whole batch or each trajectory may start from its own. indices selects the
-    noise substreams (default 0..n_trajectories-1); every recorded scalar
-    series has shape (B, n_recorded).
-    """
-    if indices is None:
-        indices = list(range(n_trajectories))
-    if sim.representation == "sse":
-        return _run_batch_sse(rho0, model, target, ctrl, sim, indices, record_states)
-    return _run_batch_sme(rho0, model, target, ctrl, sim, indices, record_states)
-
-
 def _alloc(b: int, n_rec: int) -> dict[str, np.ndarray]:
     return {
         name: np.zeros((b, n_rec))
@@ -277,35 +259,52 @@ def _record_point(
     out["purity"][:, slot] = purity(rho)
 
 
-def _run_batch_sme(
+def run_batch(
     rho0: np.ndarray,
     model: ModelSpec,
     target: TargetSpec,
     ctrl: ControllerSpec,
     sim: SimConfig,
-    indices: list[int],
-    record_states: bool,
+    indices: list[int] | None = None,
+    n_trajectories: int = 1,
+    record_states: bool = False,
 ) -> BatchResult:
+    """Integrate trajectories in lockstep from a shared or stacked initial state.
+
+    rho0 is broadcast against (B, N, N), so one state may be shared by the
+    whole batch or each trajectory may start from its own. indices selects the
+    noise substreams (default 0..n_trajectories-1); every recorded scalar
+    series has shape (B, n_recorded). The "sse" representation needs eta = 1
+    and a rank-one rho0, and advances the leading eigenvector of rho0.
+    """
+    if indices is None:
+        indices = list(range(n_trajectories))
     b = len(indices)
     n = model.n
+    rho0 = np.asarray(rho0, dtype=complex)
+    if sim.representation == "sse":
+        if model.eta != 1.0:
+            raise ValueError("the state-vector representation requires eta = 1")
+        if np.max(np.abs(purity(rho0) - 1.0)) > 1e-9:
+            raise ValueError("the state-vector representation requires a rank-one rho0")
+        state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1], (b, n)).copy()
+        step, density = _sse_step, _pure_density
+    else:
+        state = np.broadcast_to(rho0, (b, n, n)).copy()
+        step, density = _sme_step, lambda rho: rho
+
     n_steps = sim.n_steps
     slots = _record_slots(n_steps, sim.record_stride)
-    n_rec = len(slots)
     slot_of = {int(k): j for j, k in enumerate(slots)}
-
-    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (b, n, n)).copy()
-    gens = [_substream(sim.seed, i) for i in indices]
-    sqrt_dt = np.sqrt(sim.dt)
-
-    out = _alloc(b, n_rec)
-    states = np.zeros((b, n_rec, n, n), dtype=complex) if record_states else None
+    out = _alloc(b, len(slots))
+    states = np.zeros((b, len(slots), n, n), dtype=complex) if record_states else None
     n_projected = np.zeros(b, dtype=int)
     n_rejected = np.zeros(b, dtype=int)
     window_dy = np.zeros(b)
+    noise = _brownian_increments(sim.seed, indices, sim.dt, n_steps)
 
-    dw_block = np.empty((b, 0))
-    block_start = 0
     for k in range(n_steps + 1):
+        rho = density(state)
         u = feedback(rho, model, target, ctrl)
         if k in slot_of:
             j = slot_of[k]
@@ -315,33 +314,12 @@ def _run_batch_sme(
             window_dy = np.zeros(b)
         if k == n_steps:
             break
-        if k >= block_start + dw_block.shape[1]:
-            block_start = k
-            width = min(NOISE_WINDOW, n_steps - k)
-            dw_block = np.stack([g.normal(0.0, sqrt_dt, width) for g in gens])
-        dw = dw_block[:, k - block_start]
-
+        dw = next(noise)
         window_dy = window_dy + measurement_increment(rho, model.c, model.eta, sim.dt, dw)
-        g = diffusion_term(rho, model.c, model.mu, model.eta)
-        nxt = rho + sme_drift(rho, model, u) * sim.dt + g * dw[:, None, None]
-        nxt = hermitize(nxt)
-        tr = trace(nxt).real
-        if not np.all(np.isfinite(tr)):
-            raise IntegrationError(f"non-finite state at step {k}; reduce dt")
-        bad = tr <= 0.0
-        if np.any(bad):
-            n_rejected[bad] += 1
-            nxt[bad] = rho[bad]
-            tr = np.where(bad, 1.0, tr)
-        nxt = nxt / tr[:, None, None]
-        low = min_eigenvalue(nxt) < EIG_FLOOR
-        if np.any(low):
-            n_projected[low] += 1
-            w, v = np.linalg.eigh(nxt[low])
-            w = np.clip(w, 0.0, None)
-            w = w / w.sum(axis=-1, keepdims=True)
-            nxt[low] = (v * w[..., None, :]) @ dag(v)
-        rho = nxt
+        try:
+            state = step(state, u, dw, model, sim.dt, n_rejected, n_projected)
+        except IntegrationError as exc:
+            raise IntegrationError(f"{exc} at step {k}; reduce dt") from None
 
     return BatchResult(
         indices=list(indices),
@@ -352,107 +330,6 @@ def _run_batch_sme(
         n_rejected=n_rejected,
         states=states,
         **out,
-    )
-
-
-def _run_batch_sse(
-    rho0: np.ndarray,
-    model: ModelSpec,
-    target: TargetSpec,
-    ctrl: ControllerSpec,
-    sim: SimConfig,
-    indices: list[int],
-    record_states: bool,
-) -> BatchResult:
-    if model.eta != 1.0:
-        raise ValueError("the state-vector representation requires eta = 1")
-    b = len(indices)
-    n = model.n
-    n_steps = sim.n_steps
-    slots = _record_slots(n_steps, sim.record_stride)
-    n_rec = len(slots)
-    slot_of = {int(k): j for j, k in enumerate(slots)}
-
-    rho0 = np.asarray(rho0, dtype=complex)
-    if np.max(np.abs(purity(rho0) - 1.0)) > 1e-9:
-        raise ValueError("the state-vector representation requires a rank-one rho0")
-    w0, v0 = np.linalg.eigh(rho0)
-    psi = np.broadcast_to(v0[..., :, -1], (b, n)).copy()
-
-    gens = [_substream(sim.seed, i) for i in indices]
-    sqrt_dt = np.sqrt(sim.dt)
-
-    out = _alloc(b, n_rec)
-    states = np.zeros((b, n_rec, n, n), dtype=complex) if record_states else None
-    window_dy = np.zeros(b)
-
-    dw_block = np.empty((b, 0))
-    block_start = 0
-    for k in range(n_steps + 1):
-        rho = np.einsum("...i,...j->...ij", psi, np.conj(psi))
-        u = feedback(rho, model, target, ctrl)
-        if k in slot_of:
-            j = slot_of[k]
-            _record_point(out, j, rho, u, window_dy, model, target, ctrl)
-            if states is not None:
-                states[:, j] = rho
-            window_dy = np.zeros(b)
-        if k == n_steps:
-            break
-        if k >= block_start + dw_block.shape[1]:
-            block_start = k
-            width = min(NOISE_WINDOW, n_steps - k)
-            dw_block = np.stack([g.normal(0.0, sqrt_dt, width) for g in gens])
-        dw = dw_block[:, k - block_start]
-
-        window_dy = window_dy + measurement_increment(rho, model.c, model.eta, sim.dt, dw)
-        psi = psi + sse_drift(psi, model, u) * sim.dt + sse_diffusion(psi, model) * dw[:, None]
-        norm = np.linalg.norm(psi, axis=-1)
-        if not np.all(np.isfinite(norm)) or np.any(norm <= 0.0):
-            raise IntegrationError(f"degenerate state-vector norm at step {k}; reduce dt")
-        psi = psi / norm[:, None]
-
-    final = np.einsum("...i,...j->...ij", psi, np.conj(psi))
-    return BatchResult(
-        indices=list(indices),
-        times=slots * sim.dt,
-        final_states=final,
-        n_steps=n_steps,
-        n_projected=np.zeros(b, dtype=int),
-        n_rejected=np.zeros(b, dtype=int),
-        states=states,
-        **out,
-    )
-
-
-def _to_trajectory(res: BatchResult, i: int, target: TargetSpec, threshold: float) -> Trajectory:
-    outcome = _classify(res.final_states[i : i + 1], target, threshold)[0]
-    reports = [
-        LyapunovReport(
-            v1=float(res.v1[i, j]),
-            v2=float(res.v2[i, j]),
-            v_tilde=float(res.v_tilde[i, j]),
-            lv_closed_loop=float(res.lv[i, j]),
-            l0_v=float(res.l0[i, j]),
-            lb_v=float(res.lb[i, j]),
-            third_moment=float(res.third[i, j]),
-        )
-        for j in range(len(res.times))
-    ]
-    states = [res.states[i, j] for j in range(len(res.times))] if res.states is not None else []
-    return Trajectory(
-        times=res.times.copy(),
-        states=states,
-        controls=res.controls[i].copy(),
-        records=res.records[i].copy(),
-        lyapunov=reports,
-        outcome=outcome,
-        fidelity_target=res.fidelity[i].copy(),
-        purity=res.purity[i].copy(),
-        n_steps=res.n_steps,
-        n_projected=int(res.n_projected[i]),
-        n_rejected=int(res.n_rejected[i]),
-        trajectory_index=res.indices[i],
     )
 
 
@@ -468,29 +345,20 @@ def simulate(
     res = run_batch(
         rho0, model, target, ctrl, sim, indices=[trajectory_index], record_states=True
     )
-    return _to_trajectory(res, 0, target, sim.convergence_fidelity)
-
-
-def simulate_many(
-    rho0: np.ndarray,
-    model: ModelSpec,
-    target: TargetSpec,
-    ctrl: ControllerSpec,
-    sim: SimConfig,
-    n_trajectories: int,
-    record_states: bool = True,
-) -> list[Trajectory]:
-    """Integrate trajectories 0..n-1 in lockstep and split into Trajectory objects."""
-    res = run_batch(
-        rho0,
-        model,
-        target,
-        ctrl,
-        sim,
-        n_trajectories=n_trajectories,
-        record_states=record_states,
+    # in LyapunovReport field order
+    certificates = (res.v1, res.v2, res.v_tilde, res.lv, res.l0, res.lb, res.third)
+    rows = np.stack([c[0] for c in certificates], axis=1).tolist()
+    return Trajectory(
+        times=res.times,
+        states=list(res.states[0]),
+        controls=res.controls[0],
+        records=res.records[0],
+        lyapunov=[LyapunovReport(*row) for row in rows],
+        outcome=_classify(res.final_states, target, sim.convergence_fidelity)[0],
+        fidelity_target=res.fidelity[0],
+        purity=res.purity[0],
+        n_steps=res.n_steps,
+        n_projected=int(res.n_projected[0]),
+        n_rejected=int(res.n_rejected[0]),
+        trajectory_index=trajectory_index,
     )
-    return [
-        _to_trajectory(res, i, target, sim.convergence_fidelity)
-        for i in range(n_trajectories)
-    ]

@@ -139,22 +139,6 @@ def closed_loop_generator(
     return generator_v(rho, model, target, u, ctrl.ell)
 
 
-def lyapunov_report(
-    rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec
-) -> LyapunovReport:
-    """Certificate snapshot for a single state."""
-    ell = ctrl.ell
-    return LyapunovReport(
-        v1=float(v1(rho, target)),
-        v2=float(v2(rho, model)),
-        v_tilde=float(v_tilde(rho, model, target, ell)),
-        lv_closed_loop=float(closed_loop_generator(rho, model, target, ctrl)),
-        l0_v=float(l0_v_tilde(rho, model, ell)),
-        lb_v=float(lb_v_tilde(rho, model, target, ell)),
-        third_moment=float(third_central_moment(model.c, rho)),
-    )
-
-
 def generator_v_montecarlo_check(
     rho: np.ndarray,
     model: ModelSpec,

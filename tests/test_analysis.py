@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import C3, H_A3, H_B3, RHO_D2, RHO_D3, SX, SY, SZ, qubit, qutrit
+from conftest import C3, H_A3, H_B3, RHO_D2, SX, SY, SZ, qubit, qutrit
 from smestab import (
     RankReport,
     is_diagonal_set,
@@ -11,7 +11,6 @@ from smestab import (
     strong_regularity,
 )
 from smestab.analysis import (
-    antipodal_states,
     control_direction,
     iterated_commutators,
     span_rank,
@@ -112,10 +111,3 @@ def test_is_diagonal_set():
     rho_rot = q @ np.diag([0.2, 0.3, 0.5]).astype(complex) @ q.conj().T
     assert is_diagonal_set(rho_rot, c_rot)
 
-
-def test_antipodal_states_wrapper():
-    model, target = qutrit()
-    states = antipodal_states(model, RHO_D3)
-    assert len(states) == 2
-    for a, b in zip(states, target.antipodal):
-        np.testing.assert_allclose(a, b, atol=1e-14)

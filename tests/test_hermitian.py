@@ -4,13 +4,10 @@ import pytest
 
 from conftest import SX, SY, SZ, ginibre, random_pure
 from smestab import (
-    born_probability,
     commutator,
     expectation,
-    fidelity_to,
     hermitize,
     is_hermitian,
-    luders_update,
     min_eigenvalue,
     project_to_density,
     purity,
@@ -82,36 +79,13 @@ def test_purity_bounds_on_random_densities():
     np.testing.assert_allclose(purity(random_pure(rng, 3, batch=(50,))), 1.0, atol=1e-12)
 
 
-def test_born_probability_rejects_non_projector():
-    rho = np.eye(2, dtype=complex) / 2
-    with pytest.raises(ValueError):
-        born_probability(0.5 * np.eye(2, dtype=complex), rho)
-
-
 def test_born_probabilities_resolve_identity():
     rng = np.random.default_rng(5)
     rho = ginibre(rng, 3)
     dec = spectral_decompose(np.diag([2.0, -1.0, 0.5]).astype(complex))
-    probs = [float(born_probability(p, rho)) for p in dec.projectors]
+    probs = [float(expectation(p, rho)) for p in dec.projectors]
     assert all(q > 0 for q in probs)
     np.testing.assert_allclose(sum(probs), 1.0, atol=1e-12)
-
-
-def test_luders_update_returns_conditioned_density():
-    rng = np.random.default_rng(6)
-    rho = ginibre(rng, 3)
-    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    out = luders_update(p, rho)
-    validate_density(out)
-    # the updated state is supported inside the projector
-    np.testing.assert_allclose(p @ out @ p, out, atol=1e-12)
-
-
-def test_luders_update_rejects_null_outcome():
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    p = np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises(ValueError):
-        luders_update(p, rho)
 
 
 def test_spectral_decompose_reconstructs_and_is_orthogonal():
@@ -181,7 +155,7 @@ def test_fidelity_on_pure_states_is_overlap():
     b /= np.linalg.norm(b)
     rho, sigma = np.outer(a, a.conj()), np.outer(b, b.conj())
     np.testing.assert_allclose(
-        fidelity_to(rho, sigma), abs(np.vdot(a, b)) ** 2, atol=1e-12
+        expectation(rho, sigma), abs(np.vdot(a, b)) ** 2, atol=1e-12
     )
 
 

@@ -1,4 +1,6 @@
 """Euler-Maruyama engine: stepping, noise streams, recording, classification."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,13 @@ from smestab import (
     ModelSpec,
     SimConfig,
     TargetSpec,
-    em_step,
     feedback,
     run_batch,
     simulate,
-    simulate_many,
-    sse_step,
 )
-from smestab.dynamics import diffusion_term, measurement_increment, sme_drift
+from smestab.dynamics import diffusion_term, sme_drift
 from smestab.hermitian import hermitize, trace, validate_density
-from smestab.integrate import _record_slots
+from smestab.integrate import _record_slots, _sme_step
 
 
 def test_sim_config_validation():
@@ -40,36 +39,35 @@ def test_record_slots_include_endpoint():
 
 
 def test_em_step_matches_raw_increment():
+    # the density kernel on a one-row stack is the raw increment, hermitized
+    # and trace-normalized, while the state stays interior
     rng = np.random.default_rng(60)
     model, target = qubit(mu=1.0, eta=0.5)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     dt = 1e-4
-    rho = 0.5 * (np.eye(2, dtype=complex) + 0.2 * SX + 0.3 * SZ)
+    rho = 0.5 * (np.eye(2, dtype=complex) + 0.2 * SX + 0.3 * SZ)[None]
+    n_rejected, n_projected = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
     for _ in range(50):
-        dw = rng.normal(0.0, np.sqrt(dt))
-        rho_next, u, dy = em_step(rho, model, target, ctrl, dt, dw)
-        u_expected = float(feedback(rho, model, target, ctrl))
-        assert u == pytest.approx(u_expected, abs=1e-14)
-        assert dy == pytest.approx(
-            float(measurement_increment(rho, model.c, model.eta, dt, dw)), abs=1e-15
-        )
-        raw = rho + sme_drift(rho, model, u) * dt + diffusion_term(
-            rho, model.c, model.mu, model.eta
-        ) * dw
+        dw = np.array([rng.normal(0.0, np.sqrt(dt))])
+        u = feedback(rho, model, target, ctrl)
+        rho_next = _sme_step(rho, u, dw, model, dt, n_rejected, n_projected)
+        raw = rho[0] + sme_drift(rho[0], model, u[0]) * dt + diffusion_term(
+            rho[0], model.c, model.mu, model.eta
+        ) * dw[0]
         raw = hermitize(raw)
         raw = raw / trace(raw).real
         # interior state, small step: the eigenvalue clip never engages here
-        np.testing.assert_allclose(rho_next, raw, atol=1e-14)
-        validate_density(rho_next)
+        np.testing.assert_allclose(rho_next[0], raw, atol=1e-14)
+        validate_density(rho_next[0])
         rho = rho_next
+    assert n_rejected[0] == 0 and n_projected[0] == 0
 
 
 def test_sse_step_requires_unit_efficiency():
     model, target = qubit(mu=1.0, eta=0.5)
-    ctrl = ControllerSpec(kind="open_loop")
-    psi = np.array([1.0, 0.0], dtype=complex)
+    sim = SimConfig(dt=1e-4, t_final=1e-3, seed=1, representation="sse")
     with pytest.raises(ValueError, match="eta"):
-        sse_step(psi, model, target, ctrl, 1e-4, 0.0)
+        run_batch(RHO_D2, model, target, ControllerSpec(kind="open_loop"), sim)
 
 
 def test_rerun_is_bit_identical():
@@ -183,18 +181,29 @@ def test_representations_agree_on_fidelity_paths():
     assert gap < 10.0 * dt
 
 
-def test_simulate_many_and_validity():
+def test_simulate_matches_batch_rows_and_validity():
     model, target = qubit(mu=1.0, eta=0.5)
     ctrl = ControllerSpec(kind="square_of_sum")
     sim = SimConfig(dt=1e-3, t_final=0.5, seed=21, record_stride=50)
-    trajs = simulate_many(
-        np.eye(2, dtype=complex) / 2, model, target, ctrl, sim, n_trajectories=3
-    )
-    assert [t.trajectory_index for t in trajs] == [0, 1, 2]
-    for t in trajs:
+    rho0 = np.eye(2, dtype=complex) / 2
+    res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=3, record_states=True)
+    for i in range(3):
+        t = simulate(rho0, model, target, ctrl, sim, trajectory_index=i)
+        assert t.trajectory_index == i
         assert t.valid
         assert t.n_rejected == 0
-        assert len(t.states) == len(t.times)
-        assert len(t.lyapunov) == len(t.times)
-        assert t.controls.shape == t.times.shape
+        assert np.array_equal(t.times, res.times)
+        assert np.array_equal(np.asarray(t.states), res.states[i])
+        pairs = (
+            (t.controls, res.controls),
+            (t.records, res.records),
+            (t.fidelity_target, res.fidelity),
+            (t.purity, res.purity),
+            ([r.v_tilde for r in t.lyapunov], res.v_tilde),
+            ([r.lv_closed_loop for r in t.lyapunov], res.lv),
+        )
+        for got, want in pairs:
+            assert np.array_equal(got, want[i])
         np.testing.assert_allclose(t.lyapunov[0].v_tilde, 1.0 + 0.5, atol=1e-12)
+    # one rejection in 500 steps exceeds the 1e-3 budget
+    assert not replace(t, n_rejected=1).valid

@@ -5,11 +5,12 @@ import pytest
 from conftest import SX, SY, SZ, ginibre, qubit, qutrit, random_pure
 from smestab import (
     ControllerSpec,
+    SimConfig,
     closed_loop_generator,
     feedback,
     generator_v,
     generator_v_montecarlo_check,
-    lyapunov_report,
+    simulate,
     trace_term,
     v1,
     v2,
@@ -223,17 +224,22 @@ def test_montecarlo_check_argument_validation():
 
 
 def test_lyapunov_report_fields():
+    # the certificates simulate() records equal the closed forms at its states
     rng = np.random.default_rng(52)
     model, target = qutrit(mu=1.0, eta=0.5)
-    rho = ginibre(rng, 3)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=2.0)
-    rep = lyapunov_report(rho, model, target, ctrl)
-    np.testing.assert_allclose(rep.v1, v1(rho, target), atol=1e-14)
-    np.testing.assert_allclose(rep.v2, v2(rho, model), atol=1e-14)
-    np.testing.assert_allclose(rep.v_tilde, v_tilde(rho, model, target, 2.0), atol=1e-14)
-    np.testing.assert_allclose(
-        rep.lv_closed_loop, closed_loop_generator(rho, model, target, ctrl), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        rep.third_moment, third_central_moment(model.c, rho), atol=1e-14
-    )
+    sim = SimConfig(dt=1e-3, t_final=0.05, seed=52, record_stride=10)
+    traj = simulate(ginibre(rng, 3), model, target, ctrl, sim)
+    assert len(traj.lyapunov) == len(traj.states) == 6
+    for rho, rep in zip(traj.states, traj.lyapunov):
+        np.testing.assert_allclose(rep.v1, v1(rho, target), atol=1e-14)
+        np.testing.assert_allclose(rep.v2, v2(rho, model), atol=1e-14)
+        np.testing.assert_allclose(rep.v_tilde, v_tilde(rho, model, target, 2.0), atol=1e-14)
+        np.testing.assert_allclose(
+            rep.lv_closed_loop, closed_loop_generator(rho, model, target, ctrl), atol=1e-14
+        )
+        np.testing.assert_allclose(rep.l0_v, l0_v_tilde(rho, model, 2.0), atol=1e-14)
+        np.testing.assert_allclose(rep.lb_v, lb_v_tilde(rho, model, target, 2.0), atol=1e-14)
+        np.testing.assert_allclose(
+            rep.third_moment, third_central_moment(model.c, rho), atol=1e-14
+        )
