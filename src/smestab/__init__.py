@@ -8,7 +8,6 @@ frequencies, supermartingale decay, commutator rank conditions).
 """
 from .analysis import (
     RankReport,
-    is_diagonal_set,
     iterated_commutators,
     kalman_like_rank,
     span_rank,
@@ -17,14 +16,13 @@ from .analysis import (
 )
 from .bloch import (
     bloch_feedback,
-    bloch_generator_vtilde,
     bloch_sme_increment,
     from_density,
     integrate_bloch,
     levelset_table,
     to_density,
 )
-from .config import ConfigError, config_from_dict, load_config, matrix_to_literal, parse_matrix
+from .config import ConfigError, config_from_dict, load_config, parse_matrix
 from .dynamics import (
     ModelSpec,
     TargetSpec,
@@ -46,7 +44,6 @@ from .ensemble import (
     write_trajectory_csv,
 )
 from .hermitian import (
-    SpectralDecomposition,
     commutator,
     expectation,
     hermitize,
@@ -54,7 +51,6 @@ from .hermitian import (
     min_eigenvalue,
     project_to_density,
     purity,
-    spectral_decompose,
     validate_density,
     variance,
 )

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelSpec, TargetSpec
-from .hermitian import commutator, dag
+from .hermitian import commutator
 
 RANK_RTOL = 1e-10
 REGULARITY_TOL = 1e-10
-DIAGONAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -173,16 +172,3 @@ def strong_regularity(h: np.ndarray, tol: float = REGULARITY_TOL) -> bool:
         return False
     gaps = sorted(gaps)
     return all(b - a > tol for a, b in zip(gaps, gaps[1:]))
-
-
-def is_diagonal_set(rho: np.ndarray, c: np.ndarray, tol: float = DIAGONAL_TOL) -> bool:
-    """Membership in the invariant set of c-diagonal states.
-
-    Rotates rho into the eigenbasis of c and tests the off-diagonal Frobenius
-    mass against tol.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    _, v = np.linalg.eigh(np.asarray(c, dtype=complex))
-    r = dag(v) @ rho @ v
-    off = r - np.diag(np.diagonal(r))
-    return bool(np.linalg.norm(off) < tol)

@@ -48,11 +48,6 @@ def from_density(rho: np.ndarray) -> np.ndarray:
     return np.stack([x, y, z], axis=-1)
 
 
-def bloch_v1(b: np.ndarray) -> np.ndarray:
-    """(1 - z)/2: distance to the z = +1 target pole."""
-    return 0.5 * (1.0 - np.asarray(b)[..., 2])
-
-
 def bloch_v2(b: np.ndarray) -> np.ndarray:
     """1 - z^2: variance of sigma_z."""
     return 1.0 - np.asarray(b)[..., 2] ** 2
@@ -77,14 +72,6 @@ def bloch_feedback(b: np.ndarray, ctrl: ControllerSpec, mu: float, eta: float) -
         return ctrl.k * t
     gain = 4.0 * ctrl.k * np.sqrt(mu * eta) / ctrl.ell
     return ctrl.k**2 * t - gain * bloch_v2(b)
-
-
-def bloch_generator_vtilde(b: np.ndarray, u, ell: float, mu: float, eta: float) -> np.ndarray:
-    """L Vt = -u y (1 + 4 z/ell^2) - (4 mu eta / ell^2) (1 - z^2)^2."""
-    b = np.asarray(b)
-    return -np.asarray(u) * bloch_trace_term(b, ell) - (
-        4.0 * mu * eta / ell**2
-    ) * bloch_v2(b) ** 2
 
 
 def bloch_sme_increment(

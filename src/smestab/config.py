@@ -47,12 +47,6 @@ def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def matrix_to_literal(m: np.ndarray) -> list:
-    """Inverse of parse_matrix."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def _section(doc: dict, key: str) -> dict:
     if key not in doc or not isinstance(doc[key], dict):
         raise ConfigError(f"missing section {key!r}")
@@ -92,7 +86,6 @@ def config_from_dict(doc: dict) -> EnsembleConfig:
             t_final=float(_get(ssec, "t_final", "sim")),
             seed=int(_get(ssec, "seed", "sim")),
             record_stride=int(ssec.get("record_stride", 1)),
-            convergence_fidelity=float(ssec.get("convergence_fidelity", 0.99)),
             representation=ssec.get("representation", "sme"),
         )
         n_traj = int(doc.get("ensemble", {}).get("n_trajectories", 1))

@@ -28,7 +28,6 @@ from .hermitian import (
     hermitize,
     is_hermitian,
     purity,
-    spectral_decompose,
     trace,
     validate_density,
 )
@@ -36,6 +35,7 @@ from .hermitian import (
 COMMUTING_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
+SPECTRAL_GAP_TOL = 1e-10
 
 
 def _connected(h_b: np.ndarray, tol: float = EDGE_TOL) -> bool:
@@ -59,8 +59,13 @@ class ModelSpec:
     """Free Hamiltonian h_a, control Hamiltonian h_b, measured observable c.
 
     Construction enforces the standing assumptions: all three matrices
-    Hermitian, [h_a, c] = 0 (nondemolition), c with a simple spectrum, the
-    coupling graph of h_b connected, mu > 0 and 0 < eta <= 1.
+    Hermitian, [h_a, c] = 0 (nondemolition), c with a simple spectrum (every
+    eigenvalue gap above SPECTRAL_GAP_TOL), the coupling graph of h_b
+    connected, mu > 0 and 0 < eta <= 1.
+
+    projectors holds the rank-one eigenprojectors of c in ascending eigenvalue
+    order. It is derived from c here, the only place c is decomposed; targets,
+    antipodes and collapse outcomes are all members of it.
     """
 
     h_a: np.ndarray
@@ -68,6 +73,7 @@ class ModelSpec:
     c: np.ndarray
     mu: float
     eta: float
+    projectors: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h_a = np.asarray(self.h_a, dtype=complex)
@@ -88,8 +94,11 @@ class ModelSpec:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if np.max(np.abs(commutator(h_a, c))) > COMMUTING_TOL:
             raise ValueError("h_a and c do not commute: measurement is not nondemolition")
-        if spectral_decompose(c).degenerate:
+        w, v = np.linalg.eigh(c)
+        if np.any(np.diff(w) <= SPECTRAL_GAP_TOL):
             raise ValueError("c has a degenerate spectrum; eigenstates are not isolated")
+        projectors = [v[:, [j]] @ dag(v[:, [j]]) for j in range(len(w))]
+        object.__setattr__(self, "projectors", projectors)
         if not _connected(h_b):
             raise ValueError("coupling graph of h_b is disconnected")
 
@@ -102,8 +111,8 @@ class ModelSpec:
 class TargetSpec:
     """Rank-one target eigenstate rho_d and the competing eigenprojectors of c.
 
-    antipodal[j] is the j-th remaining spectral projector of c in ascending
-    eigenvalue order; outcomes refer to antipodal states by that index.
+    antipodal[j] is the j-th member of model.projectors other than rho_d, in
+    ascending eigenvalue order; outcomes refer to antipodal states by that index.
     """
 
     rho_d: np.ndarray
@@ -119,12 +128,11 @@ class TargetSpec:
             lam = expectation(m, rho_d)
             if np.max(np.abs(m @ rho_d - lam * rho_d)) > EIGENSTATE_TOL:
                 raise ValueError(f"rho_d is not an eigenstate of {name}")
-        dec = spectral_decompose(model.c)
-        overlaps = [expectation(p, rho_d) for p in dec.projectors]
+        overlaps = [expectation(p, rho_d) for p in model.projectors]
         hit = int(np.argmax(overlaps))
         if overlaps[hit] < 1.0 - EIGENSTATE_TOL:
             raise ValueError("rho_d does not match any spectral projector of c")
-        antipodal = [p for j, p in enumerate(dec.projectors) if j != hit]
+        antipodal = [p for j, p in enumerate(model.projectors) if j != hit]
         return cls(rho_d=rho_d, antipodal=antipodal)
 
 

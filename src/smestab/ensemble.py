@@ -7,7 +7,7 @@ outputs regardless of batch size or host.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from .integrate import (
     SimConfig,
     Trajectory,
     _classify,
+    _outcome_labels,
     run_batch,
     within_rejection_budget,
 )
@@ -70,14 +71,6 @@ class EnsembleStats:
     mean_purity: np.ndarray
     mean_fidelity: np.ndarray
     supermartingale_violations: int
-    v_tilde_paths: np.ndarray = field(repr=False, default=None)
-
-
-def _outcome_labels(target: TargetSpec) -> list[str]:
-    labels = ["converged_target"]
-    labels += [f"converged_antipodal({j})" for j in range(len(target.antipodal))]
-    labels.append("undetermined")
-    return labels
 
 
 def _count_supermartingale_violations(vt: np.ndarray) -> int:
@@ -91,7 +84,10 @@ def _count_supermartingale_violations(vt: np.ndarray) -> int:
 
 
 def reduce_batch(res: BatchResult, target: TargetSpec, sim: SimConfig) -> EnsembleStats:
-    """Classify, exclude over-budget trajectories, and average the certificates."""
+    """Classify, exclude over-budget trajectories, and average the certificates.
+
+    sim is not read: outcomes use integrate.CONVERGENCE_FIDELITY.
+    """
     b = len(res.indices)
     valid = within_rejection_budget(res.n_rejected, res.n_steps)
     excluded = [res.indices[i] for i in range(b) if not valid[i]]
@@ -100,7 +96,7 @@ def reduce_batch(res: BatchResult, target: TargetSpec, sim: SimConfig) -> Ensemb
             f"{len(excluded)} of {b} trajectories exceeded the step-rejection budget"
         )
     n_valid = int(valid.sum())
-    outcomes = _classify(res.final_states[valid], target, sim.convergence_fidelity)
+    outcomes = _classify(res.final_states[valid], target)
     counts = {label: 0 for label in _outcome_labels(target)}
     for o in outcomes:
         counts[o] += 1
@@ -121,7 +117,6 @@ def reduce_batch(res: BatchResult, target: TargetSpec, sim: SimConfig) -> Ensemb
         mean_purity=res.purity[valid].mean(axis=0),
         mean_fidelity=res.fidelity[valid].mean(axis=0),
         supermartingale_violations=_count_supermartingale_violations(vt),
-        v_tilde_paths=vt,
     )
 
 

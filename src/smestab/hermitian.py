@@ -1,18 +1,15 @@
-"""Hermitian matrix kernel: traces, spectral surgery, density-cone projection.
+"""Hermitian matrix kernel: traces, moments, density-cone checks and projection.
 
 Every function accepts stacked operands of shape (..., N, N) and broadcasts
 over the leading axes; a single matrix is the degenerate stack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-9
-SPECTRAL_MERGE_TOL = 1e-10
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -60,41 +57,6 @@ def variance(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def purity(rho: np.ndarray) -> np.ndarray:
     """tr(rho^2), in [1/N, 1] on the density cone."""
     return np.einsum("...ij,...ji->...", rho, rho).real
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending, merged within tol) and their spectral projectors."""
-
-    eigenvalues: np.ndarray
-    projectors: list[np.ndarray]
-
-    @property
-    def degenerate(self) -> bool:
-        return any(int(round(trace(p).real)) > 1 for p in self.projectors)
-
-
-def spectral_decompose(c: np.ndarray, tol: float = SPECTRAL_MERGE_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a single Hermitian matrix with near-degenerate merging.
-
-    Eigenvalues closer than tol are merged into one spectral projector, so the
-    projectors always resolve the identity and commute with c exactly.
-    """
-    c = np.asarray(c)
-    if c.ndim != 2:
-        raise ValueError("spectral_decompose expects a single matrix")
-    if not is_hermitian(c):
-        raise ValueError("spectral_decompose expects a Hermitian matrix")
-    w, v = np.linalg.eigh(c)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    eigenvalues = np.array([w[g].mean() for g in groups])
-    projectors = [v[:, g] @ dag(v[:, g]) for g in groups]
-    return SpectralDecomposition(eigenvalues=eigenvalues, projectors=projectors)
 
 
 def project_to_density(m: np.ndarray) -> np.ndarray:

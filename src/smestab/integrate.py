@@ -33,8 +33,8 @@ from .hermitian import EIG_FLOOR, hermitize, min_eigenvalue, project_to_density,
 from .lyapunov import (
     ControllerSpec,
     LyapunovReport,
-    closed_loop_generator,
     feedback,
+    generator_v,
     l0_v_tilde,
     lb_v_tilde,
     third_central_moment,
@@ -60,7 +60,6 @@ class SimConfig:
     t_final: float
     seed: int
     record_stride: int = 1
-    convergence_fidelity: float = 0.99
     representation: str = "sme"
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SimConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
             raise ValueError("record_stride must be a positive integer")
-        if not 0.5 < self.convergence_fidelity <= 1.0:
-            raise ValueError("convergence_fidelity must lie in (0.5, 1]")
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
 
@@ -202,38 +199,34 @@ def _record_slots(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(slots)
 
 
-def _classify(final: np.ndarray, target: TargetSpec, threshold: float) -> list[str]:
-    labels = []
-    f_t = np.einsum("ij,bji->b", target.rho_d, final).real
-    f_a = np.stack(
-        [np.einsum("ij,bji->b", a, final).real for a in target.antipodal], axis=1
+CONVERGENCE_FIDELITY = 0.99
+
+
+def _outcome_labels(target: TargetSpec) -> list[str]:
+    """Every outcome label, in the order _classify tries them."""
+    antipodal = [f"converged_antipodal({j})" for j in range(len(target.antipodal))]
+    return ["converged_target", *antipodal, "undetermined"]
+
+
+def _classify(final: np.ndarray, target: TargetSpec) -> list[str]:
+    """Label each state by the first of [rho_d, *antipodal] it has converged to.
+
+    Converged means a population of at least CONVERGENCE_FIDELITY; a state
+    converged to none of them is "undetermined".
+    """
+    pops = np.stack(
+        [np.einsum("ij,bji->b", p, final).real for p in [target.rho_d, *target.antipodal]],
+        axis=1,
     )
-    for i in range(final.shape[0]):
-        if f_t[i] >= threshold:
-            labels.append("converged_target")
-            continue
-        hits = np.nonzero(f_a[i] >= threshold)[0]
-        labels.append(f"converged_antipodal({hits[0]})" if hits.size else "undetermined")
-    return labels
+    hit = pops >= CONVERGENCE_FIDELITY
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), pops.shape[1])
+    labels = _outcome_labels(target)
+    return [labels[j] for j in first]
 
 
 def _alloc(b: int, n_rec: int) -> dict[str, np.ndarray]:
-    return {
-        name: np.zeros((b, n_rec))
-        for name in (
-            "controls",
-            "records",
-            "v1",
-            "v2",
-            "v_tilde",
-            "lv",
-            "l0",
-            "lb",
-            "third",
-            "fidelity",
-            "purity",
-        )
-    }
+    names = "controls records v1 v2 v_tilde lv l0 lb third fidelity purity".split()
+    return {name: np.zeros((b, n_rec)) for name in names}
 
 
 def _record_point(
@@ -251,7 +244,7 @@ def _record_point(
     out["v1"][:, slot] = _v1(rho, target)
     out["v2"][:, slot] = _v2(rho, model)
     out["v_tilde"][:, slot] = _v_tilde(rho, model, target, ctrl.ell)
-    out["lv"][:, slot] = closed_loop_generator(rho, model, target, ctrl)
+    out["lv"][:, slot] = generator_v(rho, model, target, u, ctrl.ell)
     out["l0"][:, slot] = l0_v_tilde(rho, model, ctrl.ell)
     out["lb"][:, slot] = lb_v_tilde(rho, model, target, ctrl.ell)
     out["third"][:, slot] = third_central_moment(model.c, rho)
@@ -354,7 +347,7 @@ def simulate(
         controls=res.controls[0],
         records=res.records[0],
         lyapunov=[LyapunovReport(*row) for row in rows],
-        outcome=_classify(res.final_states, target, sim.convergence_fidelity)[0],
+        outcome=_classify(res.final_states, target)[0],
         fidelity_target=res.fidelity[0],
         purity=res.purity[0],
         n_steps=res.n_steps,

@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from conftest import C3, H_A3, H_B3, RHO_D2, SX, SY, SZ, qubit, qutrit
+from conftest import H_A3, H_B3, RHO_D2, SX, SY, SZ, qubit, qutrit
 from smestab import (
     RankReport,
-    is_diagonal_set,
     kalman_like_rank,
     stochastic_jq_commutators,
     strong_regularity,
@@ -96,18 +95,3 @@ def test_strong_regularity():
     assert not strong_regularity(np.diag([0.0, 1.0, 2.0]))  # gap 1 repeats
     assert not strong_regularity(np.diag([0.0, 0.0, 1.0]))
     assert strong_regularity(np.diag([5.0]))
-
-
-def test_is_diagonal_set():
-    assert is_diagonal_set(np.diag([0.2, 0.3, 0.5]).astype(complex), C3)
-    off = np.diag([0.2, 0.3, 0.5]).astype(complex)
-    off[0, 1] = off[1, 0] = 0.05
-    assert not is_diagonal_set(off, C3)
-    # diagonal relative to a rotated observable
-    rng = np.random.default_rng(81)
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, _ = np.linalg.qr(g)
-    c_rot = q @ C3 @ q.conj().T
-    rho_rot = q @ np.diag([0.2, 0.3, 0.5]).astype(complex) @ q.conj().T
-    assert is_diagonal_set(rho_rot, c_rot)
-

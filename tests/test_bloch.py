@@ -18,15 +18,23 @@ from smestab import (
 )
 from smestab.bloch import (
     bloch_feedback,
-    bloch_generator_vtilde,
     bloch_sme_increment,
     bloch_trace_term,
-    bloch_v1,
     bloch_v2,
     from_density,
     to_density,
 )
 from smestab.dynamics import diffusion_term, sme_drift
+
+
+def bloch_v1(b):
+    """(1 - z)/2: distance to the z = +1 target pole."""
+    return 0.5 * (1.0 - np.asarray(b)[..., 2])
+
+
+def bloch_generator_vtilde(b, u, ell, mu, eta):
+    """L Vt = -u y (1 + 4 z/ell^2) - (4 mu eta / ell^2) (1 - z^2)^2."""
+    return -np.asarray(u) * bloch_trace_term(b, ell) - (4.0 * mu * eta / ell**2) * bloch_v2(b) ** 2
 
 
 def random_bloch(rng, r_max=0.95, size=None):

@@ -6,7 +6,13 @@ import pytest
 
 from smestab import ControllerSpec, config_from_dict, load_config, parse_matrix
 from smestab.cli import main
-from smestab.config import ConfigError, matrix_to_literal
+from smestab.config import ConfigError
+
+
+def matrix_to_literal(m):
+    """Inverse of parse_matrix."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def qubit_doc(**overrides):
@@ -74,7 +80,6 @@ def test_config_defaults():
     cfg = config_from_dict(doc)
     assert cfg.n_trajectories == 1
     assert cfg.controller.k == 1.0
-    assert cfg.sim.convergence_fidelity == 0.99
 
 
 def test_config_missing_section_and_wrapped_errors():

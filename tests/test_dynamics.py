@@ -1,4 +1,6 @@
 """Model validation and the Ito vector fields of the conditioned equation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,10 +53,35 @@ def test_model_rejects_non_commuting_h_a_c():
 
 
 def test_model_rejects_degenerate_observable():
-    c = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    h_b = H_B3
-    with pytest.raises(ValueError, match="degenerate"):
-        ModelSpec(h_a=np.zeros((3, 3), dtype=complex), h_b=h_b, c=c, mu=1.0, eta=1.0)
+    for spectrum in ([1.0, 1.0, -1.0], [0.5, 0.5 + 1e-12, 1.0]):
+        c = np.diag(spectrum).astype(complex)
+        with pytest.raises(ValueError, match="degenerate"):
+            ModelSpec(h_a=np.zeros((3, 3), dtype=complex), h_b=H_B3, c=c, mu=1.0, eta=1.0)
+
+
+def test_model_projectors_and_target_in_a_rotated_basis():
+    rng = np.random.default_rng(24)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    w = np.array([-1.3, 0.2, 0.7, 2.1])
+    c = q @ np.diag(w) @ dag(q)
+    h_a = q @ np.diag([0.5, -1.0, 2.0, 0.0]) @ dag(q)
+    model = ModelSpec(h_a=h_a, h_b=g + dag(g), c=c, mu=1.0, eta=1.0)
+    p = model.projectors
+    np.testing.assert_allclose(sum(lam * pj for lam, pj in zip(w, p)), c, atol=1e-12)
+    for i in range(4):
+        for j in range(4):
+            np.testing.assert_allclose(p[i] @ p[j], p[i] if i == j else 0.0, atol=1e-12)
+    rotated = [q[:, [j]] @ dag(q[:, [j]]) for j in range(4)]
+    np.testing.assert_allclose(np.stack(p), np.stack(rotated), atol=1e-12)
+    target = TargetSpec.for_model(model, rotated[2])
+    np.testing.assert_allclose(target.rho_d, rotated[2], atol=1e-12)
+    antipodal = np.stack([rotated[j] for j in (0, 1, 3)])
+    np.testing.assert_allclose(np.stack(target.antipodal), antipodal, atol=1e-12)
+    # replace() re-derives the projectors of the new model
+    slower = replace(model, mu=0.5, eta=0.7)
+    assert (slower.mu, slower.eta) == (0.5, 0.7)
+    np.testing.assert_array_equal(np.stack(slower.projectors), np.stack(p))
 
 
 def test_model_rejects_disconnected_coupling():

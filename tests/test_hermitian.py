@@ -1,9 +1,10 @@
-"""Matrix kernel: traces, spectral surgery, density-cone checks."""
+"""Matrix kernel: traces, moments, density-cone checks."""
 import numpy as np
 import pytest
 
-from conftest import SX, SY, SZ, ginibre, random_pure
+from conftest import H_B3, SX, SY, SZ, ginibre, random_pure
 from smestab import (
+    ModelSpec,
     commutator,
     expectation,
     hermitize,
@@ -11,7 +12,6 @@ from smestab import (
     min_eigenvalue,
     project_to_density,
     purity,
-    spectral_decompose,
     validate_density,
     variance,
 )
@@ -82,30 +82,11 @@ def test_purity_bounds_on_random_densities():
 def test_born_probabilities_resolve_identity():
     rng = np.random.default_rng(5)
     rho = ginibre(rng, 3)
-    dec = spectral_decompose(np.diag([2.0, -1.0, 0.5]).astype(complex))
-    probs = [float(expectation(p, rho)) for p in dec.projectors]
+    c = np.diag([2.0, -1.0, 0.5]).astype(complex)
+    model = ModelSpec(h_a=np.zeros((3, 3)), h_b=H_B3, c=c, mu=1.0, eta=1.0)
+    probs = [float(expectation(p, rho)) for p in model.projectors]
     assert all(q > 0 for q in probs)
     np.testing.assert_allclose(sum(probs), 1.0, atol=1e-12)
-
-
-def test_spectral_decompose_reconstructs_and_is_orthogonal():
-    rng = np.random.default_rng(7)
-    m = hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    dec = spectral_decompose(m)
-    recon = sum(lam * p for lam, p in zip(dec.eigenvalues, dec.projectors))
-    np.testing.assert_allclose(recon, m, atol=1e-12)
-    for i, p in enumerate(dec.projectors):
-        np.testing.assert_allclose(p @ p, p, atol=1e-12)
-        for q in dec.projectors[i + 1 :]:
-            np.testing.assert_allclose(p @ q, 0.0, atol=1e-12)
-
-
-def test_spectral_decompose_merges_near_degenerate_levels():
-    m = np.diag([0.5, 0.5 + 1e-12, 1.0]).astype(complex)
-    dec = spectral_decompose(m)
-    assert len(dec.projectors) == 2
-    assert dec.degenerate
-    assert not spectral_decompose(np.diag([0.0, 1.0, 3.0]).astype(complex)).degenerate
 
 
 def test_project_to_density_lands_on_cone_and_fixes_members():
