@@ -59,6 +59,13 @@ def _get(section: dict, key: str, where: str):
     return section[key]
 
 
+def _integer(value, where: str) -> int:
+    """An integral JSON number as int; booleans and fractional numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(doc: dict) -> EnsembleConfig:
     """Build and validate a full run configuration from parsed JSON."""
     msec = _section(doc, "model")
@@ -84,11 +91,13 @@ def config_from_dict(doc: dict) -> EnsembleConfig:
         sim = SimConfig(
             dt=float(_get(ssec, "dt", "sim")),
             t_final=float(_get(ssec, "t_final", "sim")),
-            seed=int(_get(ssec, "seed", "sim")),
-            record_stride=int(ssec.get("record_stride", 1)),
+            seed=_integer(_get(ssec, "seed", "sim"), "sim.seed"),
+            record_stride=_integer(ssec.get("record_stride", 1), "sim.record_stride"),
             representation=ssec.get("representation", "sme"),
         )
-        n_traj = int(doc.get("ensemble", {}).get("n_trajectories", 1))
+        n_traj = _integer(
+            doc.get("ensemble", {}).get("n_trajectories", 1), "ensemble.n_trajectories"
+        )
         rho0 = parse_matrix(_get(doc, "rho0", "config"), "rho0")
         return EnsembleConfig(
             n_trajectories=n_traj,

@@ -37,6 +37,9 @@ EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
 SPECTRAL_GAP_TOL = 1e-10
 
+# rows of TargetSpec.observables
+RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2 = range(7)
+
 
 def _connected(h_b: np.ndarray, tol: float = EDGE_TOL) -> bool:
     """Breadth-first search on the coupling graph: edge (i,j) iff |h_b[i,j]| > tol."""
@@ -113,10 +116,17 @@ class TargetSpec:
 
     antipodal[j] is the j-th member of model.projectors other than rho_d, in
     ascending eigenvalue order; outcomes refer to antipodal states by that index.
+
+    observables is derived by for_model: a (7, N*N) table whose rows, indexed
+    by RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2, are the flattened Hermitian
+    matrices rho_d, c, c^2, c^3 and K_X = -i[X, h_b] for X = rho_d, c, c^2.
+    Feedback and certificates read a state only through these expectations,
+    so a target serves models with the h_b and c it was built for.
     """
 
     rho_d: np.ndarray
     antipodal: list[np.ndarray] = field(repr=False)
+    observables: np.ndarray = field(init=False, repr=False, compare=False)
 
     @classmethod
     def for_model(cls, model: ModelSpec, rho_d: np.ndarray) -> "TargetSpec":
@@ -133,7 +143,11 @@ class TargetSpec:
         if overlaps[hit] < 1.0 - EIGENSTATE_TOL:
             raise ValueError("rho_d does not match any spectral projector of c")
         antipodal = [p for j, p in enumerate(model.projectors) if j != hit]
-        return cls(rho_d=rho_d, antipodal=antipodal)
+        target = cls(rho_d=rho_d, antipodal=antipodal)
+        c, c2 = model.c, model.c @ model.c
+        rows = [rho_d, c, c2, c2 @ c] + [-1j * commutator(x, model.h_b) for x in (rho_d, c, c2)]
+        object.__setattr__(target, "observables", hermitize(np.stack(rows)).reshape(7, -1))
+        return target
 
 
 def hamiltonian_drift(h: np.ndarray, rho: np.ndarray) -> np.ndarray:

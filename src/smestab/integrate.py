@@ -30,18 +30,7 @@ from .dynamics import (
     sse_drift,
 )
 from .hermitian import EIG_FLOOR, hermitize, min_eigenvalue, project_to_density, purity, trace
-from .lyapunov import (
-    ControllerSpec,
-    LyapunovReport,
-    feedback,
-    generator_v,
-    l0_v_tilde,
-    lb_v_tilde,
-    third_central_moment,
-    v1 as _v1,
-    v2 as _v2,
-    v_tilde as _v_tilde,
-)
+from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback
 
 REPRESENTATIONS = ("sme", "sse")
 REJECTION_BUDGET = 1e-3
@@ -112,16 +101,25 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 
 
 def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int):
-    """Yield the (B,) Brownian increments of steps 0..n_steps-1 in turn.
+    """Return an iterator over the (B,) Brownian increments of steps 0..n_steps-1.
 
     Each trajectory's substream draws NOISE_WINDOW steps at a time, so memory
-    stays bounded on long horizons and no path depends on the others.
+    stays bounded on long horizons and no path depends on the others. A
+    substream key is an unsigned 64-bit integer, so an index outside
+    [0, 2**64) raises ValueError here, before any step runs.
     """
+    for i in indices:
+        if not 0 <= i < 2**64:
+            raise ValueError(f"trajectory index {i} does not fit in an unsigned 64-bit integer")
     gens = [_substream(seed, i) for i in indices]
     sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_steps, NOISE_WINDOW):
-        width = min(NOISE_WINDOW, n_steps - start)
-        yield from np.stack([g.normal(0.0, sqrt_dt, width) for g in gens]).T
+
+    def steps():
+        for start in range(0, n_steps, NOISE_WINDOW):
+            width = min(NOISE_WINDOW, n_steps - start)
+            yield from np.stack([g.normal(0.0, sqrt_dt, width) for g in gens]).T
+
+    return steps()
 
 
 def _sme_step(rho, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
@@ -241,14 +239,8 @@ def _record_point(
 ) -> None:
     out["controls"][:, slot] = u
     out["records"][:, slot] = window_dy
-    out["v1"][:, slot] = _v1(rho, target)
-    out["v2"][:, slot] = _v2(rho, model)
-    out["v_tilde"][:, slot] = _v_tilde(rho, model, target, ctrl.ell)
-    out["lv"][:, slot] = generator_v(rho, model, target, u, ctrl.ell)
-    out["l0"][:, slot] = l0_v_tilde(rho, model, ctrl.ell)
-    out["lb"][:, slot] = lb_v_tilde(rho, model, target, ctrl.ell)
-    out["third"][:, slot] = third_central_moment(model.c, rho)
-    out["fidelity"][:, slot] = np.einsum("ij,...ji->...", target.rho_d, rho).real
+    for name, value in certificates(rho, model, target, u, ctrl.ell).items():
+        out[name][:, slot] = value
     out["purity"][:, slot] = purity(rho)
 
 
@@ -339,8 +331,8 @@ def simulate(
         rho0, model, target, ctrl, sim, indices=[trajectory_index], record_states=True
     )
     # in LyapunovReport field order
-    certificates = (res.v1, res.v2, res.v_tilde, res.lv, res.l0, res.lb, res.third)
-    rows = np.stack([c[0] for c in certificates], axis=1).tolist()
+    series = (res.v1, res.v2, res.v_tilde, res.lv, res.l0, res.lb, res.third)
+    rows = np.stack([c[0] for c in series], axis=1).tolist()
     return Trajectory(
         times=res.times,
         states=list(res.states[0]),

@@ -15,6 +15,15 @@ The square_of_sum law completes L Vt to a negative square:
 
     u = k^2 T_ell - (4 k sqrt(mu eta) / ell) V2
     L Vt = -(k T_ell - (2 sqrt(mu eta) / ell) V2)^2.
+
+As tr(-i[h_b, rho] X) = <K_X> with the constant Hermitian K_X = -i[X, h_b],
+laws and certificates read rho only through <O> = Re tr(O rho) for the seven
+rows of TargetSpec.observables (rho_d, C, C^2, C^3, K_rho_d, K_C, K_C2):
+
+    T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2,   linear u = k <K_rho_d>.
+
+v1, v2 and v_tilde keep their direct trace forms: the Monte-Carlo arbiter of
+the generator shares no code with the closed form it judges.
 """
 from __future__ import annotations
 
@@ -22,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
 from .dynamics import ModelSpec, TargetSpec, diffusion_term, sme_drift
-from .hermitian import commutator, expectation, purity, variance
+from .hermitian import expectation, purity, variance
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
 
@@ -73,46 +83,72 @@ def v_tilde(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -
     return v1(rho, target) + v2(rho, model) / ell**2
 
 
-def third_central_moment(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """<C^3> - 3 <C> <C^2> + 2 <C>^3; the drift asymmetry of the collapse."""
-    c2 = c @ c
-    e1 = expectation(c, rho)
-    e2 = expectation(c2, rho)
-    e3 = expectation(c2 @ c, rho)
-    return e3 - 3.0 * e1 * e2 + 2.0 * e1**3
+def moments(rho: np.ndarray, target: TargetSpec) -> np.ndarray:
+    """<O_k> = Re tr(O_k rho) of the rows of target.observables, on a last axis of 7.
+
+    Re tr(O rho) for Hermitian O is the real inner product of O and rho as
+    vectors of 2 N^2 reals, so each row is one product and one contiguous
+    last-axis sum: a state's moments do not depend on the batch around it.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    flat = rho.reshape(*rho.shape[:-2], 1, -1).view(np.float64)
+    return (target.observables.view(np.float64) * flat).sum(-1)
+
+
+# Powers are written as products: numpy raises a scalar with pow() but squares
+# an array elementwise, and the two may differ in the last bit, so a state
+# alone would not match its row in a batch.
+def _variance(m: np.ndarray) -> np.ndarray:
+    return m[..., C2] - m[..., C1] * m[..., C1]
+
+
+def _trace_term(m: np.ndarray, ell: float) -> np.ndarray:
+    return m[..., K_RHO_D] + (2.0 * m[..., C1] * m[..., K_C] - m[..., K_C2]) / ell**2
+
+
+def _l0(var: np.ndarray, model: ModelSpec, ell: float) -> np.ndarray:
+    return -4.0 * model.mu * model.eta * (var * var) / ell**2
+
+
+def _generator(m: np.ndarray, model: ModelSpec, u, ell: float) -> np.ndarray:
+    return -np.asarray(u) * _trace_term(m, ell) + _l0(_variance(m), model, ell)
 
 
 def trace_term(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -> np.ndarray:
-    """T_ell = tr(-i[h_b, rho] (rho_d + (2 <C> C - C^2) / ell^2))."""
-    comm = commutator(model.h_b, rho)
-    ex = expectation(model.c, rho)
-    c2 = model.c @ model.c
-    m = target.rho_d + (2.0 * ex[..., None, None] * model.c - c2) / ell**2
-    return np.einsum("...ij,...ji->...", -1j * comm, m).real
-
-
-def lb_v1(rho: np.ndarray, model: ModelSpec, target: TargetSpec) -> np.ndarray:
-    """Control derivative of V1: L_b V1 = -tr(-i[h_b, rho] rho_d)."""
-    comm = commutator(model.h_b, rho)
-    return -np.einsum("...ij,...ji->...", -1j * comm, target.rho_d).real
-
-
-def lb_v_tilde(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -> np.ndarray:
-    """Control derivative of Vt: L_b Vt = -T_ell."""
-    return -trace_term(rho, model, target, ell)
-
-
-def l0_v_tilde(rho: np.ndarray, model: ModelSpec, ell: float) -> np.ndarray:
-    """Drift part of L Vt at u = 0: -(4 mu eta / ell^2) V2^2 <= 0."""
-    return -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / ell**2
+    """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2; model is not read."""
+    return _trace_term(moments(rho, target), ell)
 
 
 def generator_v(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> np.ndarray:
     """Closed-form infinitesimal generator of Vt along the controlled diffusion."""
-    u = np.asarray(u)
-    return -u * trace_term(rho, model, target, ell) + l0_v_tilde(rho, model, ell)
+    return _generator(moments(rho, target), model, u, ell)
+
+
+def certificates(
+    rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
+) -> dict[str, np.ndarray]:
+    """Every recorded certificate at control u, from one moments pass.
+
+    v1, v2, v_tilde; lv = L Vt at u, split into the drift part l0 and the
+    control derivative lb = -T_ell; third = <C^3> - 3 <C> <C^2> + 2 <C>^3, the
+    drift asymmetry of the collapse; fidelity = tr(rho_d rho).
+    """
+    m = moments(rho, target)
+    e1 = m[..., C1]
+    var = _variance(m)
+    dist = purity(target.rho_d) - m[..., RHO_D]
+    return {
+        "v1": dist,
+        "v2": var,
+        "v_tilde": dist + var / ell**2,
+        "lv": _generator(m, model, u, ell),
+        "l0": _l0(var, model, ell),
+        "lb": -_trace_term(m, ell),
+        "third": m[..., C3] - 3.0 * e1 * m[..., C2] + 2.0 * (e1 * e1 * e1),
+        "fidelity": m[..., RHO_D],
+    }
 
 
 def feedback(
@@ -121,22 +157,22 @@ def feedback(
     """Control value of the selected law at the current state."""
     if ctrl.kind == "open_loop":
         return np.zeros(np.asarray(rho).shape[:-2])
+    m = moments(rho, target)
     if ctrl.kind == "linear":
-        return -ctrl.k * lb_v1(rho, model, target)
-    t = trace_term(rho, model, target, ctrl.ell)
+        return ctrl.k * m[..., K_RHO_D]
+    t = _trace_term(m, ctrl.ell)
     if ctrl.kind == "sum_of_squares":
         return ctrl.k * t
     # square_of_sum and tuned share the gain-bearing completed-square law
     gain = 4.0 * ctrl.k * np.sqrt(model.mu * model.eta) / ctrl.ell
-    return ctrl.k**2 * t - gain * v2(rho, model)
+    return ctrl.k**2 * t - gain * _variance(m)
 
 
 def closed_loop_generator(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec
 ) -> np.ndarray:
     """L Vt evaluated at u = feedback(rho)."""
-    u = feedback(rho, model, target, ctrl)
-    return generator_v(rho, model, target, u, ctrl.ell)
+    return generator_v(rho, model, target, feedback(rho, model, target, ctrl), ctrl.ell)
 
 
 def generator_v_montecarlo_check(

@@ -3,16 +3,14 @@ import numpy as np
 import pytest
 
 from conftest import H_A3, H_B3, RHO_D2, SX, SY, SZ, qubit, qutrit
-from smestab import (
-    RankReport,
-    kalman_like_rank,
-    stochastic_jq_commutators,
-    strong_regularity,
-)
 from smestab.analysis import (
+    RankReport,
     control_direction,
     iterated_commutators,
+    kalman_like_rank,
     span_rank,
+    stochastic_jq_commutators,
+    strong_regularity,
 )
 
 

@@ -13,7 +13,6 @@ from smestab import (
     levelset_table,
     run_batch,
     trace_term,
-    v1,
     v2,
 )
 from smestab.bloch import (
@@ -25,6 +24,7 @@ from smestab.bloch import (
     to_density,
 )
 from smestab.dynamics import diffusion_term, sme_drift
+from smestab.lyapunov import v1
 
 
 def bloch_v1(b):

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from smestab import ControllerSpec, config_from_dict, load_config, parse_matrix
+from smestab import ControllerSpec
 from smestab.cli import main
-from smestab.config import ConfigError
+from smestab.config import ConfigError, config_from_dict, load_config, parse_matrix
 
 
 def matrix_to_literal(m):
@@ -71,6 +71,11 @@ def test_config_from_dict_builds_ensemble_config():
     assert cfg.controller.kind == "square_of_sum"
     assert cfg.sim.n_steps == 200
     np.testing.assert_allclose(cfg.rho0, np.eye(2) / 2, atol=0.0)
+    # an integral float is an integer
+    doc = qubit_doc(ensemble={"n_trajectories": 200.0})
+    doc["sim"].update(seed=7.0, record_stride=20.0)
+    cfg = config_from_dict(doc)
+    assert (cfg.n_trajectories, cfg.sim.seed, cfg.sim.record_stride) == (200, 7, 20)
 
 
 def test_config_defaults():
@@ -95,6 +100,19 @@ def test_config_missing_section_and_wrapped_errors():
     doc["model"]["n"] = 3
     with pytest.raises(ConfigError, match="does not match"):
         config_from_dict(doc)
+    bad_integers = (
+        ("sim", "record_stride", 2.5),
+        ("sim", "seed", 7.9),
+        ("sim", "seed", True),
+        ("sim", "seed", "7"),
+        ("ensemble", "n_trajectories", 3.7),
+        ("ensemble", "n_trajectories", False),
+    )
+    for section, key, value in bad_integers:
+        doc = qubit_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+            config_from_dict(doc)
 
 
 def test_load_config(tmp_path):
@@ -133,6 +151,11 @@ def test_cli_simulate_writes_trajectory(tmp_path, capsys):
         ["simulate", "--config", path, "--out", str(out_dir), "--trajectory-index", "4"]
     ) == 0
     assert (out_dir / "trajectory_4.csv").exists()
+    capsys.readouterr()
+    for index in ("-1", str(2**64)):
+        argv = ["simulate", "--config", path, "--out", str(out_dir), "--trajectory-index", index]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: trajectory index")
 
 
 def test_cli_ensemble_writes_summary(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import C3, H_A3, H_B3, RHO_D2, RHO_D3, SX, SZ, ginibre, qubit, qutrit, random_pure
-from smestab import (
+from smestab.dynamics import (
     ModelSpec,
     TargetSpec,
     diffusion_term,

@@ -8,13 +8,13 @@ from conftest import qubit
 from smestab import (
     ControllerSpec,
     EnsembleConfig,
-    EnsembleError,
     SimConfig,
     levelset_table,
     run_ensemble,
     simulate,
 )
 from smestab.ensemble import (
+    EnsembleError,
     _count_supermartingale_violations,
     reduce_batch,
     write_levelset_csv,

@@ -3,19 +3,20 @@ import numpy as np
 import pytest
 
 from conftest import H_B3, SX, SY, SZ, ginibre, random_pure
-from smestab import (
-    ModelSpec,
+from smestab import ModelSpec
+from smestab.hermitian import (
     commutator,
+    dag,
     expectation,
     hermitize,
     is_hermitian,
     min_eigenvalue,
     project_to_density,
     purity,
+    trace,
     validate_density,
     variance,
 )
-from smestab.hermitian import dag, trace
 
 
 def test_trace_matches_numpy_on_stacks():

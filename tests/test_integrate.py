@@ -96,6 +96,15 @@ def test_trajectory_independent_of_batch_composition():
     assert np.array_equal(full.final_states[3], solo.final_states[0])
 
 
+def test_run_batch_refuses_indices_outside_the_substream_keys():
+    model, target = qubit()
+    sim = SimConfig(dt=1e-3, t_final=0.01, seed=1)
+    for index in (-1, 2**64):
+        with pytest.raises(ValueError, match="trajectory index"):
+            run_batch(np.eye(2) / 2, model, target, ControllerSpec(kind="open_loop"), sim,
+                      indices=[0, index])
+
+
 def test_eigenvalue_clip_engages_on_coarse_steps():
     # a deliberately coarse step pushes the spectrum below the floor; the
     # maintenance projection must fire and still hand back valid densities

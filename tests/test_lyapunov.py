@@ -1,23 +1,25 @@
 """Lyapunov functions, feedback laws, and the closed-loop generator."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ, ginibre, qubit, qutrit, random_pure
 from smestab import (
     ControllerSpec,
+    ModelSpec,
     SimConfig,
+    TargetSpec,
     closed_loop_generator,
     feedback,
     generator_v,
     generator_v_montecarlo_check,
     simulate,
     trace_term,
-    v1,
     v2,
-    v_tilde,
 )
 from smestab.hermitian import expectation, trace, variance
-from smestab.lyapunov import l0_v_tilde, lb_v1, lb_v_tilde, third_central_moment
+from smestab.lyapunov import certificates, v1, v_tilde
 
 
 def bloch(x, y, z):
@@ -65,14 +67,15 @@ def test_v_tilde_combination():
 
 def test_third_central_moment_direct():
     rng = np.random.default_rng(43)
-    model, _ = qutrit()
+    model, target = qutrit()
     rho = ginibre(rng, 3, batch=(8,))
     c = model.c
     m1 = expectation(c, rho)
     m2 = expectation(c @ c, rho)
     m3 = expectation(c @ c @ c, rho)
     expected = m3 - 3.0 * m2 * m1 + 2.0 * m1**3
-    np.testing.assert_allclose(third_central_moment(c, rho), expected, atol=1e-13)
+    third = certificates(rho, model, target, 0.0, 1.0)["third"]
+    np.testing.assert_allclose(third, expected, atol=1e-13)
 
 
 def test_trace_term_closed_form_on_bloch_states():
@@ -89,13 +92,16 @@ def test_trace_term_closed_form_on_bloch_states():
 
 
 def test_lb_v1_is_minus_y():
+    # L_b V1 = -tr(-i[h_b, rho] rho_d), which the linear law at k = 1 negates
     model, target = qubit()
+    linear = ControllerSpec(kind="linear", k=1.0)
     rng = np.random.default_rng(45)
     for _ in range(30):
         x, y, z = rng.uniform(-0.5, 0.5, size=3)
-        np.testing.assert_allclose(
-            lb_v1(bloch(x, y, z), model, target), -y, atol=1e-12
-        )
+        rho = bloch(x, y, z)
+        lb_v1 = -trace(-1j * (model.h_b @ rho - rho @ model.h_b) @ target.rho_d).real
+        np.testing.assert_allclose(lb_v1, -y, atol=1e-12)
+        np.testing.assert_allclose(-feedback(rho, model, target, linear), -y, atol=1e-12)
 
 
 def test_lb_v_tilde_is_minus_trace_term():
@@ -103,7 +109,7 @@ def test_lb_v_tilde_is_minus_trace_term():
     model, target = qutrit(mu=1.2, eta=0.7)
     rho = ginibre(rng, 3, batch=(6,))
     np.testing.assert_allclose(
-        lb_v_tilde(rho, model, target, 1.3),
+        certificates(rho, model, target, 0.0, 1.3)["lb"],
         -trace_term(rho, model, target, 1.3),
         atol=1e-13,
     )
@@ -115,7 +121,8 @@ def test_l0_v_tilde_closed_form():
     rho = ginibre(rng, 3, batch=(6,))
     ell = 0.8
     expected = -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / ell**2
-    np.testing.assert_allclose(l0_v_tilde(rho, model, ell), expected, atol=1e-13)
+    l0 = certificates(rho, model, target, 0.0, ell)["l0"]
+    np.testing.assert_allclose(l0, expected, atol=1e-13)
 
 
 def test_generator_decomposition():
@@ -124,7 +131,8 @@ def test_generator_decomposition():
     rho = ginibre(rng, 3, batch=(6,))
     u = np.linspace(-1.0, 1.0, 6)
     ell = 1.4
-    expected = -u * trace_term(rho, model, target, ell) + l0_v_tilde(rho, model, ell)
+    l0 = -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / ell**2
+    expected = -u * trace_term(rho, model, target, ell) + l0
     np.testing.assert_allclose(generator_v(rho, model, target, u, ell), expected, atol=1e-13)
 
 
@@ -140,7 +148,8 @@ def test_feedback_laws():
     np.testing.assert_allclose(u, 0.0, atol=0.0)
 
     u = feedback(rho, model, target, ControllerSpec(kind="linear", k=k))
-    np.testing.assert_allclose(u, -k * lb_v1(rho, model, target), atol=1e-13)
+    comm = model.h_b @ rho - rho @ model.h_b
+    np.testing.assert_allclose(u, k * trace(-1j * comm @ target.rho_d).real, atol=1e-13)
 
     u = feedback(rho, model, target, ControllerSpec(kind="sum_of_squares", k=k, ell=ell))
     np.testing.assert_allclose(u, k * t, atol=1e-13)
@@ -209,7 +218,8 @@ def test_generator_against_monte_carlo():
     # rival closed form with the opposite relative sign inside the trace term,
     # written out in Bloch coordinates for the state above (y = 0.5, z = -0.4)
     y_c, z_c = 0.5, -0.4
-    flipped = float(-u * y_c * (1.0 - 4.0 * z_c / ell**2) + l0_v_tilde(rho, model, ell))
+    l0 = -4.0 * model.mu * model.eta * float(v2(rho, model)) ** 2 / ell**2
+    flipped = float(-u * y_c * (1.0 - 4.0 * z_c / ell**2) + l0)
     assert abs(closed - est) <= 3.0 * se
     assert abs(flipped - est) > 3.0 * se
 
@@ -238,8 +248,100 @@ def test_lyapunov_report_fields():
         np.testing.assert_allclose(
             rep.lv_closed_loop, closed_loop_generator(rho, model, target, ctrl), atol=1e-14
         )
-        np.testing.assert_allclose(rep.l0_v, l0_v_tilde(rho, model, 2.0), atol=1e-14)
-        np.testing.assert_allclose(rep.lb_v, lb_v_tilde(rho, model, target, 2.0), atol=1e-14)
-        np.testing.assert_allclose(
-            rep.third_moment, third_central_moment(model.c, rho), atol=1e-14
-        )
+        l0 = -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / 2.0**2
+        np.testing.assert_allclose(rep.l0_v, l0, atol=1e-14)
+        np.testing.assert_allclose(rep.lb_v, -trace_term(rho, model, target, 2.0), atol=1e-14)
+        c = model.c
+        m1, m2, m3 = expectation(c, rho), expectation(c @ c, rho), expectation(c @ c @ c, rho)
+        third = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
+        np.testing.assert_allclose(rep.third_moment, third, atol=1e-14)
+
+
+def dense_trace_term(rho, model, target, ell):
+    """T_ell from its definition, one commutator per state."""
+    comm = model.h_b @ rho - rho @ model.h_b
+    ex = expectation(model.c, rho)[..., None, None]
+    weight = target.rho_d + (2.0 * ex * model.c - model.c @ model.c) / ell**2
+    return trace(-1j * comm @ weight).real
+
+
+def dense_feedback(rho, model, target, ctrl):
+    """Every law from its definition."""
+    if ctrl.kind == "open_loop":
+        return np.zeros(rho.shape[:-2])
+    if ctrl.kind == "linear":
+        comm = model.h_b @ rho - rho @ model.h_b
+        return ctrl.k * trace(-1j * comm @ target.rho_d).real
+    t = dense_trace_term(rho, model, target, ctrl.ell)
+    if ctrl.kind == "sum_of_squares":
+        return ctrl.k * t
+    gain = 4.0 * ctrl.k * np.sqrt(model.mu * model.eta) / ctrl.ell
+    return ctrl.k**2 * t - gain * variance(model.c, rho)
+
+
+def dense_certificates(rho, model, target, u, ell):
+    """Every recorded certificate from its definition."""
+    c = model.c
+    m1, m2, m3 = expectation(c, rho), expectation(c @ c, rho), expectation(c @ c @ c, rho)
+    fid = trace(target.rho_d @ rho).real
+    dist = trace(target.rho_d @ target.rho_d).real - fid
+    var = m2 - m1**2
+    t = dense_trace_term(rho, model, target, ell)
+    l0 = -4.0 * model.mu * model.eta * var**2 / ell**2
+    return {
+        "v1": dist, "v2": var, "v_tilde": dist + var / ell**2, "lv": -u * t + l0, "l0": l0,
+        "lb": -t, "third": m3 - 3.0 * m1 * m2 + 2.0 * m1**3, "fidelity": fid,
+    }
+
+
+def random_model(rng, n):
+    """Diagonal C and h_a, dense h_b, all rotated by one Haar-ish unitary."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    spectrum = np.sort(rng.uniform(-1.0, 1.0, n))
+    spectrum += 0.05 * np.arange(n)  # gaps stay above the simple-spectrum tolerance
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h_b = (g + g.conj().T) / (2.0 * np.sqrt(n))
+
+    def rotate(m):
+        return q @ m @ q.conj().T
+
+    model = ModelSpec(
+        h_a=rotate(np.diag(rng.uniform(-1.0, 1.0, n))), h_b=rotate(h_b),
+        c=rotate(np.diag(spectrum)), mu=rng.uniform(0.2, 2.0), eta=rng.uniform(0.1, 1.0),
+    )
+    rho_d = rotate(np.diag(np.eye(n)[rng.integers(n)]).astype(complex))
+    return model, TargetSpec.for_model(model, rho_d)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    batch=st.sampled_from([1, 3, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    model, target = random_model(rng, n)
+    rho = ginibre(rng, n, batch=(batch,))
+    k, ell = rng.uniform(0.3, 3.0, 2)
+    u = rng.normal(size=batch)
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def row_local(f):
+        # each row of the batch, bit for bit, equals that state alone
+        out = f(rho, u)
+        for i in range(batch):
+            assert np.array_equal(out[i], f(rho[i], u[i]))
+        return out
+
+    close(row_local(lambda r, _: trace_term(r, model, target, ell)),
+          dense_trace_term(rho, model, target, ell))
+    for kind in ("open_loop", "linear", "sum_of_squares", "square_of_sum"):
+        ctrl = ControllerSpec(kind=kind, k=k, ell=ell)
+        close(row_local(lambda r, _: feedback(r, model, target, ctrl)),
+              dense_feedback(rho, model, target, ctrl))
+    expected = dense_certificates(rho, model, target, u, ell)
+    for name, value in expected.items():
+        close(row_local(lambda r, v: certificates(r, model, target, v, ell)[name]), value)
