@@ -161,9 +161,13 @@ def stochastic_jq_commutators(
     )
 
 
-def strong_regularity(h: np.ndarray, tol: float = REGULARITY_TOL) -> bool:
-    """Distinct eigenvalues with pairwise-distinct gaps (transition frequencies)."""
-    w = np.linalg.eigvalsh(np.asarray(h, dtype=complex))
+def strong_regularity(levels: np.ndarray, tol: float = REGULARITY_TOL) -> bool:
+    """Distinct levels with pairwise-distinct gaps (transition frequencies).
+
+    levels is a spectrum in any order, e.g. ModelSpec.levels or
+    ModelSpec.energies; nothing is decomposed here.
+    """
+    w = np.sort(np.asarray(levels, dtype=float))
     n = len(w)
     if n < 2:
         return True

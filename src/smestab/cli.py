@@ -152,8 +152,8 @@ def _cmd_rankcheck(args) -> int:
         f"  achieved rank {jq.achieved_rank} vs drift-chain rank {jq.required_rank} "
         f"({jq.generators_tested[0]}): {'PASSED' if jq.passed else 'FAILED'}"
     )
-    lines.append(f"strong regularity h_a: {strong_regularity(cfg.model.h_a)}")
-    lines.append(f"strong regularity c:   {strong_regularity(cfg.model.c)}")
+    lines.append(f"strong regularity h_a: {strong_regularity(cfg.model.energies)}")
+    lines.append(f"strong regularity c:   {strong_regularity(cfg.model.levels)}")
     text = "\n".join(lines)
     print(text)
     if args.out is not None:

@@ -10,6 +10,7 @@ and an optional output_dir.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,17 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _real(value, where: str) -> float:
+    """A finite JSON number as float; booleans, strings, nan and infinities are refused."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> EnsembleConfig:
     """Build and validate a full run configuration from parsed JSON."""
     msec = _section(doc, "model")
@@ -77,20 +89,24 @@ def config_from_dict(doc: dict) -> EnsembleConfig:
         raise ConfigError(f"model.n = {n} does not match matrix shape {h_a.shape}")
     try:
         model = ModelSpec(
-            h_a=h_a, h_b=h_b, c=c, mu=float(_get(msec, "mu", "model")), eta=float(_get(msec, "eta", "model"))
+            h_a=h_a,
+            h_b=h_b,
+            c=c,
+            mu=_real(_get(msec, "mu", "model"), "model.mu"),
+            eta=_real(_get(msec, "eta", "model"), "model.eta"),
         )
         tsec = _section(doc, "target")
         target = TargetSpec.for_model(model, parse_matrix(_get(tsec, "rho_d", "target"), "target.rho_d"))
         csec = _section(doc, "controller")
         ctrl = ControllerSpec(
             kind=_get(csec, "kind", "controller"),
-            k=float(csec.get("k", 1.0)),
-            ell=float(csec.get("ell", 1.0)),
+            k=_real(csec.get("k", 1.0), "controller.k"),
+            ell=_real(csec.get("ell", 1.0), "controller.ell"),
         )
         ssec = _section(doc, "sim")
         sim = SimConfig(
-            dt=float(_get(ssec, "dt", "sim")),
-            t_final=float(_get(ssec, "t_final", "sim")),
+            dt=_real(_get(ssec, "dt", "sim"), "sim.dt"),
+            t_final=_real(_get(ssec, "t_final", "sim"), "sim.t_final"),
             seed=_integer(_get(ssec, "seed", "sim"), "sim.seed"),
             record_stride=_integer(ssec.get("record_stride", 1), "sim.record_stride"),
             representation=ssec.get("representation", "sme"),

@@ -1,4 +1,4 @@
-"""Diffusive measurement dynamics for an N-level system.
+"""Diffusive measurement dynamics for an N-level system, stepped in C's eigenbasis.
 
 Ito form of the conditioned master equation, with control u entering through
 H = h_a + u h_b:
@@ -13,32 +13,42 @@ and, for unit efficiency on pure states, the equivalent state-vector equation
 
     d psi = (-i H - (mu/2)(C - <C>)^2) psi dt + sqrt(mu) (C - <C>) psi dW.
 
-State arguments are stacked (..., N, N) or (..., N) arrays.
+The measurement is nondemolition ([h_a, C] = 0) and C has a simple spectrum,
+so in C's eigenbasis V (rho -> V^dag rho V) both h_a = diag(a) and
+C = diag(c). There the drift is the elementwise product
+
+    (F + D)_ij = (-i (a_i - a_j) - mu (c_i - c_j)^2 / 2) rho_ij - i u [h_b, rho]_ij
+
+with a constant table, the noise coefficient is
+G_ij = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with <C> = sum_i c_i rho_ii, and
+only the control term multiplies matrices. The kernels below take states in
+that basis: densities (..., N, N) or ket columns (..., N, 1). ModelSpec holds
+the basis and the tables; integrate.run_batch rotates into the basis once per
+call and back only for the states it returns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .hermitian import (
-    commutator,
-    dag,
-    expectation,
-    hermitize,
-    is_hermitian,
-    purity,
-    trace,
-    validate_density,
-)
+from .hermitian import commutator, dag, expectation, hermitize, is_hermitian, purity, validate_density
 
 COMMUTING_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
 SPECTRAL_GAP_TOL = 1e-10
+# Up to this N, h_b @ x is written as N broadcast products; above it a stacked
+# matmul is faster. Either is computed row by row, so no row depends on the batch.
+SUM_MAX_N = 3
 
 # rows of TargetSpec.observables
 RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2 = range(7)
+
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
 
 
 def _connected(h_b: np.ndarray, tol: float = EDGE_TOL) -> bool:
@@ -66,9 +76,14 @@ class ModelSpec:
     eigenvalue gap above SPECTRAL_GAP_TOL), the coupling graph of h_b
     connected, mu > 0 and 0 < eta <= 1.
 
-    projectors holds the rank-one eigenprojectors of c in ascending eigenvalue
-    order. It is derived from c here, the only place c is decomposed; targets,
-    antipodes and collapse outcomes are all members of it.
+    c is decomposed here and nowhere else; the derived fields follow from it.
+    basis holds c's eigenvectors as columns, in ascending eigenvalue order, and
+    levels those eigenvalues; projectors are the rank-one eigenprojectors in
+    the same order (targets, antipodes and collapse outcomes are members of
+    it). In that basis h_a is diag(energies) (the off-diagonal part that the
+    commutation tolerance admits is dropped) and h_b is coupling. The kernels
+    read the constant tables drift_table, -i (a_i - a_j) - mu (c_i - c_j)^2 / 2,
+    and level_sums, c_i + c_j.
     """
 
     h_a: np.ndarray
@@ -76,7 +91,13 @@ class ModelSpec:
     c: np.ndarray
     mu: float
     eta: float
-    projectors: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    projectors: list[np.ndarray] = _derived()
+    basis: np.ndarray = _derived()
+    levels: np.ndarray = _derived()
+    energies: np.ndarray = _derived()
+    coupling: np.ndarray = _derived()
+    drift_table: np.ndarray = _derived()
+    level_sums: np.ndarray = _derived()
 
     def __post_init__(self):
         h_a = np.asarray(self.h_a, dtype=complex)
@@ -100,33 +121,75 @@ class ModelSpec:
         w, v = np.linalg.eigh(c)
         if np.any(np.diff(w) <= SPECTRAL_GAP_TOL):
             raise ValueError("c has a degenerate spectrum; eigenstates are not isolated")
-        projectors = [v[:, [j]] @ dag(v[:, [j]]) for j in range(len(w))]
-        object.__setattr__(self, "projectors", projectors)
         if not _connected(h_b):
             raise ValueError("coupling graph of h_b is disconnected")
+        a = np.diagonal(dag(v) @ h_a @ v).real.copy()
+        gaps = w[:, None] - w[None, :]
+        derived = {
+            "projectors": [v[:, [j]] @ dag(v[:, [j]]) for j in range(len(w))],
+            "basis": v,
+            "levels": w,
+            "energies": a,
+            "coupling": hermitize(dag(v) @ h_b @ v),
+            "drift_table": -1j * (a[:, None] - a[None, :]) - 0.5 * self.mu * (gaps * gaps),
+            "level_sums": w[:, None] + w[None, :],
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.h_a.shape[0]
+
+    def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
+        """V^dag m V for stacked (..., N, N) matrices given in the lab basis."""
+        return dag(self.basis) @ m @ self.basis
+
+    def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
+        """V m V^dag: stacked (..., N, N) matrices back in the lab basis."""
+        return self.basis @ m @ dag(self.basis)
 
 
 @dataclass(frozen=True)
 class TargetSpec:
     """Rank-one target eigenstate rho_d and the competing eigenprojectors of c.
 
-    antipodal[j] is the j-th member of model.projectors other than rho_d, in
-    ascending eigenvalue order; outcomes refer to antipodal states by that index.
+    Build it with for_model; the constructor alone refuses to run without the
+    model. antipodal[j] is the j-th member of model.projectors other than
+    rho_d, in ascending eigenvalue order; outcomes refer to antipodal states by
+    that index.
 
-    observables is derived by for_model: a (7, N*N) table whose rows, indexed
-    by RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2, are the flattened Hermitian
-    matrices rho_d, c, c^2, c^3 and K_X = -i[X, h_b] for X = rho_d, c, c^2.
-    Feedback and certificates read a state only through these expectations,
-    so a target serves models with the h_b and c it was built for.
+    Feedback and certificates read a state only through its populations
+    p_i = rho_ii and control rates r_i = Im (h_b rho)_ii in C's eigenbasis
+    (dynamics.populations and dynamics.rates), where rho_d, C, C^2 and C^3 are
+    diagonal. observables is the (7, N) table of weights whose rows, indexed by
+    RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2, give <rho_d>, <C>, <C^2>, <C^3>
+    (weights x_i on p) and <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i for
+    X = rho_d, C, C^2 (weights 2 x_i on r). coupling is h_b in that basis.
+    basis rotates a lab-basis state into it before the read; in_eigenbasis()
+    gives the same target with basis None, for states already in C's
+    eigenbasis. A target serves models with the h_b and c it was built for.
     """
 
     rho_d: np.ndarray
     antipodal: list[np.ndarray] = field(repr=False)
-    observables: np.ndarray = field(init=False, repr=False, compare=False)
+    model: InitVar[ModelSpec | None] = None
+    basis: np.ndarray | None = _derived()
+    coupling: np.ndarray = _derived()
+    observables: np.ndarray = _derived()
+
+    def __post_init__(self, model: ModelSpec | None):
+        if model is None:
+            raise TypeError(
+                "a TargetSpec reads its model's eigenbasis: build it with "
+                "TargetSpec.for_model(model, rho_d)"
+            )
+        c = model.levels
+        # diagonals of rho_d, C, C^2, C^3 in C's eigenbasis
+        diagonals = np.stack([np.diagonal(model.to_eigenbasis(self.rho_d)).real, c, c * c, c * c * c])
+        object.__setattr__(self, "basis", model.basis)
+        object.__setattr__(self, "coupling", model.coupling)
+        object.__setattr__(self, "observables", np.concatenate([diagonals, 2.0 * diagonals[:3]]))
 
     @classmethod
     def for_model(cls, model: ModelSpec, rho_d: np.ndarray) -> "TargetSpec":
@@ -143,57 +206,100 @@ class TargetSpec:
         if overlaps[hit] < 1.0 - EIGENSTATE_TOL:
             raise ValueError("rho_d does not match any spectral projector of c")
         antipodal = [p for j, p in enumerate(model.projectors) if j != hit]
-        target = cls(rho_d=rho_d, antipodal=antipodal)
-        c, c2 = model.c, model.c @ model.c
-        rows = [rho_d, c, c2, c2 @ c] + [-1j * commutator(x, model.h_b) for x in (rho_d, c, c2)]
-        object.__setattr__(target, "observables", hermitize(np.stack(rows)).reshape(7, -1))
+        return cls(rho_d=rho_d, antipodal=antipodal, model=model)
+
+    def in_eigenbasis(self) -> "TargetSpec":
+        """This target reading states that are already in C's eigenbasis."""
+        target = copy.copy(self)
+        object.__setattr__(target, "basis", None)
         return target
 
 
-def hamiltonian_drift(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """F = -i [h, rho]."""
-    return -1j * commutator(h, rho)
+def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """h @ x for a constant (N, N) h and stacked (..., N, M) x."""
+    n = h.shape[0]
+    if n > SUM_MAX_N:
+        return h @ x
+    out = h[:, :1] * x[..., :1, :]
+    for k in range(1, n):
+        out += h[:, k : k + 1] * x[..., k : k + 1, :]
+    return out
 
 
-def lindblad_drift(rho: np.ndarray, c: np.ndarray, mu: float) -> np.ndarray:
-    """D = mu (c rho c - (c^2 rho + rho c^2)/2)."""
-    c2 = c @ c
-    return mu * ((c @ rho) @ c - 0.5 * (c2 @ rho + rho @ c2))
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """x.sum(-1) as elementwise adds in index order.
+
+    numpy reduces a short last axis row by row, several times slower than
+    these adds on large batches, and picks its summation order from the
+    memory layout; adds in index order keep each row independent of the batch.
+    """
+    out = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = out + x[..., k]
+    return out
 
 
-def diffusion_term(rho: np.ndarray, c: np.ndarray, mu: float, eta: float) -> np.ndarray:
-    """G = sqrt(mu eta) (c rho + rho c - 2 <c> rho); traceless and Hermitian."""
-    crho = c @ rho
-    ex = trace(crho).real
-    return np.sqrt(mu * eta) * (crho + dag(crho) - 2.0 * ex[..., None, None] * rho)
+def density(state: np.ndarray) -> np.ndarray:
+    """The density of a state: a density as given, psi psi^dag of a ket column."""
+    if state.shape[-1] == 1:
+        return state * np.conj(state.swapaxes(-1, -2))
+    return state
+
+
+def populations(state: np.ndarray) -> np.ndarray:
+    """(..., N) populations in C's eigenbasis: rho_ii, or |psi_i|^2 of a ket column."""
+    if state.shape[-1] == 1:
+        psi = state[..., 0]
+        return psi.real * psi.real + psi.imag * psi.imag
+    return state.diagonal(0, -2, -1).real
+
+
+def rates(state: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """(..., N) control rates r_i = Im (h_b rho)_ii in C's eigenbasis.
+
+    Under -i u [h_b, rho] population i moves at 2 u r_i. For a ket column,
+    (h_b rho)_ii = conj(psi_i) (h_b psi)_i.
+    """
+    if state.shape[-1] == 1:
+        return (np.conj(state) * _left_product(coupling, state))[..., 0].imag
+    return sum_last((coupling * state.swapaxes(-1, -2)).imag)
+
+
+def _mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """<C> = sum_i c_i p_i."""
+    return sum_last(populations(state) * model.levels)
 
 
 def sme_drift(rho: np.ndarray, model: ModelSpec, u) -> np.ndarray:
-    """Deterministic part F + D with H = h_a + u h_b."""
-    u = np.asarray(u)
-    h = model.h_a + u[..., None, None] * model.h_b
-    return hamiltonian_drift(h, rho) + lindblad_drift(rho, model.c, model.mu)
+    """F + D with H = h_a + u h_b: drift_table * rho - i u [h_b, rho]."""
+    hr = _left_product(model.coupling, rho)
+    return model.drift_table * rho + (-1j * np.asarray(u))[..., None, None] * (hr - dag(hr))
 
 
-def measurement_increment(rho: np.ndarray, c: np.ndarray, eta: float, dt: float, dW) -> np.ndarray:
-    """Detector record dY = sqrt(eta) tr(c rho) dt + dW."""
-    return np.sqrt(eta) * expectation(c, rho) * dt + np.asarray(dW)
+def diffusion_term(rho: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """G = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij; traceless and Hermitian."""
+    centered = model.level_sums - 2.0 * _mean_level(rho, model)[..., None, None]
+    return np.sqrt(model.mu * model.eta) * centered * rho
+
+
+def measurement_increment(state: np.ndarray, model: ModelSpec, dt: float, dW) -> np.ndarray:
+    """Detector record dY = sqrt(eta) <C> dt + dW."""
+    return np.sqrt(model.eta) * _mean_level(state, model) * dt + np.asarray(dW)
+
+
+def _centered_levels(psi: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """(c_i - <C>) as a (..., N, 1) column."""
+    return model.levels[:, None] - _mean_level(psi, model)[..., None, None]
 
 
 def sse_drift(psi: np.ndarray, model: ModelSpec, u) -> np.ndarray:
-    """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi, valid at eta = 1."""
-    u = np.asarray(u)
-    h = model.h_a + u[..., None, None] * model.h_b
-    cpsi = np.einsum("ij,...j->...i", model.c, psi)
-    ex = np.einsum("...i,...i->...", np.conj(psi), cpsi).real
-    ccpsi = np.einsum("ij,...j->...i", model.c, cpsi)
-    centered_sq = ccpsi - 2.0 * ex[..., None] * cpsi + (ex**2)[..., None] * psi
-    hpsi = np.einsum("...ij,...j->...i", h, psi)
-    return -1j * hpsi - 0.5 * model.mu * centered_sq
+    """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi of ket columns, valid at eta = 1."""
+    centered = _centered_levels(psi, model)
+    diagonal = -1j * model.energies[:, None] - 0.5 * model.mu * (centered * centered)
+    control = (-1j * np.asarray(u))[..., None, None] * _left_product(model.coupling, psi)
+    return diagonal * psi + control
 
 
 def sse_diffusion(psi: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """State-vector noise coefficient sqrt(mu) (c - <c>) psi, valid at eta = 1."""
-    cpsi = np.einsum("ij,...j->...i", model.c, psi)
-    ex = np.einsum("...i,...i->...", np.conj(psi), cpsi).real
-    return np.sqrt(model.mu) * (cpsi - ex[..., None] * psi)
+    """State-vector noise coefficient sqrt(mu) (c - <c>) psi of ket columns, valid at eta = 1."""
+    return np.sqrt(model.mu) * _centered_levels(psi, model) * psi

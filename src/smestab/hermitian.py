@@ -14,7 +14,7 @@ EIG_FLOOR = -1e-9
 
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose on the last two axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    return np.conj(np.asarray(m).swapaxes(-1, -2))
 
 
 def trace(m: np.ndarray) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 One step loop, run_batch, advances trajectories in lockstep. The
 representation picks its step kernel once per call: _sme_step advances a
-(B, N, N) density stack, _sse_step a (B, N) state-vector stack (eta = 1
-only). Feedback, the detector record and the certificates are evaluated on
-the density of either. Each trajectory index draws its Brownian increments
-from its own counter-based substream keyed (master_seed, trajectory_index),
-so a path is bit-identical whether it runs alone or inside any batch, and
-reruns reproduce it exactly.
+(B, N, N) density stack, _sse_step a (B, N, 1) stack of ket columns (eta = 1
+only). Each trajectory index draws its Brownian increments from its own
+counter-based substream keyed (master_seed, trajectory_index), so a path is
+bit-identical whether it runs alone or inside any batch, and reruns
+reproduce it exactly.
+
+States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
+initial state in once, feedback, the detector record and the certificates
+read the populations and control rates there, and only the states it
+returns (final_states, states) are rotated back to the lab basis.
 
 Per step: the control is evaluated at the pre-step state and the Ito
 increment is applied. A density is then re-Hermitized and trace-renormalized,
@@ -23,6 +27,7 @@ import numpy as np
 from .dynamics import (
     ModelSpec,
     TargetSpec,
+    density,
     diffusion_term,
     measurement_increment,
     sme_drift,
@@ -130,40 +135,36 @@ def _sme_step(rho, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
     whose smallest eigenvalue drops below EIG_FLOOR is projected onto the
     density cone and counts in n_projected. Both counters update in place.
     """
-    g = diffusion_term(rho, model.c, model.mu, model.eta)
+    g = diffusion_term(rho, model)
     nxt = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
     nxt = hermitize(nxt)
     tr = trace(nxt).real
-    if not np.all(np.isfinite(tr)):
+    if not np.isfinite(tr).all():
         raise IntegrationError("non-finite state")
     bad = tr <= 0.0
-    if np.any(bad):
+    if bad.any():
         n_rejected[bad] += 1
         nxt[bad] = rho[bad]
         tr = np.where(bad, 1.0, tr)
     nxt = nxt / tr[:, None, None]
     low = min_eigenvalue(nxt) < EIG_FLOOR
-    if np.any(low):
+    if low.any():
         n_projected[low] += 1
         nxt[low] = project_to_density(nxt[low])
     return nxt
 
 
 def _sse_step(psi, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
-    """One Euler-Maruyama step of the state-vector equation on a (B, N) stack.
+    """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
 
     Valid at eta = 1 only. The result is renormalized, so it stays pure and
     neither counter ever moves.
     """
-    psi = psi + sse_drift(psi, model, u) * dt + sse_diffusion(psi, model) * dw[:, None]
-    norm = np.linalg.norm(psi, axis=-1)
-    if not np.all(np.isfinite(norm)) or np.any(norm <= 0.0):
+    psi = psi + sse_drift(psi, model, u) * dt + sse_diffusion(psi, model) * dw[:, None, None]
+    norm = np.linalg.norm(psi, axis=-2, keepdims=True)
+    if not np.isfinite(norm).all() or (norm <= 0.0).any():
         raise IntegrationError("degenerate state-vector norm")
-    return psi / norm[:, None]
-
-
-def _pure_density(psi: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...j->...ij", psi, np.conj(psi))
+    return psi / norm
 
 
 @dataclass
@@ -230,7 +231,7 @@ def _alloc(b: int, n_rec: int) -> dict[str, np.ndarray]:
 def _record_point(
     out: dict[str, np.ndarray],
     slot: int,
-    rho: np.ndarray,
+    state: np.ndarray,
     u: np.ndarray,
     window_dy: np.ndarray,
     model: ModelSpec,
@@ -239,9 +240,9 @@ def _record_point(
 ) -> None:
     out["controls"][:, slot] = u
     out["records"][:, slot] = window_dy
-    for name, value in certificates(rho, model, target, u, ctrl.ell).items():
+    for name, value in certificates(state, model, target, u, ctrl.ell).items():
         out[name][:, slot] = value
-    out["purity"][:, slot] = purity(rho)
+    out["purity"][:, slot] = purity(density(state))
 
 
 def run_batch(
@@ -266,17 +267,18 @@ def run_batch(
         indices = list(range(n_trajectories))
     b = len(indices)
     n = model.n
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = model.to_eigenbasis(np.asarray(rho0, dtype=complex))
     if sim.representation == "sse":
         if model.eta != 1.0:
             raise ValueError("the state-vector representation requires eta = 1")
         if np.max(np.abs(purity(rho0) - 1.0)) > 1e-9:
             raise ValueError("the state-vector representation requires a rank-one rho0")
-        state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1], (b, n)).copy()
-        step, density = _sse_step, _pure_density
+        state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1:], (b, n, 1)).copy()
+        step = _sse_step
     else:
         state = np.broadcast_to(rho0, (b, n, n)).copy()
-        step, density = _sme_step, lambda rho: rho
+        step = _sme_step
+    frame_target = target.in_eigenbasis()
 
     n_steps = sim.n_steps
     slots = _record_slots(n_steps, sim.record_stride)
@@ -289,18 +291,17 @@ def run_batch(
     noise = _brownian_increments(sim.seed, indices, sim.dt, n_steps)
 
     for k in range(n_steps + 1):
-        rho = density(state)
-        u = feedback(rho, model, target, ctrl)
+        u = feedback(state, model, frame_target, ctrl)
         if k in slot_of:
             j = slot_of[k]
-            _record_point(out, j, rho, u, window_dy, model, target, ctrl)
+            _record_point(out, j, state, u, window_dy, model, frame_target, ctrl)
             if states is not None:
-                states[:, j] = rho
+                states[:, j] = density(state)
             window_dy = np.zeros(b)
         if k == n_steps:
             break
         dw = next(noise)
-        window_dy = window_dy + measurement_increment(rho, model.c, model.eta, sim.dt, dw)
+        window_dy = window_dy + measurement_increment(state, model, sim.dt, dw)
         try:
             state = step(state, u, dw, model, sim.dt, n_rejected, n_projected)
         except IntegrationError as exc:
@@ -309,11 +310,11 @@ def run_batch(
     return BatchResult(
         indices=list(indices),
         times=slots * sim.dt,
-        final_states=rho,
+        final_states=model.from_eigenbasis(density(state)),
         n_steps=n_steps,
         n_projected=n_projected,
         n_rejected=n_rejected,
-        states=states,
+        states=None if states is None else model.from_eigenbasis(states),
         **out,
     )
 

@@ -22,6 +22,10 @@ rows of TargetSpec.observables (rho_d, C, C^2, C^3, K_rho_d, K_C, K_C2):
 
     T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2,   linear u = k <K_rho_d>.
 
+All seven are diagonal or h_b-weighted in C's eigenbasis, so each is a fixed
+weighting of the populations p_i = rho_ii and the control rates
+r_i = Im (h_b rho)_ii there: <X> = sum_i x_i p_i and <K_X> = 2 sum_i x_i r_i.
+
 v1, v2 and v_tilde keep their direct trace forms: the Monte-Carlo arbiter of
 the generator shares no code with the closed form it judges.
 """
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
-from .dynamics import ModelSpec, TargetSpec, diffusion_term, sme_drift
-from .hermitian import expectation, purity, variance
+from .dynamics import ModelSpec, TargetSpec, diffusion_term, populations, rates, sme_drift, sum_last
+from .hermitian import dag, expectation, purity, variance
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
 
@@ -84,15 +88,20 @@ def v_tilde(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -
 
 
 def moments(rho: np.ndarray, target: TargetSpec) -> np.ndarray:
-    """<O_k> = Re tr(O_k rho) of the rows of target.observables, on a last axis of 7.
+    """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of rho on a last axis of 7.
 
-    Re tr(O rho) for Hermitian O is the real inner product of O and rho as
-    vectors of 2 N^2 reals, so each row is one product and one contiguous
-    last-axis sum: a state's moments do not depend on the batch around it.
+    rho is a density (..., N, N) in the lab basis, rotated into C's eigenbasis
+    here; for target.in_eigenbasis() it is a density or a ket column
+    (..., N, 1) already in that basis. Rows RHO_D..C3 weight the populations
+    and rows K_RHO_D..K_C2 the control rates, as elementwise products and adds,
+    so a state's moments do not depend on the batch around it.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    flat = rho.reshape(*rho.shape[:-2], 1, -1).view(np.float64)
-    return (target.observables.view(np.float64) * flat).sum(-1)
+    if target.basis is not None:
+        v = target.basis
+        rho = dag(v) @ np.asarray(rho, dtype=complex) @ v
+    p, r = populations(rho), rates(rho, target.coupling)
+    rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
+    return sum_last(target.observables * rows)
 
 
 # Powers are written as products: numpy raises a scalar with pow() but squares
@@ -197,9 +206,10 @@ def generator_v_montecarlo_check(
     rho = np.asarray(rho, dtype=complex)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     dw = rng.normal(0.0, np.sqrt(dt), size=n_samples)
-    drift = sme_drift(rho, model, u)
-    g = diffusion_term(rho, model.c, model.mu, model.eta)
-    samples = rho + drift * dt + g * dw[:, None, None]
+    frame = model.to_eigenbasis(rho)
+    drift = sme_drift(frame, model, u)
+    g = diffusion_term(frame, model)
+    samples = model.from_eigenbasis(frame + drift * dt + g * dw[:, None, None])
     vt = v_tilde(samples, model, target, ell)
     v0 = float(v_tilde(rho, model, target, ell))
     estimate = (float(vt.mean()) - v0) / dt

@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: canonical models and random states."""
+"""Shared builders for the test suite: canonical and random models, random states,
+and the dense lab-basis forms of the conditioned equation used as oracles."""
 import numpy as np
 
 from smestab import ModelSpec, TargetSpec
@@ -41,3 +42,37 @@ def random_pure(rng, n, batch=()):
     psi = rng.normal(size=(*batch, n)) + 1j * rng.normal(size=(*batch, n))
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     return np.einsum("...i,...j->...ij", psi, np.conj(psi))
+
+
+def random_model(rng, n):
+    """Diagonal C and h_a, dense h_b, all rotated by one Haar-ish unitary."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    spectrum = np.sort(rng.uniform(-1.0, 1.0, n))
+    spectrum += 0.05 * np.arange(n)  # gaps stay above the simple-spectrum tolerance
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h_b = (g + g.conj().T) / (2.0 * np.sqrt(n))
+
+    def rotate(m):
+        return q @ m @ q.conj().T
+
+    model = ModelSpec(
+        h_a=rotate(np.diag(rng.uniform(-1.0, 1.0, n))), h_b=rotate(h_b),
+        c=rotate(np.diag(spectrum)), mu=rng.uniform(0.2, 2.0), eta=rng.uniform(0.1, 1.0),
+    )
+    rho_d = rotate(np.diag(np.eye(n)[rng.integers(n)]).astype(complex))
+    return model, TargetSpec.for_model(model, rho_d)
+
+
+def dense_drift(rho, model, u):
+    """-i [h_a + u h_b, rho] + mu D[c] rho in the lab basis, from the definition."""
+    u = np.asarray(u)[..., None, None]
+    h = model.h_a + u * model.h_b
+    c, c2 = model.c, model.c @ model.c
+    return -1j * (h @ rho - rho @ h) + model.mu * (c @ rho @ c - 0.5 * (c2 @ rho + rho @ c2))
+
+
+def dense_diffusion(rho, model):
+    """sqrt(mu eta) (c rho + rho c - 2 <c> rho) in the lab basis, from the definition."""
+    c = model.c
+    ex = np.einsum("ij,...ji->...", c, rho).real[..., None, None]
+    return np.sqrt(model.mu * model.eta) * (c @ rho + rho @ c - 2.0 * ex * rho)

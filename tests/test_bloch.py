@@ -104,11 +104,9 @@ def test_increment_matches_matrix_fields():
         b = random_bloch(rng)
         u = rng.uniform(-2, 2)
         dw = rng.normal(0.0, np.sqrt(dt))
-        rho = to_density(b)
-        raw = rho + sme_drift(rho, model, u) * dt + diffusion_term(
-            rho, model.c, mu, eta
-        ) * dw
-        expected = from_density(raw) - b
+        rho = model.to_eigenbasis(to_density(b))
+        raw = rho + sme_drift(rho, model, u) * dt + diffusion_term(rho, model) * dw
+        expected = from_density(model.from_eigenbasis(raw)) - b
         got = bloch_sme_increment(b, omega, u, mu, eta, dt, dw)
         np.testing.assert_allclose(got, expected, atol=1e-13)
 

@@ -113,6 +113,23 @@ def test_config_missing_section_and_wrapped_errors():
         doc[section][key] = value
         with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
             config_from_dict(doc)
+    bad_reals = (
+        ("sim", "dt", True),
+        ("sim", "t_final", "2"),
+        ("model", "mu", float("nan")),
+        ("model", "eta", float("inf")),
+        ("controller", "k", None),
+        ("controller", "ell", 10**400),
+    )
+    for section, key, value in bad_reals:
+        doc = qubit_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be a finite number"):
+            config_from_dict(doc)
+    # NaN is what json reads from a bare NaN token
+    doc = json.loads(json.dumps(qubit_doc()).replace('"mu": 1.0', '"mu": NaN'))
+    with pytest.raises(ConfigError, match="model.mu must be a finite number"):
+        config_from_dict(doc)
 
 
 def test_load_config(tmp_path):

@@ -4,13 +4,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import C3, H_A3, H_B3, RHO_D2, RHO_D3, SX, SZ, ginibre, qubit, qutrit, random_pure
+from conftest import (
+    C3,
+    H_A3,
+    H_B3,
+    RHO_D2,
+    RHO_D3,
+    SX,
+    SZ,
+    dense_diffusion,
+    dense_drift,
+    ginibre,
+    qubit,
+    qutrit,
+    random_model,
+    random_pure,
+)
 from smestab.dynamics import (
     ModelSpec,
     TargetSpec,
     diffusion_term,
-    hamiltonian_drift,
-    lindblad_drift,
     measurement_increment,
     sme_drift,
     sse_diffusion,
@@ -25,8 +38,9 @@ def purity_ito_drift(rho, model, u=0.0):
     Vanishes identically on rank-one states at eta = 1 and equals
     -2 mu (1 - eta) tr(c^2 rho^2 - c rho c rho) there for eta < 1.
     """
+    rho = model.to_eigenbasis(rho)  # tr(rho^2) and the traces below are basis-free
     a = sme_drift(rho, model, u)
-    g = diffusion_term(rho, model.c, model.mu, model.eta)
+    g = diffusion_term(rho, model)
     return 2.0 * np.einsum("...ij,...ji->...", rho, a).real + np.einsum(
         "...ij,...ji->...", g, g
     ).real
@@ -78,10 +92,18 @@ def test_model_projectors_and_target_in_a_rotated_basis():
     np.testing.assert_allclose(target.rho_d, rotated[2], atol=1e-12)
     antipodal = np.stack([rotated[j] for j in (0, 1, 3)])
     np.testing.assert_allclose(np.stack(target.antipodal), antipodal, atol=1e-12)
-    # replace() re-derives the projectors of the new model
+    # in the eigenbasis c and h_a are diagonal and h_b is the rotated coupling
+    np.testing.assert_allclose(model.levels, w, atol=1e-12)
+    np.testing.assert_allclose(model.from_eigenbasis(np.diag(model.levels)), c, atol=1e-12)
+    np.testing.assert_allclose(model.from_eigenbasis(np.diag(model.energies)), h_a, atol=1e-12)
+    np.testing.assert_allclose(model.from_eigenbasis(model.coupling), model.h_b, atol=1e-12)
+    np.testing.assert_allclose(model.to_eigenbasis(model.from_eigenbasis(g)), g, atol=1e-12)
+    # replace() re-derives the projectors and tables of the new model
     slower = replace(model, mu=0.5, eta=0.7)
     assert (slower.mu, slower.eta) == (0.5, 0.7)
     np.testing.assert_array_equal(np.stack(slower.projectors), np.stack(p))
+    gaps = w[:, None] - w[None, :]
+    np.testing.assert_allclose(slower.drift_table.real, -0.25 * gaps * gaps, atol=1e-12)
 
 
 def test_model_rejects_disconnected_coupling():
@@ -109,6 +131,14 @@ def test_target_requires_joint_eigenstate():
         TargetSpec.for_model(model, plus)
 
 
+def test_target_constructor_needs_its_model():
+    # the moment table is derived from the model, so the bare constructor refuses
+    model, target = qubit()
+    with pytest.raises(TypeError, match="for_model"):
+        TargetSpec(rho_d=RHO_D2, antipodal=target.antipodal)
+    assert target.observables.shape == (7, model.n)
+
+
 def test_target_antipodal_order_and_content():
     _, target2 = qubit()
     assert len(target2.antipodal) == 1
@@ -122,53 +152,81 @@ def test_target_antipodal_order_and_content():
 
 
 def test_hamiltonian_drift_matches_commutator():
+    # in C's eigenbasis the h_a part of the drift is the imaginary part of
+    # drift_table and the part linear in u is -i u [h_b, rho]
     rng = np.random.default_rng(20)
-    rho = ginibre(rng, 3, batch=(6,))
-    h = H_A3 + 0.3 * H_B3
-    f = hamiltonian_drift(h, rho)
-    np.testing.assert_allclose(f, -1j * (h @ rho - rho @ h), atol=1e-14)
-    assert is_hermitian(f)
-    np.testing.assert_allclose(trace(f), 0.0, atol=1e-13)
+    model, _ = qutrit(mu=1.7)
+    rho = model.to_eigenbasis(ginibre(rng, 3, batch=(6,)))
+    h_a, h_b = model.to_eigenbasis(model.h_a), model.to_eigenbasis(model.h_b)
+    f_a = 1j * model.drift_table.imag * rho
+    np.testing.assert_allclose(f_a, -1j * (h_a @ rho - rho @ h_a), atol=1e-14)
+    u = rng.normal(size=6)
+    f_b = sme_drift(rho, model, u) - sme_drift(rho, model, 0.0 * u)
+    np.testing.assert_allclose(f_b, -1j * u[:, None, None] * (h_b @ rho - rho @ h_b), atol=1e-14)
+    for f in (f_a, f_b):
+        assert is_hermitian(f)
+        np.testing.assert_allclose(trace(f), 0.0, atol=1e-13)
 
 
 def test_lindblad_drift_traceless_and_zero_on_diagonal_states():
+    # the real part of drift_table is mu D[c] in C's eigenbasis
     rng = np.random.default_rng(21)
-    rho = ginibre(rng, 3, batch=(6,))
-    d = lindblad_drift(rho, C3, mu=1.7)
+    model, _ = qutrit(mu=1.7)
+    lab = ginibre(rng, 3, batch=(6,))
+    d = model.drift_table.real * model.to_eigenbasis(lab)
+    c, c2 = C3, C3 @ C3
+    dense = 1.7 * (c @ lab @ c - 0.5 * (c2 @ lab + lab @ c2))
+    np.testing.assert_allclose(model.from_eigenbasis(d), dense, atol=1e-14)
     assert is_hermitian(d)
     np.testing.assert_allclose(trace(d), 0.0, atol=1e-13)
+    # h_a and D both vanish on states diagonal in C's eigenbasis
     diag = np.diag([0.2, 0.5, 0.3]).astype(complex)
-    np.testing.assert_allclose(lindblad_drift(diag, C3, mu=1.7), 0.0, atol=1e-14)
+    np.testing.assert_allclose(sme_drift(diag, model, 0.0), 0.0, atol=1e-14)
 
 
 def test_diffusion_term_traceless_and_zero_on_eigenstates():
     rng = np.random.default_rng(22)
-    rho = ginibre(rng, 3, batch=(6,))
-    g = diffusion_term(rho, C3, mu=2.0, eta=0.5)
+    model, _ = qutrit(mu=2.0, eta=0.5)
+    lab = ginibre(rng, 3, batch=(6,))
+    g = diffusion_term(model.to_eigenbasis(lab), model)
+    np.testing.assert_allclose(model.from_eigenbasis(g), dense_diffusion(lab, model), atol=1e-14)
     assert is_hermitian(g)
     np.testing.assert_allclose(trace(g), 0.0, atol=1e-13)
-    np.testing.assert_allclose(diffusion_term(RHO_D3, C3, 2.0, 0.5), 0.0, atol=1e-14)
+    eigenstate = model.to_eigenbasis(RHO_D3)
+    np.testing.assert_allclose(diffusion_term(eigenstate, model), 0.0, atol=1e-14)
 
 
 def test_sme_drift_splits_into_parts():
+    # the elementwise drift equals the dense -i[H, rho] + mu D[c] rho, on the
+    # qutrit (broadcast sums) and on random bases up to N = 5 (stacked matmul)
     rng = np.random.default_rng(23)
     model, _ = qutrit(mu=1.3, eta=0.8)
     rho = ginibre(rng, 3)
     u = 0.7
-    expected = hamiltonian_drift(model.h_a + u * model.h_b, rho) + lindblad_drift(
-        rho, model.c, model.mu
-    )
-    np.testing.assert_allclose(sme_drift(rho, model, u), expected, atol=1e-14)
+    got = model.from_eigenbasis(sme_drift(model.to_eigenbasis(rho), model, u))
+    np.testing.assert_allclose(got, dense_drift(rho, model, u), atol=1e-14)
+    for n in (2, 4, 5):
+        model, _ = random_model(rng, n)
+        rho = ginibre(rng, n, batch=(4,))
+        u = rng.normal(size=4)
+        got = model.from_eigenbasis(sme_drift(model.to_eigenbasis(rho), model, u))
+        np.testing.assert_allclose(got, dense_drift(rho, model, u), atol=1e-13)
 
 
 def test_measurement_increment_formula():
     rng = np.random.default_rng(24)
+    model, _ = qubit(mu=1.0, eta=0.5)
     rho = ginibre(rng, 2)
     dt, dw, eta = 1e-3, 0.02, 0.5
     expected = np.sqrt(eta) * np.trace(SZ @ rho).real * dt + dw
     np.testing.assert_allclose(
-        measurement_increment(rho, SZ, eta, dt, dw), expected, atol=1e-15
+        measurement_increment(model.to_eigenbasis(rho), model, dt, dw), expected, atol=1e-15
     )
+    # a ket column reads the same record as its density
+    pure = random_pure(rng, 2)
+    psi = np.linalg.eigh(model.to_eigenbasis(pure))[1][:, -1:]
+    expected = np.sqrt(eta) * np.trace(SZ @ pure).real * dt + dw
+    np.testing.assert_allclose(measurement_increment(psi, model, dt, dw), expected, atol=1e-15)
 
 
 def test_purity_drift_vanishes_on_pure_states_at_unit_efficiency():
@@ -194,22 +252,22 @@ def test_purity_drift_monte_carlo_oracle():
     # one-step finite difference of tr(rho^2) over raw increments, no projection
     rng = np.random.default_rng(27)
     model, _ = qubit(mu=1.0, eta=0.7)
-    rho = ginibre(rng, 2)
+    rho = model.to_eigenbasis(ginibre(rng, 2))
     u, dt, n = 0.9, 1e-6, 200_000
     dw = rng.normal(0.0, np.sqrt(dt), size=n)
     drift = sme_drift(rho, model, u)
-    g = diffusion_term(rho, model.c, model.mu, model.eta)
+    g = diffusion_term(rho, model)
     samples = rho + drift * dt + g * dw[:, None, None]
     p = np.einsum("...ij,...ji->...", samples, samples).real
     est = (p.mean() - np.einsum("ij,ji", rho, rho).real) / dt
     se = p.std(ddof=1) / np.sqrt(n) / dt
-    closed = float(purity_ito_drift(rho, model, u))
+    closed = float(purity_ito_drift(model.from_eigenbasis(rho), model, u))
     assert abs(est - closed) < 3.0 * se + 10.0 * dt
 
 
 def test_sse_step_consistent_with_density_step():
-    # one step of each kernel from the same pure state, control and noise;
-    # the schemes differ at O(dt) through the dW^2 terms
+    # one step of each kernel from the same pure state, control and noise, in
+    # C's eigenbasis; the schemes differ at O(dt) through the dW^2 terms
     from smestab import ControllerSpec, feedback
     from smestab.integrate import _sme_step, _sse_step
 
@@ -220,13 +278,13 @@ def test_sse_step_consistent_with_density_step():
     counters = (np.zeros(1, dtype=int), np.zeros(1, dtype=int))
     worst = 0.0
     for _ in range(200):
-        rho = random_pure(rng, 2)[None]
+        rho = model.to_eigenbasis(random_pure(rng, 2))[None]
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
-        u = feedback(rho, model, target, ctrl)
+        u = feedback(rho, model, target.in_eigenbasis(), ctrl)
         r_next = _sme_step(rho, u, dw, model, dt, *counters)
-        psi = np.linalg.eigh(rho)[1][..., :, -1]
+        psi = np.linalg.eigh(rho)[1][..., :, -1:]
         psi_next = _sse_step(psi, u, dw, model, dt, *counters)
-        gap = np.linalg.norm(r_next[0] - np.outer(psi_next[0], psi_next[0].conj()))
+        gap = np.linalg.norm(r_next[0] - psi_next[0] @ psi_next[0].conj().T)
         worst = max(worst, float(gap))
     assert worst < 5.0 * dt  # measured 1.4 dt over this seed set
 
@@ -234,11 +292,11 @@ def test_sse_step_consistent_with_density_step():
 def test_sse_fields_are_batch_aware():
     rng = np.random.default_rng(29)
     model, _ = qutrit(eta=1.0)
-    psi = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    psi = rng.normal(size=(7, 3, 1)) + 1j * rng.normal(size=(7, 3, 1))
+    psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
     d = sse_drift(psi, model, np.full(7, 0.3))
     g = sse_diffusion(psi, model)
-    assert d.shape == (7, 3)
-    assert g.shape == (7, 3)
+    assert d.shape == (7, 3, 1)
+    assert g.shape == (7, 3, 1)
     single = sse_drift(psi[2], model, 0.3)
     np.testing.assert_allclose(d[2], single, atol=1e-14)

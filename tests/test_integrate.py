@@ -3,8 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import RHO_D2, SX, SZ, qubit, qutrit, random_pure
+from conftest import (
+    RHO_D2,
+    SX,
+    SZ,
+    dense_diffusion,
+    dense_drift,
+    ginibre,
+    qubit,
+    qutrit,
+    random_model,
+    random_pure,
+)
 from smestab import (
     ControllerSpec,
     ModelSpec,
@@ -14,9 +27,8 @@ from smestab import (
     run_batch,
     simulate,
 )
-from smestab.dynamics import diffusion_term, sme_drift
 from smestab.hermitian import hermitize, trace, validate_density
-from smestab.integrate import _record_slots, _sme_step
+from smestab.integrate import _brownian_increments, _record_slots, _sme_step
 
 
 def test_sim_config_validation():
@@ -39,26 +51,28 @@ def test_record_slots_include_endpoint():
 
 
 def test_em_step_matches_raw_increment():
-    # the density kernel on a one-row stack is the raw increment, hermitized
-    # and trace-normalized, while the state stays interior
+    # the density kernel on a one-row stack in C's eigenbasis is the dense
+    # lab-basis increment, hermitized and trace-normalized, while the state
+    # stays interior
     rng = np.random.default_rng(60)
     model, target = qubit(mu=1.0, eta=0.5)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     dt = 1e-4
-    rho = 0.5 * (np.eye(2, dtype=complex) + 0.2 * SX + 0.3 * SZ)[None]
+    rho = 0.5 * (np.eye(2, dtype=complex) + 0.2 * SX + 0.3 * SZ)
     n_rejected, n_projected = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
     for _ in range(50):
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
         u = feedback(rho, model, target, ctrl)
-        rho_next = _sme_step(rho, u, dw, model, dt, n_rejected, n_projected)
-        raw = rho[0] + sme_drift(rho[0], model, u[0]) * dt + diffusion_term(
-            rho[0], model.c, model.mu, model.eta
-        ) * dw[0]
+        frame = model.to_eigenbasis(rho)[None]
+        rho_next = model.from_eigenbasis(
+            _sme_step(frame, np.atleast_1d(u), dw, model, dt, n_rejected, n_projected)[0]
+        )
+        raw = rho + dense_drift(rho, model, u) * dt + dense_diffusion(rho, model) * dw[0]
         raw = hermitize(raw)
         raw = raw / trace(raw).real
         # interior state, small step: the eigenvalue clip never engages here
-        np.testing.assert_allclose(rho_next[0], raw, atol=1e-14)
-        validate_density(rho_next[0])
+        np.testing.assert_allclose(rho_next, raw, atol=1e-14)
+        validate_density(rho_next)
         rho = rho_next
     assert n_rejected[0] == 0 and n_projected[0] == 0
 
@@ -216,3 +230,63 @@ def test_simulate_matches_batch_rows_and_validity():
         np.testing.assert_allclose(t.lyapunov[0].v_tilde, 1.0 + 0.5, atol=1e-12)
     # one rejection in 500 steps exceeds the 1e-3 budget
     assert not replace(t, n_rejected=1).valid
+
+
+def dense_sse_step(psi, model, u, dt, dw):
+    """One normalized Euler-Maruyama step of the state-vector equation, lab basis."""
+    c = model.c
+    h = model.h_a + u[:, None, None] * model.h_b
+    cpsi = np.einsum("ij,bj->bi", c, psi)
+    centered = cpsi - np.einsum("bi,bi->b", psi.conj(), cpsi).real[:, None] * psi
+    centered_sq = np.einsum("ij,bj->bi", c, centered) - (
+        np.einsum("bi,bi->b", psi.conj(), cpsi).real[:, None] * centered
+    )
+    drift = -1j * np.einsum("bij,bj->bi", h, psi) - 0.5 * model.mu * centered_sq
+    nxt = psi + drift * dt + np.sqrt(model.mu) * centered * dw[:, None]
+    return nxt / np.linalg.norm(nxt, axis=-1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    batch=st.sampled_from([1, 3, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
+    # N = 2..6 runs both the broadcast-sum and the matmul side of the
+    # eigenbasis kernels; the reference is the dense lab-basis scheme
+    rng = np.random.default_rng(seed)
+    model, target = random_model(rng, n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    dt = 1e-4
+    sim_seed = int(rng.integers(2**32))
+    indices = list(range(batch))
+    dw = next(_brownian_increments(sim_seed, indices, dt, 1))
+    interior = 0.5 * ginibre(rng, n, batch=(batch,)) + 0.5 * np.eye(n) / n
+    cases = (("sme", model, interior), ("sse", replace(model, eta=1.0), random_pure(rng, n, (batch,))))
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    for rep, m, rho0 in cases:
+        sim = SimConfig(dt=dt, t_final=dt, seed=sim_seed, representation=rep)
+        res = run_batch(rho0, m, target, ctrl, sim, indices=indices)
+        u = res.controls[:, 0]
+        close(u, feedback(rho0, m, target, ctrl))
+        if rep == "sme":
+            ref = rho0 + dense_drift(rho0, m, u) * dt + dense_diffusion(rho0, m) * dw[:, None, None]
+            ref = hermitize(ref)
+            ref = ref / trace(ref).real[:, None, None]
+        else:
+            psi = dense_sse_step(np.linalg.eigh(rho0)[1][..., -1], m, u, dt, dw)
+            ref = np.einsum("bi,bj->bij", psi, psi.conj())
+        final = res.final_states
+        close(final, ref)
+        close(final, np.conj(np.swapaxes(final, -1, -2)))
+        close(trace(final).real, 1.0)
+        assert res.n_projected.sum() == 0
+        for i in range(batch):
+            solo = run_batch(rho0[i], m, target, ctrl, sim, indices=[i])
+            for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity"):
+                assert np.array_equal(getattr(solo, name)[0], getattr(res, name)[i]), (rep, name)
+            assert np.array_equal(solo.final_states[0], final[i]), rep

@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, SY, SZ, ginibre, qubit, qutrit, random_pure
+from conftest import SX, SY, SZ, ginibre, qubit, qutrit, random_model, random_pure
 from smestab import (
     ControllerSpec,
-    ModelSpec,
     SimConfig,
-    TargetSpec,
     closed_loop_generator,
     feedback,
     generator_v,
@@ -292,25 +290,6 @@ def dense_certificates(rho, model, target, u, ell):
         "v1": dist, "v2": var, "v_tilde": dist + var / ell**2, "lv": -u * t + l0, "l0": l0,
         "lb": -t, "third": m3 - 3.0 * m1 * m2 + 2.0 * m1**3, "fidelity": fid,
     }
-
-
-def random_model(rng, n):
-    """Diagonal C and h_a, dense h_b, all rotated by one Haar-ish unitary."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    spectrum = np.sort(rng.uniform(-1.0, 1.0, n))
-    spectrum += 0.05 * np.arange(n)  # gaps stay above the simple-spectrum tolerance
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h_b = (g + g.conj().T) / (2.0 * np.sqrt(n))
-
-    def rotate(m):
-        return q @ m @ q.conj().T
-
-    model = ModelSpec(
-        h_a=rotate(np.diag(rng.uniform(-1.0, 1.0, n))), h_b=rotate(h_b),
-        c=rotate(np.diag(spectrum)), mu=rng.uniform(0.2, 2.0), eta=rng.uniform(0.1, 1.0),
-    )
-    rho_d = rotate(np.diag(np.eye(n)[rng.integers(n)]).astype(complex))
-    return model, TargetSpec.for_model(model, rho_d)
 
 
 @settings(max_examples=50, deadline=None)
