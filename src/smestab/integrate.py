@@ -16,7 +16,11 @@ returns (final_states, states) are rotated back to the lab basis.
 Per step: the control is evaluated at the pre-step state and the Ito
 increment is applied. A density is then re-Hermitized and trace-renormalized,
 and hermitian.project_to_density clips it only when its smallest eigenvalue
-drops below the validity floor; a state vector is renormalized.
+drops below the validity floor; a state vector is renormalized. On N = 3
+stacks of at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
+first clears the rows it proves above the floor and min_eigenvalue decides
+only the rest, so the clipped rows are exactly those min_eigenvalue alone
+would pick.
 """
 from __future__ import annotations
 
@@ -34,7 +38,16 @@ from .dynamics import (
     sse_diffusion,
     sse_drift,
 )
-from .hermitian import EIG_FLOOR, hermitize, min_eigenvalue, project_to_density, purity, trace
+from .hermitian import (
+    EIG_FLOOR,
+    SCREEN_MIN_ROWS,
+    clear_of_floor,
+    hermitize,
+    min_eigenvalue,
+    project_to_density,
+    purity,
+    trace,
+)
 from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback
 
 REPRESENTATIONS = ("sme", "sse")
@@ -100,9 +113,43 @@ def within_rejection_budget(n_rejected, n_steps: int):
     return n_rejected <= REJECTION_BUDGET * n_steps
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _Substream:
+    """The noise stream of one trajectory: Philox keyed (seed, index).
+
+    Every substream of a batch draws through one shared Generator. Its Philox
+    state is set to this stream's before each draw and saved after it while
+    draws of the n_steps remain, so the draws are bit for bit those of
+    Generator(Philox(key=[seed, index])), without building (and seeding from
+    OS entropy) one Philox per trajectory.
+    """
+
+    def __init__(self, gen: np.random.Generator, seed: int, index: int, n_steps: int):
+        self._gen = gen
+        self._left = n_steps
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([seed, index], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
+        bits = self._gen.bit_generator
+        bits.state = self._state
+        out = self._gen.normal(loc, scale, size)
+        self._left -= size
+        if self._left > 0:
+            self._state = bits.state
+        return out
+
+
+def _substream(seed: int, index: int, gen: np.random.Generator, n_steps: int) -> _Substream:
+    return _Substream(gen, seed, index, n_steps)
 
 
 def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int):
@@ -116,7 +163,9 @@ def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int)
     for i in indices:
         if not 0 <= i < 2**64:
             raise ValueError(f"trajectory index {i} does not fit in an unsigned 64-bit integer")
-    gens = [_substream(seed, i) for i in indices]
+    # seed 0 is never drawn from: each substream sets its own key first
+    shared = np.random.Generator(np.random.Philox(0))
+    gens = [_substream(seed, i, shared, n_steps) for i in indices]
     sqrt_dt = np.sqrt(dt)
 
     def steps():
@@ -147,11 +196,27 @@ def _sme_step(rho, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
         nxt[bad] = rho[bad]
         tr = np.where(bad, 1.0, tr)
     nxt = nxt / tr[:, None, None]
-    low = min_eigenvalue(nxt) < EIG_FLOOR
+    low = _below_floor(nxt)
     if low.any():
         n_projected[low] += 1
         nxt[low] = project_to_density(nxt[low])
     return nxt
+
+
+def _below_floor(rho: np.ndarray) -> np.ndarray:
+    """Rows of a (B, N, N) stack whose smallest eigenvalue is below EIG_FLOOR.
+
+    The mask is min_eigenvalue's on every row. On N = 3 stacks of at least
+    SCREEN_MIN_ROWS rows, clear_of_floor clears most rows first and
+    min_eigenvalue runs only on those it leaves.
+    """
+    b, n = rho.shape[:2]
+    if n != 3 or b < SCREEN_MIN_ROWS:
+        return min_eigenvalue(rho) < EIG_FLOOR
+    low = ~clear_of_floor(rho, EIG_FLOOR)
+    if low.any():
+        low[low] = min_eigenvalue(rho[low]) < EIG_FLOOR
+    return low
 
 
 def _sse_step(psi, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:

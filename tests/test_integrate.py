@@ -27,8 +27,9 @@ from smestab import (
     run_batch,
     simulate,
 )
-from smestab.hermitian import hermitize, trace, validate_density
-from smestab.integrate import _brownian_increments, _record_slots, _sme_step
+import smestab.integrate as integrate
+from smestab.hermitian import EIG_FLOOR, SCREEN_MIN_ROWS, hermitize, trace, validate_density
+from smestab.integrate import NOISE_WINDOW, _brownian_increments, _record_slots, _sme_step
 
 
 def test_sim_config_validation():
@@ -75,6 +76,19 @@ def test_em_step_matches_raw_increment():
         validate_density(rho_next)
         rho = rho_next
     assert n_rejected[0] == 0 and n_projected[0] == 0
+
+
+@pytest.mark.parametrize("n_steps", [7, 2 * NOISE_WINDOW + 5])
+def test_substreams_are_one_philox_per_trajectory(n_steps):
+    # the shared, re-keyed generator draws exactly what a Philox of its own
+    # per trajectory draws, within one noise window and across windows
+    seed, dt = 2**64 - 1, 1e-3
+    indices = [3, 0, 2**64 - 1, 3]
+    got = np.stack(list(_brownian_increments(seed, indices, dt, n_steps)))
+    assert got.shape == (n_steps, len(indices))
+    for col, i in enumerate(indices):
+        own = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        assert np.array_equal(got[:, col], own.normal(0.0, np.sqrt(dt), n_steps)), i
 
 
 def test_sse_step_requires_unit_efficiency():
@@ -290,3 +304,46 @@ def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
             for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity"):
                 assert np.array_equal(getattr(solo, name)[0], getattr(res, name)[i]), (rep, name)
             assert np.array_equal(solo.final_states[0], final[i]), rep
+
+
+def test_screened_clip_decisions_match_eigvalsh_on_every_row(monkeypatch):
+    # a coarse qutrit regime that clips often, on a batch large enough for
+    # the floor screen: every clip and every state equal the step that asks
+    # eigvalsh about every row
+    model, target = qutrit(mu=6.0, eta=0.5)
+    plus = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
+    sim = SimConfig(dt=0.3, t_final=9.0, seed=5, record_stride=3)
+    b = 40
+    assert b >= SCREEN_MIN_ROWS
+    screened = run_batch(plus, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    monkeypatch.setattr(
+        integrate, "_below_floor", lambda rho: np.linalg.eigvalsh(rho)[:, 0] < EIG_FLOOR
+    )
+    reference = run_batch(plus, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    assert screened.n_projected.sum() > 100
+    for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity", "final_states",
+                 "states", "n_projected", "n_rejected"):
+        assert np.array_equal(getattr(screened, name), getattr(reference, name)), name
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([0.02, 0.1, 0.3]),
+       kind=st.sampled_from(["open_loop", "square_of_sum", "sum_of_squares"]))
+def test_random_qutrits_stay_on_the_cone_over_many_coarse_steps(seed, dt, kind):
+    # the screened batch path against solo runs, which ask eigvalsh about
+    # their single row, over 60 coarse steps of random N = 3 models
+    rng = np.random.default_rng(seed)
+    model, target = random_model(rng, 3)
+    ctrl = ControllerSpec(kind=kind, k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    sim = SimConfig(dt=dt, t_final=60 * dt, seed=int(rng.integers(2**32)), record_stride=20)
+    b = SCREEN_MIN_ROWS + 8
+    rho0 = np.concatenate([ginibre(rng, 3, (b // 2,)), random_pure(rng, 3, (b - b // 2,))])
+    res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b)
+    validate_density(res.final_states)
+    assert res.n_rejected.sum() == 0
+    for i in rng.choice(b, 4, replace=False):
+        solo = run_batch(rho0[i], model, target, ctrl, sim, indices=[int(i)])
+        assert np.array_equal(solo.n_projected[0], res.n_projected[i])
+        assert np.array_equal(solo.final_states[0], res.final_states[i])
+        assert np.array_equal(solo.controls[0], res.controls[i])
