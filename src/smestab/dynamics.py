@@ -21,10 +21,14 @@ C = diag(c). There the drift is the elementwise product
 
 with a constant table, the noise coefficient is
 G_ij = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with <C> = sum_i c_i rho_ii, and
-only the control term multiplies matrices. The kernels below take states in
-that basis: densities (..., N, N) or ket columns (..., N, 1). ModelSpec holds
-the basis and the tables; integrate.run_batch rotates into the basis once per
-call and back only for the states it returns.
+only the control term multiplies matrices. The drift table is conjugate
+symmetric, the control term is -i u (X - X^dag) with X = h_b rho, and
+c_i + c_j - 2 <C> is real and symmetric, so a Hermitian rho steps to an
+exactly Hermitian one. The kernels below take states in that basis:
+densities (..., N, N) or ket columns (..., N, 1), and <C> as an argument
+(mean_level, read once per step by integrate.run_batch). ModelSpec holds the
+basis and the tables; run_batch rotates into the basis once per call and
+back only for the states it returns.
 """
 from __future__ import annotations
 
@@ -265,8 +269,8 @@ def rates(state: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return sum_last((coupling * state.swapaxes(-1, -2)).imag)
 
 
-def _mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """<C> = sum_i c_i p_i."""
+def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """<C> = sum_i c_i p_i; run_batch reads it once per step for every kernel."""
     return sum_last(populations(state) * model.levels)
 
 
@@ -276,30 +280,25 @@ def sme_drift(rho: np.ndarray, model: ModelSpec, u) -> np.ndarray:
     return model.drift_table * rho + (-1j * np.asarray(u))[..., None, None] * (hr - dag(hr))
 
 
-def diffusion_term(rho: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """G = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij; traceless and Hermitian."""
-    centered = model.level_sums - 2.0 * _mean_level(rho, model)[..., None, None]
+def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """G = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with mean = <C>; traceless and Hermitian."""
+    centered = model.level_sums - 2.0 * mean[..., None, None]
     return np.sqrt(model.mu * model.eta) * centered * rho
 
 
-def measurement_increment(state: np.ndarray, model: ModelSpec, dt: float, dW) -> np.ndarray:
-    """Detector record dY = sqrt(eta) <C> dt + dW."""
-    return np.sqrt(model.eta) * _mean_level(state, model) * dt + np.asarray(dW)
+def measurement_increment(mean: np.ndarray, model: ModelSpec, dt: float, dW) -> np.ndarray:
+    """Detector record dY = sqrt(eta) <C> dt + dW, with mean = <C>."""
+    return np.sqrt(model.eta) * mean * dt + np.asarray(dW)
 
 
-def _centered_levels(psi: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """(c_i - <C>) as a (..., N, 1) column."""
-    return model.levels[:, None] - _mean_level(psi, model)[..., None, None]
-
-
-def sse_drift(psi: np.ndarray, model: ModelSpec, u) -> np.ndarray:
+def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u) -> np.ndarray:
     """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi of ket columns, valid at eta = 1."""
-    centered = _centered_levels(psi, model)
+    centered = model.levels[:, None] - mean[..., None, None]
     diagonal = -1j * model.energies[:, None] - 0.5 * model.mu * (centered * centered)
     control = (-1j * np.asarray(u))[..., None, None] * _left_product(model.coupling, psi)
     return diagonal * psi + control
 
 
-def sse_diffusion(psi: np.ndarray, model: ModelSpec) -> np.ndarray:
+def sse_diffusion(psi: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
     """State-vector noise coefficient sqrt(mu) (c - <c>) psi of ket columns, valid at eta = 1."""
-    return np.sqrt(model.mu) * _centered_levels(psi, model) * psi
+    return np.sqrt(model.mu) * (model.levels[:, None] - mean[..., None, None]) * psi

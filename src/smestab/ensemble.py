@@ -139,11 +139,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
-    """Header row, then row j holds _fmt of entry j of every column."""
+    """Header row, then row j holds entry j of every column as _fmt writes it.
+
+    The header names need no CSV quoting; rows end in \r\n, as csv.writer's do.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_fmt(x) for x in row] for row in zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % v for v in values)
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:

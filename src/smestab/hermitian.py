@@ -79,8 +79,8 @@ def purity(rho: np.ndarray) -> np.ndarray:
 def project_to_density(m: np.ndarray) -> np.ndarray:
     """Nearest density matrix: hermitize, clip negative eigenvalues, renormalize trace.
 
-    Raises ValueError when the clipped trace is not positive (nothing to
-    normalize onto the cone).
+    The result is hermitized too. Raises ValueError when the clipped trace is
+    not positive (nothing to normalize onto the cone).
     """
     m = hermitize(np.asarray(m))
     w, v = np.linalg.eigh(m)
@@ -89,7 +89,7 @@ def project_to_density(m: np.ndarray) -> np.ndarray:
     if np.any(tr <= 0.0):
         raise ValueError("projection failed: non-positive trace after clipping")
     w = w / tr[..., None]
-    return (v * w[..., None, :]) @ dag(v)
+    return hermitize((v * w[..., None, :]) @ dag(v))
 
 
 def min_eigenvalue(m: np.ndarray) -> np.ndarray:

@@ -13,10 +13,13 @@ initial state in once, feedback, the detector record and the certificates
 read the populations and control rates there, and only the states it
 returns (final_states, states) are rotated back to the lab basis.
 
-Per step: the control is evaluated at the pre-step state and the Ito
-increment is applied. A density is then re-Hermitized and trace-renormalized,
-and hermitian.project_to_density clips it only when its smallest eigenvalue
-drops below the validity floor; a state vector is renormalized. On N = 3
+Per step: <C> and the control are read once at the pre-step state and the
+Ito increment is applied. A density stays Hermitian by construction (see
+dynamics) and is trace-renormalized, and hermitian.project_to_density clips
+it only when its smallest eigenvalue drops below the validity floor; a state
+vector is renormalized. Record points store the moments of the state
+(lyapunov.moments), from which one certificates call derives every
+certificate series after the loop. On N = 3
 stacks of at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
 first clears the rows it proves above the floor and min_eigenvalue decides
 only the rest, so the clipped rows are exactly those min_eigenvalue alone
@@ -24,6 +27,8 @@ would pick.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +38,7 @@ from .dynamics import (
     TargetSpec,
     density,
     diffusion_term,
+    mean_level,
     measurement_increment,
     sme_drift,
     sse_diffusion,
@@ -47,8 +53,9 @@ from .hermitian import (
     project_to_density,
     purity,
     trace,
+    validate_density,
 )
-from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback
+from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback, moments
 
 REPRESENTATIONS = ("sme", "sse")
 REJECTION_BUDGET = 1e-3
@@ -57,6 +64,11 @@ NOISE_WINDOW = 4096
 
 class IntegrationError(RuntimeError):
     """Numerical failure inside the step loop (non-finite state, bad dt)."""
+
+
+def _integral(value) -> bool:
+    """True for an integral real number; booleans and non-finite values are not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and value % 1 == 0
 
 
 @dataclass(frozen=True)
@@ -70,14 +82,14 @@ class SimConfig:
     representation: str = "sme"
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < self.dt:
-            raise ValueError("t_final must cover at least one step")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
-            raise ValueError("record_stride must be a positive integer")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
+            raise ValueError(f"t_final must be finite and cover one step, got {self.t_final}")
+        if not (_integral(self.seed) and 0 <= self.seed <= 2**64 - 1):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not (_integral(self.record_stride) and self.record_stride >= 1):
+            raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
 
@@ -176,17 +188,17 @@ def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int)
     return steps()
 
 
-def _sme_step(rho, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
-    """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
+def _sme_step(rho, mean, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+    """One Euler-Maruyama step of the density SME on a (B, N, N) stack; mean is <C>.
 
-    The increment is re-Hermitized and trace-normalized. A row left with a
+    The increment is Hermitian term by term, so Hermitian rows stay exactly
+    Hermitian; the result is trace-normalized. A row left with a
     non-positive trace keeps its pre-step state and counts in n_rejected; a row
     whose smallest eigenvalue drops below EIG_FLOOR is projected onto the
     density cone and counts in n_projected. Both counters update in place.
     """
-    g = diffusion_term(rho, model)
+    g = diffusion_term(rho, mean, model)
     nxt = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
-    nxt = hermitize(nxt)
     tr = trace(nxt).real
     if not np.isfinite(tr).all():
         raise IntegrationError("non-finite state")
@@ -219,13 +231,14 @@ def _below_floor(rho: np.ndarray) -> np.ndarray:
     return low
 
 
-def _sse_step(psi, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+def _sse_step(psi, mean, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
 
-    Valid at eta = 1 only. The result is renormalized, so it stays pure and
-    neither counter ever moves.
+    mean is <C>. Valid at eta = 1 only. The result is renormalized, so it
+    stays pure and neither counter ever moves.
     """
-    psi = psi + sse_drift(psi, model, u) * dt + sse_diffusion(psi, model) * dw[:, None, None]
+    drift = sse_drift(psi, mean, model, u) * dt
+    psi = psi + drift + sse_diffusion(psi, mean, model) * dw[:, None, None]
     norm = np.linalg.norm(psi, axis=-2, keepdims=True)
     if not np.isfinite(norm).all() or (norm <= 0.0).any():
         raise IntegrationError("degenerate state-vector norm")
@@ -289,24 +302,14 @@ def _classify(final: np.ndarray, target: TargetSpec) -> list[str]:
 
 
 def _alloc(b: int, n_rec: int) -> dict[str, np.ndarray]:
-    names = "controls records v1 v2 v_tilde lv l0 lb third fidelity purity".split()
-    return {name: np.zeros((b, n_rec)) for name in names}
+    shapes = {"controls": (), "records": (), "moments": (7,), "purity": ()}
+    return {name: np.zeros((b, n_rec, *shape)) for name, shape in shapes.items()}
 
 
-def _record_point(
-    out: dict[str, np.ndarray],
-    slot: int,
-    state: np.ndarray,
-    u: np.ndarray,
-    window_dy: np.ndarray,
-    model: ModelSpec,
-    target: TargetSpec,
-    ctrl: ControllerSpec,
-) -> None:
+def _record_point(out, slot, state, u, window_dy, target) -> None:
     out["controls"][:, slot] = u
     out["records"][:, slot] = window_dy
-    for name, value in certificates(state, model, target, u, ctrl.ell).items():
-        out[name][:, slot] = value
+    out["moments"][:, slot] = moments(state, target)
     out["purity"][:, slot] = purity(density(state))
 
 
@@ -331,8 +334,12 @@ def run_batch(
     if indices is None:
         indices = list(range(n_trajectories))
     b = len(indices)
+    if b == 0:
+        raise ValueError("run_batch needs at least one trajectory")
     n = model.n
-    rho0 = model.to_eigenbasis(np.asarray(rho0, dtype=complex))
+    rho0 = np.asarray(rho0, dtype=complex)
+    validate_density(rho0, name="rho0")
+    rho0 = model.to_eigenbasis(rho0)
     if sim.representation == "sse":
         if model.eta != 1.0:
             raise ValueError("the state-vector representation requires eta = 1")
@@ -341,7 +348,7 @@ def run_batch(
         state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1:], (b, n, 1)).copy()
         step = _sse_step
     else:
-        state = np.broadcast_to(rho0, (b, n, n)).copy()
+        state = np.broadcast_to(hermitize(rho0), (b, n, n)).copy()
         step = _sme_step
     frame_target = target.in_eigenbasis()
 
@@ -359,19 +366,21 @@ def run_batch(
         u = feedback(state, model, frame_target, ctrl)
         if k in slot_of:
             j = slot_of[k]
-            _record_point(out, j, state, u, window_dy, model, frame_target, ctrl)
+            _record_point(out, j, state, u, window_dy, frame_target)
             if states is not None:
                 states[:, j] = density(state)
             window_dy = np.zeros(b)
         if k == n_steps:
             break
         dw = next(noise)
-        window_dy = window_dy + measurement_increment(state, model, sim.dt, dw)
+        mean = mean_level(state, model)
+        window_dy = window_dy + measurement_increment(mean, model, sim.dt, dw)
         try:
-            state = step(state, u, dw, model, sim.dt, n_rejected, n_projected)
+            state = step(state, mean, u, dw, model, sim.dt, n_rejected, n_projected)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}; reduce dt") from None
 
+    out.update(certificates(out.pop("moments"), model, frame_target, out["controls"], ctrl.ell))
     return BatchResult(
         indices=list(indices),
         times=slots * sim.dt,

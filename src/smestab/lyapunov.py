@@ -25,6 +25,8 @@ rows of TargetSpec.observables (rho_d, C, C^2, C^3, K_rho_d, K_C, K_C2):
 All seven are diagonal or h_b-weighted in C's eigenbasis, so each is a fixed
 weighting of the populations p_i = rho_ii and the control rates
 r_i = Im (h_b rho)_ii there: <X> = sum_i x_i p_i and <K_X> = 2 sum_i x_i r_i.
+integrate.run_batch records these moments and derives every certificate
+series from them in one certificates call per run.
 
 v1, v2 and v_tilde keep their direct trace forms: the Monte-Carlo arbiter of
 the generator shares no code with the closed form it judges.
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
-from .dynamics import ModelSpec, TargetSpec, diffusion_term, populations, rates, sme_drift, sum_last
+from .dynamics import ModelSpec, TargetSpec, diffusion_term, mean_level, populations, rates
+from .dynamics import sme_drift, sum_last
 from .hermitian import dag, expectation, purity, variance
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
@@ -119,10 +122,6 @@ def _l0(var: np.ndarray, model: ModelSpec, ell: float) -> np.ndarray:
     return -4.0 * model.mu * model.eta * (var * var) / ell**2
 
 
-def _generator(m: np.ndarray, model: ModelSpec, u, ell: float) -> np.ndarray:
-    return -np.asarray(u) * _trace_term(m, ell) + _l0(_variance(m), model, ell)
-
-
 def trace_term(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -> np.ndarray:
     """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2; model is not read."""
     return _trace_term(moments(rho, target), ell)
@@ -132,29 +131,32 @@ def generator_v(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> np.ndarray:
     """Closed-form infinitesimal generator of Vt along the controlled diffusion."""
-    return _generator(moments(rho, target), model, u, ell)
+    m = moments(rho, target)
+    return -np.asarray(u) * _trace_term(m, ell) + _l0(_variance(m), model, ell)
 
 
 def certificates(
-    rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
+    m: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> dict[str, np.ndarray]:
-    """Every recorded certificate at control u, from one moments pass.
+    """Every recorded certificate at control u, from a (..., 7) table m of moments.
 
     v1, v2, v_tilde; lv = L Vt at u, split into the drift part l0 and the
     control derivative lb = -T_ell; third = <C^3> - 3 <C> <C^2> + 2 <C>^3, the
-    drift asymmetry of the collapse; fidelity = tr(rho_d rho).
+    drift asymmetry of the collapse; fidelity = tr(rho_d rho). T_ell, V2 and
+    l0 are evaluated once each.
     """
-    m = moments(rho, target)
     e1 = m[..., C1]
     var = _variance(m)
+    t = _trace_term(m, ell)
+    l0 = _l0(var, model, ell)
     dist = purity(target.rho_d) - m[..., RHO_D]
     return {
         "v1": dist,
         "v2": var,
         "v_tilde": dist + var / ell**2,
-        "lv": _generator(m, model, u, ell),
-        "l0": _l0(var, model, ell),
-        "lb": -_trace_term(m, ell),
+        "lv": -np.asarray(u) * t + l0,
+        "l0": l0,
+        "lb": -t,
         "third": m[..., C3] - 3.0 * e1 * m[..., C2] + 2.0 * (e1 * e1 * e1),
         "fidelity": m[..., RHO_D],
     }
@@ -208,7 +210,7 @@ def generator_v_montecarlo_check(
     dw = rng.normal(0.0, np.sqrt(dt), size=n_samples)
     frame = model.to_eigenbasis(rho)
     drift = sme_drift(frame, model, u)
-    g = diffusion_term(frame, model)
+    g = diffusion_term(frame, mean_level(frame, model), model)
     samples = model.from_eigenbasis(frame + drift * dt + g * dw[:, None, None])
     vt = v_tilde(samples, model, target, ell)
     v0 = float(v_tilde(rho, model, target, ell))

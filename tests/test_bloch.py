@@ -23,7 +23,7 @@ from smestab.bloch import (
     from_density,
     to_density,
 )
-from smestab.dynamics import diffusion_term, sme_drift
+from smestab.dynamics import diffusion_term, mean_level, sme_drift
 from smestab.lyapunov import v1
 
 
@@ -105,7 +105,8 @@ def test_increment_matches_matrix_fields():
         u = rng.uniform(-2, 2)
         dw = rng.normal(0.0, np.sqrt(dt))
         rho = model.to_eigenbasis(to_density(b))
-        raw = rho + sme_drift(rho, model, u) * dt + diffusion_term(rho, model) * dw
+        g = diffusion_term(rho, mean_level(rho, model), model)
+        raw = rho + sme_drift(rho, model, u) * dt + g * dw
         expected = from_density(model.from_eigenbasis(raw)) - b
         got = bloch_sme_increment(b, omega, u, mu, eta, dt, dw)
         np.testing.assert_allclose(got, expected, atol=1e-13)

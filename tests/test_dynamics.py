@@ -24,6 +24,7 @@ from smestab.dynamics import (
     ModelSpec,
     TargetSpec,
     diffusion_term,
+    mean_level,
     measurement_increment,
     sme_drift,
     sse_diffusion,
@@ -40,7 +41,7 @@ def purity_ito_drift(rho, model, u=0.0):
     """
     rho = model.to_eigenbasis(rho)  # tr(rho^2) and the traces below are basis-free
     a = sme_drift(rho, model, u)
-    g = diffusion_term(rho, model)
+    g = diffusion_term(rho, mean_level(rho, model), model)
     return 2.0 * np.einsum("...ij,...ji->...", rho, a).real + np.einsum(
         "...ij,...ji->...", g, g
     ).real
@@ -188,12 +189,14 @@ def test_diffusion_term_traceless_and_zero_on_eigenstates():
     rng = np.random.default_rng(22)
     model, _ = qutrit(mu=2.0, eta=0.5)
     lab = ginibre(rng, 3, batch=(6,))
-    g = diffusion_term(model.to_eigenbasis(lab), model)
+    frame = model.to_eigenbasis(lab)
+    g = diffusion_term(frame, mean_level(frame, model), model)
     np.testing.assert_allclose(model.from_eigenbasis(g), dense_diffusion(lab, model), atol=1e-14)
     assert is_hermitian(g)
     np.testing.assert_allclose(trace(g), 0.0, atol=1e-13)
     eigenstate = model.to_eigenbasis(RHO_D3)
-    np.testing.assert_allclose(diffusion_term(eigenstate, model), 0.0, atol=1e-14)
+    g = diffusion_term(eigenstate, mean_level(eigenstate, model), model)
+    np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
 def test_sme_drift_splits_into_parts():
@@ -219,14 +222,14 @@ def test_measurement_increment_formula():
     rho = ginibre(rng, 2)
     dt, dw, eta = 1e-3, 0.02, 0.5
     expected = np.sqrt(eta) * np.trace(SZ @ rho).real * dt + dw
-    np.testing.assert_allclose(
-        measurement_increment(model.to_eigenbasis(rho), model, dt, dw), expected, atol=1e-15
-    )
-    # a ket column reads the same record as its density
+    mean = mean_level(model.to_eigenbasis(rho), model)
+    np.testing.assert_allclose(measurement_increment(mean, model, dt, dw), expected, atol=1e-15)
+    # a ket column reads the same <C> as its density
     pure = random_pure(rng, 2)
     psi = np.linalg.eigh(model.to_eigenbasis(pure))[1][:, -1:]
     expected = np.sqrt(eta) * np.trace(SZ @ pure).real * dt + dw
-    np.testing.assert_allclose(measurement_increment(psi, model, dt, dw), expected, atol=1e-15)
+    mean = mean_level(psi, model)
+    np.testing.assert_allclose(measurement_increment(mean, model, dt, dw), expected, atol=1e-15)
 
 
 def test_purity_drift_vanishes_on_pure_states_at_unit_efficiency():
@@ -256,7 +259,7 @@ def test_purity_drift_monte_carlo_oracle():
     u, dt, n = 0.9, 1e-6, 200_000
     dw = rng.normal(0.0, np.sqrt(dt), size=n)
     drift = sme_drift(rho, model, u)
-    g = diffusion_term(rho, model)
+    g = diffusion_term(rho, mean_level(rho, model), model)
     samples = rho + drift * dt + g * dw[:, None, None]
     p = np.einsum("...ij,...ji->...", samples, samples).real
     est = (p.mean() - np.einsum("ij,ji", rho, rho).real) / dt
@@ -281,9 +284,9 @@ def test_sse_step_consistent_with_density_step():
         rho = model.to_eigenbasis(random_pure(rng, 2))[None]
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
         u = feedback(rho, model, target.in_eigenbasis(), ctrl)
-        r_next = _sme_step(rho, u, dw, model, dt, *counters)
+        r_next = _sme_step(rho, mean_level(rho, model), u, dw, model, dt, *counters)
         psi = np.linalg.eigh(rho)[1][..., :, -1:]
-        psi_next = _sse_step(psi, u, dw, model, dt, *counters)
+        psi_next = _sse_step(psi, mean_level(psi, model), u, dw, model, dt, *counters)
         gap = np.linalg.norm(r_next[0] - psi_next[0] @ psi_next[0].conj().T)
         worst = max(worst, float(gap))
     assert worst < 5.0 * dt  # measured 1.4 dt over this seed set
@@ -294,9 +297,10 @@ def test_sse_fields_are_batch_aware():
     model, _ = qutrit(eta=1.0)
     psi = rng.normal(size=(7, 3, 1)) + 1j * rng.normal(size=(7, 3, 1))
     psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
-    d = sse_drift(psi, model, np.full(7, 0.3))
-    g = sse_diffusion(psi, model)
+    mean = mean_level(psi, model)
+    d = sse_drift(psi, mean, model, np.full(7, 0.3))
+    g = sse_diffusion(psi, mean, model)
     assert d.shape == (7, 3, 1)
     assert g.shape == (7, 3, 1)
-    single = sse_drift(psi[2], model, 0.3)
+    single = sse_drift(psi[2], mean_level(psi[2], model), model, 0.3)
     np.testing.assert_allclose(d[2], single, atol=1e-14)

@@ -16,6 +16,7 @@ from smestab import (
 from smestab.ensemble import (
     EnsembleError,
     _count_supermartingale_violations,
+    _write_columns,
     reduce_batch,
     write_levelset_csv,
     write_mean_curves_csv,
@@ -174,3 +175,21 @@ def test_csv_writers_round_trip(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 21 * 21
     assert {r["physical"] for r in rows} <= {"0", "1"}
+
+
+def test_column_writer_bytes_equal_a_csv_writer_rendering(tmp_path):
+    # the rendering the writer replaced: csv.writer over format(x, ".17g") per value
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e300, 0.1, 1.0 / 3.0]
+    columns = [rng.normal(size=1001) * 10.0 ** rng.integers(-20, 20, 1001) for _ in range(8)]
+    columns[0][: len(special)] = special
+    columns.append(rng.random(1001) < 0.5)  # a boolean column, as in write_levelset_csv
+    header = [f"c{j}" for j in range(len(columns))]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(float(x), ".17g") for x in row] for row in zip(*columns))
+    got = tmp_path / "got.csv"
+    _write_columns(got, header, [c.tolist() if j % 2 else c for j, c in enumerate(columns)])
+    assert got.read_bytes() == expected.read_bytes()

@@ -28,7 +28,15 @@ from smestab import (
     simulate,
 )
 import smestab.integrate as integrate
-from smestab.hermitian import EIG_FLOOR, SCREEN_MIN_ROWS, hermitize, trace, validate_density
+from smestab.dynamics import diffusion_term, mean_level, sme_drift
+from smestab.hermitian import (
+    EIG_FLOOR,
+    SCREEN_MIN_ROWS,
+    hermitize,
+    project_to_density,
+    trace,
+    validate_density,
+)
 from smestab.integrate import NOISE_WINDOW, _brownian_increments, _record_slots, _sme_step
 
 
@@ -42,6 +50,37 @@ def test_sim_config_validation():
     with pytest.raises(ValueError, match="representation"):
         SimConfig(dt=1e-3, t_final=1.0, seed=1, representation="heisenberg")
     assert SimConfig(dt=1e-3, t_final=2.0, seed=1).n_steps == 2000
+    # non-finite times, and seeds or strides that are booleans or not integral
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(dt=dt, t_final=1.0, seed=1)
+    for t_final in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_final"):
+            SimConfig(dt=1e-3, t_final=t_final, seed=1)
+    for seed in (1.5, True, np.nan, -1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(dt=1e-3, t_final=1.0, seed=seed)
+    for stride in (2.5, True, np.inf):
+        with pytest.raises(ValueError, match="record_stride"):
+            SimConfig(dt=1e-3, t_final=1.0, seed=1, record_stride=stride)
+    assert SimConfig(dt=1e-3, t_final=1.0, seed=2.0, record_stride=3.0).seed == 2
+
+
+def test_run_batch_refuses_an_empty_batch_and_a_state_off_the_cone():
+    model, target = qubit()
+    ctrl = ControllerSpec(kind="open_loop")
+    sim = SimConfig(dt=1e-3, t_final=1e-2, seed=1)
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        run_batch(RHO_D2, model, target, ctrl, sim, indices=[])
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        run_batch(RHO_D2, model, target, ctrl, sim, n_trajectories=0)
+    half = np.eye(2, dtype=complex) / 2
+    negative = np.diag([1.2, -0.2]).astype(complex)
+    skew = half + np.array([[0.0, 0.1], [0.0, 0.0]])
+    for rho0, word in ((2.0 * RHO_D2, "trace"), (negative, "eigenvalue"), (skew, "Hermitian"),
+                       (np.stack([half, 2.0 * half]), "trace")):
+        with pytest.raises(ValueError, match=word):
+            run_batch(rho0, model, target, ctrl, sim, n_trajectories=2)
 
 
 def test_record_slots_include_endpoint():
@@ -66,7 +105,8 @@ def test_em_step_matches_raw_increment():
         u = feedback(rho, model, target, ctrl)
         frame = model.to_eigenbasis(rho)[None]
         rho_next = model.from_eigenbasis(
-            _sme_step(frame, np.atleast_1d(u), dw, model, dt, n_rejected, n_projected)[0]
+            _sme_step(frame, mean_level(frame, model), np.atleast_1d(u), dw, model, dt,
+                      n_rejected, n_projected)[0]
         )
         raw = rho + dense_drift(rho, model, u) * dt + dense_diffusion(rho, model) * dw[0]
         raw = hermitize(raw)
@@ -347,3 +387,68 @@ def test_random_qutrits_stay_on_the_cone_over_many_coarse_steps(seed, dt, kind):
         assert np.array_equal(solo.n_projected[0], res.n_projected[i])
         assert np.array_equal(solo.final_states[0], res.final_states[i])
         assert np.array_equal(solo.controls[0], res.controls[i])
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([0.05, 0.2]),
+       kind=st.sampled_from(["open_loop", "square_of_sum", "sum_of_squares"]))
+def test_random_models_stay_exactly_hermitian_and_on_the_cone(n, seed, dt, kind):
+    # 400 coarse density steps on a random N = 2..6 model, with many clips:
+    # no step repairs Hermiticity, so every state must be Hermitian bit for
+    # bit; every final state is on the cone, and rows stepped alone equal
+    # their rows in the batch (for N = 3 the batch is large enough to screen)
+    rng = np.random.default_rng(seed)
+    model, target = random_model(rng, n)
+    frame_target = target.in_eigenbasis()
+    ctrl = ControllerSpec(kind=kind, k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    b = SCREEN_MIN_ROWS + 8
+    lab = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
+    batch = hermitize(model.to_eigenbasis(lab))
+    solo_rows = [int(i) for i in rng.choice(b, 3, replace=False)]
+    solos = [batch[[i]] for i in solo_rows]
+    counts = [np.zeros(b, dtype=int), np.zeros(b, dtype=int)]
+    solo_counts = [[np.zeros(1, dtype=int), np.zeros(1, dtype=int)] for _ in solo_rows]
+
+    def step(rho, dw, counters):
+        u = feedback(rho, model, frame_target, ctrl)
+        return _sme_step(rho, mean_level(rho, model), u, dw, model, dt, *counters)
+
+    for _ in range(400):
+        dw = rng.normal(0.0, np.sqrt(dt), b)
+        batch = step(batch, dw, counts)
+        assert np.array_equal(batch, np.conj(np.swapaxes(batch, -1, -2)))
+        solos = [step(r, dw[[i]], c) for r, i, c in zip(solos, solo_rows, solo_counts)]
+    assert counts[0].sum() == 0
+    validate_density(model.from_eigenbasis(batch))
+    for r, i, c in zip(solos, solo_rows, solo_counts):
+        assert np.array_equal(r[0], batch[i])
+        assert c[1][0] == counts[1][i]
+
+
+def repaired_sme_step(rho, mean, u, dw, model, dt, n_rejected, n_projected):
+    """The density step with the increment hermitized before it is normalized."""
+    nxt = rho + sme_drift(rho, model, u) * dt + diffusion_term(rho, mean, model) * dw[:, None, None]
+    nxt = hermitize(nxt)
+    nxt = nxt / trace(nxt).real[:, None, None]
+    low = np.linalg.eigvalsh(nxt)[:, 0] < EIG_FLOOR
+    n_projected[low] += 1
+    nxt[low] = project_to_density(nxt[low])
+    return nxt
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_run_batch_agrees_with_a_step_that_hermitizes_every_step(monkeypatch, n):
+    rng = np.random.default_rng(80 + n)
+    model, target = random_model(rng, n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    sim = SimConfig(dt=0.01, t_final=2.0, seed=n, record_stride=20)
+    b = SCREEN_MIN_ROWS + 8
+    rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
+    got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    monkeypatch.setattr(integrate, "_sme_step", repaired_sme_step)
+    want = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    assert got.n_projected.sum() > 0
+    assert np.array_equal(got.n_projected, want.n_projected)
+    for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity", "final_states",
+                 "states"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12)

@@ -17,7 +17,7 @@ from smestab import (
     v2,
 )
 from smestab.hermitian import expectation, trace, variance
-from smestab.lyapunov import certificates, v1, v_tilde
+from smestab.lyapunov import certificates, moments, v1, v_tilde
 
 
 def bloch(x, y, z):
@@ -72,7 +72,7 @@ def test_third_central_moment_direct():
     m2 = expectation(c @ c, rho)
     m3 = expectation(c @ c @ c, rho)
     expected = m3 - 3.0 * m2 * m1 + 2.0 * m1**3
-    third = certificates(rho, model, target, 0.0, 1.0)["third"]
+    third = certificates(moments(rho, target), model, target, 0.0, 1.0)["third"]
     np.testing.assert_allclose(third, expected, atol=1e-13)
 
 
@@ -107,7 +107,7 @@ def test_lb_v_tilde_is_minus_trace_term():
     model, target = qutrit(mu=1.2, eta=0.7)
     rho = ginibre(rng, 3, batch=(6,))
     np.testing.assert_allclose(
-        certificates(rho, model, target, 0.0, 1.3)["lb"],
+        certificates(moments(rho, target), model, target, 0.0, 1.3)["lb"],
         -trace_term(rho, model, target, 1.3),
         atol=1e-13,
     )
@@ -119,7 +119,7 @@ def test_l0_v_tilde_closed_form():
     rho = ginibre(rng, 3, batch=(6,))
     ell = 0.8
     expected = -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / ell**2
-    l0 = certificates(rho, model, target, 0.0, ell)["l0"]
+    l0 = certificates(moments(rho, target), model, target, 0.0, ell)["l0"]
     np.testing.assert_allclose(l0, expected, atol=1e-13)
 
 
@@ -323,4 +323,5 @@ def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
               dense_feedback(rho, model, target, ctrl))
     expected = dense_certificates(rho, model, target, u, ell)
     for name, value in expected.items():
-        close(row_local(lambda r, v: certificates(r, model, target, v, ell)[name]), value)
+        close(row_local(lambda r, v: certificates(moments(r, target), model, target, v, ell)[name]),
+              value)
