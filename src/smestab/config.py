@@ -26,7 +26,11 @@ class ConfigError(ValueError):
 
 
 def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
-    """Nested [re, im] pairs, row major, to a complex ndarray."""
+    """Nested [re, im] pairs, row major, to a complex ndarray.
+
+    Each part must be a finite JSON number (see _real); an error names the
+    entry as where[i][j].
+    """
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{where}: expected a non-empty nested list")
     rows = []
@@ -35,13 +39,10 @@ def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
             raise ConfigError(f"{where}[{i}]: expected a list of [re, im] pairs")
         entries = []
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-            ):
-                raise ConfigError(f"{where}[{i}][{j}]: expected an [re, im] pair")
-            entries.append(complex(pair[0], pair[1]))
+            entry = f"{where}[{i}][{j}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"{entry}: expected an [re, im] pair")
+            entries.append(complex(_real(pair[0], f"{entry} re"), _real(pair[1], f"{entry} im")))
         rows.append(entries)
     if len({len(r) for r in rows}) != 1:
         raise ConfigError(f"{where}: ragged rows")
@@ -111,10 +112,14 @@ def config_from_dict(doc: dict) -> EnsembleConfig:
             record_stride=_integer(ssec.get("record_stride", 1), "sim.record_stride"),
             representation=ssec.get("representation", "sme"),
         )
-        n_traj = _integer(
-            doc.get("ensemble", {}).get("n_trajectories", 1), "ensemble.n_trajectories"
-        )
+        esec = doc.get("ensemble", {})
+        if not isinstance(esec, dict):
+            raise ConfigError(f"section 'ensemble' must be an object, got {esec!r}")
+        n_traj = _integer(esec.get("n_trajectories", 1), "ensemble.n_trajectories")
         rho0 = parse_matrix(_get(doc, "rho0", "config"), "rho0")
+        output_dir = doc.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
         return EnsembleConfig(
             n_trajectories=n_traj,
             model=model,
@@ -122,7 +127,7 @@ def config_from_dict(doc: dict) -> EnsembleConfig:
             controller=ctrl,
             sim=sim,
             rho0=rho0,
-            output_dir=doc.get("output_dir"),
+            output_dir=output_dir,
         )
     except ConfigError:
         raise

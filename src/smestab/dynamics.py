@@ -275,7 +275,14 @@ def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
 
 
 def sme_drift(rho: np.ndarray, model: ModelSpec, u) -> np.ndarray:
-    """F + D with H = h_a + u h_b: drift_table * rho - i u [h_b, rho]."""
+    """F + D with H = h_a + u h_b: drift_table * rho - i u [h_b, rho].
+
+    u = None stands for the open-loop law, u = 0 on every row: the control
+    term is not evaluated and the drift is drift_table * rho, equal to the
+    result at zeros.
+    """
+    if u is None:
+        return model.drift_table * rho
     hr = _left_product(model.coupling, rho)
     return model.drift_table * rho + (-1j * np.asarray(u))[..., None, None] * (hr - dag(hr))
 
@@ -292,9 +299,15 @@ def measurement_increment(mean: np.ndarray, model: ModelSpec, dt: float, dW) -> 
 
 
 def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u) -> np.ndarray:
-    """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi of ket columns, valid at eta = 1."""
+    """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi of ket columns, valid at eta = 1.
+
+    u = None stands for the open-loop law, as in sme_drift: the control term
+    -i u h_b psi is not evaluated and only the diagonal part is returned.
+    """
     centered = model.levels[:, None] - mean[..., None, None]
     diagonal = -1j * model.energies[:, None] - 0.5 * model.mu * (centered * centered)
+    if u is None:
+        return diagonal * psi
     control = (-1j * np.asarray(u))[..., None, None] * _left_product(model.coupling, psi)
     return diagonal * psi + control
 

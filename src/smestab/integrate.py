@@ -14,7 +14,10 @@ read the populations and control rates there, and only the states it
 returns (final_states, states) are rotated back to the lab basis.
 
 Per step: <C> and the control are read once at the pre-step state and the
-Ito increment is applied. A density stays Hermitian by construction (see
+Ito increment is applied. Under the open-loop law the control term is zero
+and is not evaluated: run_batch decides this once per call and hands the
+step kernels u = None (see dynamics.sme_drift), while feedback still
+supplies the recorded zeros. A density stays Hermitian by construction (see
 dynamics) and is trace-renormalized, and hermitian.project_to_density clips
 it only when its smallest eigenvalue drops below the validity floor; a state
 vector is renormalized. Record points store the moments of the state
@@ -192,13 +195,20 @@ def _sme_step(rho, mean, u, dw, model, dt, n_rejected, n_projected) -> np.ndarra
     """One Euler-Maruyama step of the density SME on a (B, N, N) stack; mean is <C>.
 
     The increment is Hermitian term by term, so Hermitian rows stay exactly
-    Hermitian; the result is trace-normalized. A row left with a
-    non-positive trace keeps its pre-step state and counts in n_rejected; a row
-    whose smallest eigenvalue drops below EIG_FLOOR is projected onto the
-    density cone and counts in n_projected. Both counters update in place.
+    Hermitian; the result is trace-normalized. It is assembled in place in the
+    arrays the kernels return, in the order of rho + drift dt + g dW, and
+    rho is left unmodified; u = None is the open-loop law (see sme_drift). A
+    row left with a non-positive trace keeps its pre-step state and counts in
+    n_rejected; a row whose smallest eigenvalue drops below EIG_FLOOR is
+    projected onto the density cone and counts in n_projected. Both counters
+    update in place.
     """
+    nxt = sme_drift(rho, model, u)
+    nxt *= dt
+    nxt += rho
     g = diffusion_term(rho, mean, model)
-    nxt = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
+    g *= dw[:, None, None]
+    nxt += g
     tr = trace(nxt).real
     if not np.isfinite(tr).all():
         raise IntegrationError("non-finite state")
@@ -207,7 +217,8 @@ def _sme_step(rho, mean, u, dw, model, dt, n_rejected, n_projected) -> np.ndarra
         n_rejected[bad] += 1
         nxt[bad] = rho[bad]
         tr = np.where(bad, 1.0, tr)
-    nxt = nxt / tr[:, None, None]
+    # a complex divided by a real t is multiplied by 1 / t, so this is bit for bit the division
+    nxt *= (1.0 / tr)[:, None, None]
     low = _below_floor(nxt)
     if low.any():
         n_projected[low] += 1
@@ -351,6 +362,8 @@ def run_batch(
         state = np.broadcast_to(hermitize(rho0), (b, n, n)).copy()
         step = _sme_step
     frame_target = target.in_eigenbasis()
+    # the open-loop law's zeros are recorded, but the step skips its control term
+    steered = ctrl.kind != "open_loop"
 
     n_steps = sim.n_steps
     slots = _record_slots(n_steps, sim.record_stride)
@@ -376,7 +389,9 @@ def run_batch(
         mean = mean_level(state, model)
         window_dy = window_dy + measurement_increment(mean, model, sim.dt, dw)
         try:
-            state = step(state, mean, u, dw, model, sim.dt, n_rejected, n_projected)
+            state = step(
+                state, mean, u if steered else None, dw, model, sim.dt, n_rejected, n_projected
+            )
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}; reduce dt") from None
 

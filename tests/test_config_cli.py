@@ -1,5 +1,6 @@
 """JSON configuration parsing and the command-line entry points."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,28 @@ def test_parse_matrix_rejects_malformed_input():
         parse_matrix([[[1, 0, 0]]])
     with pytest.raises(ConfigError, match="ragged"):
         parse_matrix([[[1, 0], [0, 0]], [[1, 0]]])
+    # booleans and non-finite parts are refused, and the entry is named
+    for bad in (True, False, float("nan"), float("inf"), -float("inf"), "1", None, 10**400):
+        with pytest.raises(ConfigError, match=r"^model\.c\[1\]\[0\] re must be a finite number"):
+            parse_matrix([[[1, 0], [0, 0]], [[bad, 0], [1, 0]]], "model.c")
+        with pytest.raises(ConfigError, match=r"^rho0\[0\]\[1\] im must be a finite number"):
+            parse_matrix([[[1, 0], [0, bad]], [[0, 0], [1, 0]]], "rho0")
+
+
+def test_json_booleans_and_non_finite_literals_in_a_matrix_are_config_errors(tmp_path, capsys):
+    # NaN, Infinity and true are what json reads from the bare tokens
+    for token, entry in (("NaN", "model.h_b[0][1] re"), ("Infinity", "model.h_b[0][1] re"),
+                         ("-Infinity", "model.h_b[0][1] re"), ("true", "model.h_b[0][1] re")):
+        text = json.dumps(qubit_doc()).replace(
+            '"h_b": [[[0, 0], [1, 0]]', f'"h_b": [[[0, 0], [{token}, 0]]'
+        )
+        assert token in text
+        with pytest.raises(ConfigError, match=rf"{re.escape(entry)} must be a finite number"):
+            config_from_dict(json.loads(text))
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert entry in capsys.readouterr().err
 
 
 def test_matrix_literal_round_trip():
@@ -213,3 +236,34 @@ def test_cli_rankcheck(tmp_path, capsys):
 
 def test_cli_missing_config_is_a_usage_error(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_a_non_object_ensemble_section_is_a_config_error(tmp_path, capsys):
+    for section in ([{"n_trajectories": 5}], 5, "many", None):
+        with pytest.raises(ConfigError, match="section 'ensemble' must be an object"):
+            config_from_dict(qubit_doc(ensemble=section))
+    path = write_doc(tmp_path, qubit_doc(ensemble=[{"n_trajectories": 5}]))
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["validate"], ["simulate", *out], ["ensemble", *out]):
+        assert main([*argv, "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: section 'ensemble' must be an object")
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_must_be_a_string_or_null(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for value in (5, True, ["out"], {"dir": "out"}):
+        with pytest.raises(ConfigError, match="output_dir must be a string or null"):
+            config_from_dict(qubit_doc(output_dir=value))
+        path = write_doc(tmp_path, qubit_doc(output_dir=value))
+        for command in ("validate", "simulate", "ensemble"):
+            assert main([command, "--config", path]) == 2
+            assert capsys.readouterr().err.startswith("error: output_dir must be a string or null")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    # a string names the directory written without --out; null means the working directory
+    path = write_doc(tmp_path, qubit_doc(output_dir=str(tmp_path / "cfg_out")))
+    assert main(["simulate", "--config", path]) == 0
+    assert (tmp_path / "cfg_out" / "trajectory_0.csv").exists()
+    path = write_doc(tmp_path, qubit_doc(output_dir=None))
+    assert main(["simulate", "--config", path]) == 0
+    assert (tmp_path / "trajectory_0.csv").exists()

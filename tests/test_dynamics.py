@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     C3,
@@ -304,3 +306,19 @@ def test_sse_fields_are_batch_aware():
     assert g.shape == (7, 3, 1)
     single = sse_drift(psi[2], mean_level(psi[2], model), model, 0.3)
     np.testing.assert_allclose(d[2], single, atol=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), batch=st.sampled_from([1, 4, 50]), seed=st.integers(0, 2**32 - 1))
+def test_open_loop_drift_skips_the_control_term_and_equals_the_drift_at_zeros(n, batch, seed):
+    # u = None is the open-loop law: no h_b product, the same values as u = 0
+    rng = np.random.default_rng(seed)
+    model, _ = random_model(rng, n)
+    rho = model.to_eigenbasis(ginibre(rng, n, (batch,)))
+    assert np.array_equal(sme_drift(rho, model, None), sme_drift(rho, model, np.zeros(batch)))
+    assert np.array_equal(sme_drift(rho, model, None), model.drift_table * rho)
+    psi = rng.normal(size=(batch, n, 1)) + 1j * rng.normal(size=(batch, n, 1))
+    psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
+    mean = mean_level(psi, model)
+    zeros = sse_drift(psi, mean, model, np.zeros(batch))
+    assert np.array_equal(sse_drift(psi, mean, model, None), zeros)

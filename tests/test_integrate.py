@@ -1,5 +1,5 @@
 """Euler-Maruyama engine: stepping, noise streams, recording, classification."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,13 @@ from smestab.hermitian import (
     trace,
     validate_density,
 )
-from smestab.integrate import NOISE_WINDOW, _brownian_increments, _record_slots, _sme_step
+from smestab.integrate import (
+    NOISE_WINDOW,
+    BatchResult,
+    _brownian_increments,
+    _record_slots,
+    _sme_step,
+)
 
 
 def test_sim_config_validation():
@@ -452,3 +458,96 @@ def test_run_batch_agrees_with_a_step_that_hermitizes_every_step(monkeypatch, n)
     for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity", "final_states",
                  "states"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12)
+
+
+def _open_loop_cases(b):
+    """(name, model, target, rho0, sim) for b rows: SME at N = 2, N = 3 (coarse, clipping), SSE."""
+    model2, target2 = qubit(mu=1.0, eta=0.5)
+    model3, target3 = qutrit(mu=6.0, eta=0.5)
+    plus3 = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+    rng = np.random.default_rng(91)
+    model5, target5 = random_model(rng, 5)
+    return (
+        ("sme2", model2, target2, ginibre(rng, 2, (b,)), SimConfig(dt=1e-3, t_final=0.3, seed=3,
+                                                                   record_stride=7)),
+        ("sme3_coarse", model3, target3, plus3, SimConfig(dt=0.3, t_final=9.0, seed=5,
+                                                          record_stride=3)),
+        ("sse5", replace(model5, eta=1.0), target5, random_pure(rng, 5, (b,)),
+         SimConfig(dt=1e-3, t_final=0.3, seed=8, record_stride=7, representation="sse")),
+    )
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monkeypatch, case):
+    # run_batch hands the open-loop step u = None; the same run with the step
+    # given explicit zeros agrees on every BatchResult field, bit for bit
+    b = SCREEN_MIN_ROWS + 8
+    name, model, target, rho0, sim = _open_loop_cases(b)[case]
+    ctrl = ControllerSpec(kind="open_loop")
+    kernel = "_sse_step" if sim.representation == "sse" else "_sme_step"
+    real = getattr(integrate, kernel)
+    seen = []
+
+    def watched(state, mean, u, *rest):
+        seen.append(u)
+        return real(state, mean, u, *rest)
+
+    def given_zeros(state, mean, u, *rest):
+        assert u is None
+        return real(state, mean, np.zeros(state.shape[0]), *rest)
+
+    monkeypatch.setattr(integrate, kernel, watched)
+    got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    assert len(seen) == sim.n_steps and all(u is None for u in seen)
+    monkeypatch.setattr(integrate, kernel, given_zeros)
+    want = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    if name == "sme3_coarse":
+        assert got.n_projected.sum() > 100
+    for f in fields(BatchResult):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (name, f.name)
+    assert not got.controls.any()
+    # a closed-loop law hands the step its controls
+    seen.clear()
+    monkeypatch.setattr(integrate, kernel, watched)
+    run_batch(rho0, model, target, ControllerSpec(kind="square_of_sum"), sim, n_trajectories=b)
+    assert len(seen) == sim.n_steps
+    assert all(isinstance(u, np.ndarray) and u.shape == (b,) for u in seen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
+    # the step is assembled in place in the kernels' own arrays: the input
+    # stack is untouched and the result is the plain expression bit for bit
+    rng = np.random.default_rng(70 + n)
+    model, target = random_model(rng, n)
+    frame_target = target.in_eigenbasis()
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.3, ell=0.7)
+    b, dt = 40, 1e-3
+    dw = rng.normal(0.0, np.sqrt(dt), b)
+    counters = (np.zeros(b, dtype=int), np.zeros(b, dtype=int))
+    rho = hermitize(model.to_eigenbasis(0.5 * ginibre(rng, n, (b,)) + 0.5 * np.eye(n) / n))
+    mean = mean_level(rho, model)
+    for u in (None, feedback(rho, model, frame_target, ctrl)):
+        before = rho.copy()
+        got = _sme_step(rho, mean, u, dw, model, dt, *counters)
+        assert np.array_equal(rho, before)
+        g = diffusion_term(rho, mean, model)
+        raw = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
+        assert np.array_equal(got, raw / trace(raw).real[:, None, None])
+    assert not counters[0].any() and not counters[1].any()
+
+
+def test_coarse_steps_that_clip_leave_their_input_unmodified():
+    model, target = qutrit(mu=6.0, eta=0.5)
+    rng = np.random.default_rng(12)
+    b = SCREEN_MIN_ROWS + 8
+    rho = hermitize(model.to_eigenbasis(random_pure(rng, 3, (b,))))
+    counters = (np.zeros(b, dtype=int), np.zeros(b, dtype=int))
+    for u in (None, rng.normal(size=b)):
+        for _ in range(20):
+            before = rho.copy()
+            nxt = _sme_step(rho, mean_level(rho, model), u, rng.normal(0.0, 0.5, b), model, 0.3,
+                            *counters)
+            assert np.array_equal(rho, before)
+            rho = nxt
+    assert counters[1].sum() > 0
