@@ -82,7 +82,7 @@ def _real(value, where: str) -> float:
 def config_from_dict(doc: dict) -> EnsembleConfig:
     """Build and validate a full run configuration from parsed JSON."""
     msec = _section(doc, "model")
-    n = _get(msec, "n", "model")
+    n = _integer(_get(msec, "n", "model"), "model.n")
     h_a = parse_matrix(_get(msec, "h_a", "model"), "model.h_a")
     h_b = parse_matrix(_get(msec, "h_b", "model"), "model.h_b")
     c = parse_matrix(_get(msec, "c", "model"), "model.c")

@@ -76,9 +76,9 @@ class ModelSpec:
     """Free Hamiltonian h_a, control Hamiltonian h_b, measured observable c.
 
     Construction enforces the standing assumptions: all three matrices
-    Hermitian, [h_a, c] = 0 (nondemolition), c with a simple spectrum (every
-    eigenvalue gap above SPECTRAL_GAP_TOL), the coupling graph of h_b
-    connected, mu > 0 and 0 < eta <= 1.
+    Hermitian and at least 2x2, [h_a, c] = 0 (nondemolition), c with a
+    simple spectrum (every eigenvalue gap above SPECTRAL_GAP_TOL), the
+    coupling graph of h_b connected, mu > 0 and 0 < eta <= 1.
 
     c is decomposed here and nowhere else; the derived fields follow from it.
     basis holds c's eigenvectors as columns, in ascending eigenvalue order, and
@@ -111,8 +111,8 @@ class ModelSpec:
         object.__setattr__(self, "h_b", h_b)
         object.__setattr__(self, "c", c)
         shapes = {h_a.shape, h_b.shape, c.shape}
-        if len(shapes) != 1 or h_a.ndim != 2 or h_a.shape[0] != h_a.shape[1]:
-            raise ValueError(f"h_a, h_b, c must share one square shape, got {shapes}")
+        if len(shapes) != 1 or h_a.ndim != 2 or not h_a.shape[0] == h_a.shape[1] >= 2:
+            raise ValueError(f"h_a, h_b, c must share one square shape, 2x2 or more, got {shapes}")
         for name, m in (("h_a", h_a), ("h_b", h_b), ("c", c)):
             if not is_hermitian(m):
                 raise ValueError(f"{name} is not Hermitian")

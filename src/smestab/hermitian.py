@@ -5,9 +5,8 @@ over the leading axes; a single matrix is the degenerate stack.
 
 The density-cone check asks whether the smallest eigenvalue lies below a
 floor. min_eigenvalue answers it exactly (a radical at N = 2, eigvalsh above).
-For 3x3 stacks, clear_of_floor answers the easy half far more cheaply: one
-pivoted Schur-complement step proves a row is above the floor, and only the
-rows it cannot clear need the eigenvalues.
+clear_of_floor settles the easy half for any N: a Cholesky pass on the shifted
+matrix proves a row above the floor, and only the rest need eigvalsh.
 """
 from __future__ import annotations
 
@@ -16,17 +15,13 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-9
-# Absolute margin of clear_of_floor: far above the ~1e-16 roundoff of the
-# screen and of eigvalsh on matrices of order-one norm, such as densities.
+# Absolute margin of clear_of_floor, far above its backward error and that of
+# eigvalsh on matrices of order-one norm, such as densities.
 SCREEN_TOL = 1e-12
 # From this many rows up, clear_of_floor plus eigvalsh on the rows it leaves
-# is faster than eigvalsh on every row (about 25 rows on a 2-core Xeon,
+# beats eigvalsh on every row at N = 3 (about 20 rows on a 2-core Xeon,
 # numpy 2.4). It sets speed only: the rows found below the floor are the same.
 SCREEN_MIN_ROWS = 32
-
-# the two indices other than the pivot k, for k = 0, 1, 2
-_REST_I = np.array([1, 0, 0])
-_REST_J = np.array([2, 2, 1])
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -101,7 +96,7 @@ def min_eigenvalue(m: np.ndarray) -> np.ndarray:
     arccos endpoint conditioning costs ~1e-8 absolute accuracy exactly on the
     near-pure states this check has to resolve against EIG_FLOOR.  At N = 3
     the integrator asks clear_of_floor first, which proves most rows above
-    the floor with one Schur-complement step, and calls this only on the rest.
+    the floor with one Cholesky pass, and calls this only on the rest.
     """
     m = np.asarray(m)
     n = m.shape[-1]
@@ -116,49 +111,49 @@ def min_eigenvalue(m: np.ndarray) -> np.ndarray:
 
 
 def clear_of_floor(m: np.ndarray, floor: float) -> np.ndarray:
-    """True where a stacked 3x3 Hermitian m provably has every eigenvalue >= floor.
+    """True where a stacked Hermitian m provably has every eigenvalue > floor.
 
     False means "not proven", not "below": callers decide those rows with
-    min_eigenvalue.  The bound: let A = m - floor I, pivot on its largest
-    diagonal entry p = A_kk, let a be the rest of column k (two entries),
-    l = a / p and S = A_rest - a a^dag / p the 2x2 Schur complement.  Then
-    A = L diag(p, S) L^dag with L unit lower triangular (l below the pivot),
-    and ||L^-1|| <= 1 + ||l||, so for p > 0
+    min_eigenvalue.  A row is cleared when the Cholesky factorisation without
+    pivoting of A = m - (floor + SCREEN_TOL) I, run one entry of the lower
+    triangle at a time across the stack, has every pivot positive.  Cholesky
+    is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3): such a run is the exact factorisation of a
+    positive definite A + dA, ||dA|| <= N (N + 1) u ||m|| to first order (u
+    the unit roundoff), so on a cleared row
 
-        lambda_min(A) >= min(p, lambda_min(S)) / (1 + ||l||)^2.
+        lambda_min(m) > floor + SCREEN_TOL - N (N + 1) u ||m||.
 
-    A row is cleared when min(p, lambda_min(S)) > SCREEN_TOL (1 + ||l||)^2,
-    with lambda_min(S) from the same radical as min_eigenvalue's 2x2 branch,
-    so a cleared row has lambda_min(A) > SCREEN_TOL.  On matrices of
-    order-one norm that margin is far above the roundoff of this screen and
-    of eigvalsh: a cleared row is never one that eigvalsh puts below the
-    floor.  Eliminating on the largest diagonal keeps relative precision
-    (on the cone, |l_i| <= 1), so near-pure states, whose small eigenvalues
-    sit in S, are cleared too.
+    This assumes ||m|| is of order one, as for trace-one densities and their
+    Euler steps: the roundoff term is then 5e-15 at N = 6, far under SCREEN_TOL,
+    and eigvalsh (backward stable too) never puts a cleared row below the floor.
+    Every pivot is at least lambda_min(A), so at EIG_FLOOR every state on the
+    cone, pure and collapsed ones included, is cleared.
     """
     m = np.asarray(m)
-    if m.shape[-2:] != (3, 3):
-        raise ValueError(f"expected stacked 3x3 matrices, got shape {m.shape}")
-    flat = m.reshape(-1, 3, 3)
-    rows = np.arange(len(flat))
-    d = flat.diagonal(0, -2, -1).real - floor
-    k = d.argmax(axis=-1)
-    i, j = _REST_I[k], _REST_J[k]
-    p = d[rows, k]
-    ai, aj = flat[rows, i, k], flat[rows, j, k]
-    ai2 = ai.real * ai.real + ai.imag * ai.imag
-    aj2 = aj.real * aj.real + aj.imag * aj.imag
+    n = m.shape[-1]
+    if m.ndim < 2 or m.shape[-2] != n:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    shift = floor + SCREEN_TOL
+    cleared = np.ones(m.shape[:-2], dtype=bool)
+    low = {}  # (i, j) -> L_ij of the factor, i > j
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_p = 1.0 / p
-        s_ii = d[rows, i] - ai2 * inv_p
-        s_jj = d[rows, j] - aj2 * inv_p
-        s_ij = flat[rows, i, j] - ai * aj.conj() * inv_p
-        half = 0.5 * (s_ii - s_jj)
-        rad = np.sqrt(half * half + s_ij.real * s_ij.real + s_ij.imag * s_ij.imag)
-        lam = 0.5 * (s_ii + s_jj) - rad
-        growth = 1.0 + np.sqrt(ai2 + aj2) * inv_p
-        cleared = np.minimum(p, lam) > SCREEN_TOL * growth * growth
-    return cleared.reshape(m.shape[:-2])
+        for j in range(n):
+            d = m[..., j, j].real - shift
+            for k in range(j):
+                d = d - (low[j, k].real ** 2 + low[j, k].imag ** 2)
+            # a pivot <= 0 (or nan after one) leaves the row uncleared
+            cleared &= d > 0.0
+            if j + 1 == n:
+                break
+            inv = 1.0 / np.sqrt(d)
+            row = [low[j, k].conj() for k in range(j)]  # row j of the factor, conjugated
+            for i in range(j + 1, n):
+                s = m[..., i, j]
+                for k in range(j):
+                    s = s - low[i, k] * row[k]
+                low[i, j] = s * inv
+    return cleared
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> None:

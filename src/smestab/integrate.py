@@ -93,6 +93,8 @@ class SimConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (_integral(self.record_stride) and self.record_stride >= 1):
             raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "record_stride", int(self.record_stride))
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
 

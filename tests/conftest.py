@@ -3,6 +3,7 @@ and the dense lab-basis forms of the conditioned equation used as oracles."""
 import numpy as np
 
 from smestab import ModelSpec, TargetSpec
+from smestab.hermitian import dag, hermitize
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -42,6 +43,13 @@ def random_pure(rng, n, batch=()):
     psi = rng.normal(size=(*batch, n)) + 1j * rng.normal(size=(*batch, n))
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     return np.einsum("...i,...j->...ij", psi, np.conj(psi))
+
+
+def with_spectrum(rng, spectrum):
+    """Hermitian (B, N, N) stacks with the given (B, N) eigenvalues in random bases."""
+    b, n = spectrum.shape
+    u, _ = np.linalg.qr(rng.normal(size=(b, n, n)) + 1j * rng.normal(size=(b, n, n)))
+    return hermitize((u * spectrum[:, None, :]) @ dag(u))
 
 
 def random_model(rng, n):

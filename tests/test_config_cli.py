@@ -36,6 +36,16 @@ def qubit_doc(**overrides):
     return doc
 
 
+def one_level_doc(n):
+    """A config for a one-level "system": 1x1 matrices, model.n = n."""
+    one = [[[1, 0]]]
+    return qubit_doc(
+        model={"n": n, "h_a": one, "h_b": one, "c": one, "mu": 1.0, "eta": 0.5},
+        target={"rho_d": one},
+        rho0=one,
+    )
+
+
 def write_doc(tmp_path, doc, name="run.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -123,6 +133,8 @@ def test_config_missing_section_and_wrapped_errors():
     doc["model"]["n"] = 3
     with pytest.raises(ConfigError, match="does not match"):
         config_from_dict(doc)
+    with pytest.raises(ConfigError, match="2x2 or more"):
+        config_from_dict(one_level_doc(1))
     bad_integers = (
         ("sim", "record_stride", 2.5),
         ("sim", "seed", 7.9),
@@ -130,6 +142,9 @@ def test_config_missing_section_and_wrapped_errors():
         ("sim", "seed", "7"),
         ("ensemble", "n_trajectories", 3.7),
         ("ensemble", "n_trajectories", False),
+        ("model", "n", True),
+        ("model", "n", 2.5),
+        ("model", "n", "2"),
     )
     for section, key, value in bad_integers:
         doc = qubit_doc()
@@ -180,6 +195,13 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
     path = write_doc(tmp_path, doc)
     assert main(["validate", "--config", path]) == 2
     assert "eta" in capsys.readouterr().err
+    # a one-level model is refused by every subcommand that reads a config
+    for n, message in ((True, "model.n must be an integer"), (1, "2x2 or more")):
+        path = write_doc(tmp_path, one_level_doc(n))
+        for argv in (["validate"], ["simulate", "--out", str(tmp_path / "s")],
+                     ["ensemble", "--out", str(tmp_path / "e")], ["rankcheck"]):
+            assert main([*argv, "--config", path]) == 2, (n, argv)
+            assert message in capsys.readouterr().err, (n, argv)
 
 
 def test_cli_simulate_writes_trajectory(tmp_path, capsys):

@@ -119,6 +119,9 @@ def test_model_rejects_disconnected_coupling():
 def test_model_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         ModelSpec(h_a=SZ, h_b=H_B3, c=SZ, mu=1.0, eta=1.0)
+    one = np.ones((1, 1), dtype=complex)
+    with pytest.raises(ValueError, match="2x2 or more"):
+        ModelSpec(h_a=one, h_b=one, c=one, mu=1.0, eta=1.0)
 
 
 def test_target_requires_rank_one():

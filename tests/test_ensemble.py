@@ -55,8 +55,11 @@ def test_ensemble_config_validation():
     model, target = qubit()
     sim = SimConfig(dt=1e-3, t_final=1.0, seed=1)
     ctrl = ControllerSpec(kind="open_loop")
-    with pytest.raises(ValueError, match="n_trajectories"):
-        EnsembleConfig(0, model, target, ctrl, sim, np.eye(2, dtype=complex) / 2)
+    for n_traj in (0, 2.5, True, np.inf):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            EnsembleConfig(n_traj, model, target, ctrl, sim, np.eye(2, dtype=complex) / 2)
+    cfg = EnsembleConfig(2.0, model, target, ctrl, sim, np.eye(2, dtype=complex) / 2)
+    assert type(cfg.n_trajectories) is int and cfg.n_trajectories == 2
     with pytest.raises(ValueError, match="shape"):
         EnsembleConfig(1, model, target, ctrl, sim, np.eye(3, dtype=complex) / 3)
     with pytest.raises(ValueError, match="rho0"):

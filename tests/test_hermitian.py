@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import H_B3, SX, SY, SZ, ginibre, random_pure
+from conftest import H_B3, SX, SY, SZ, ginibre, random_pure, with_spectrum
 from smestab import ModelSpec
 from smestab.hermitian import (
     EIG_FLOOR,
@@ -124,56 +124,57 @@ def test_min_eigenvalue_exact_on_degenerate_projectors():
     assert min_eigenvalue(np.diag([0.5, 0.3, 0.2]).astype(complex)) == pytest.approx(0.2)
 
 
-def with_spectrum(rng, spectrum):
-    """Hermitian (B, 3, 3) stacks with the given (B, 3) eigenvalues in random bases."""
-    b = len(spectrum)
-    u, _ = np.linalg.qr(rng.normal(size=(b, 3, 3)) + 1j * rng.normal(size=(b, 3, 3)))
-    return hermitize((u * spectrum[:, None, :]) @ dag(u))
+SCREEN_SIZES = (3, 4, 5, 6)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), floor=st.sampled_from([EIG_FLOOR, 0.0, 0.1]))
 def test_floor_screen_never_clears_a_row_at_or_below_the_floor(seed, floor):
-    # one eigenvalue on, just around, or below the floor; the other two above
+    # one eigenvalue on, just around, or below the floor; the others above
     # both the floor and zero, from just above to one
     rng = np.random.default_rng(seed)
     smallest = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, floor + 1e-12, floor - 1e-12, floor,
                 -2e-9, 1e-20]
     b = 200
-    for lam in smallest:
-        others = max(floor, 0.0) + np.stack(
-            [rng.uniform(0.0, 1.0, b), rng.choice([1.0, 1e-6, 1e-12], b)], axis=1
-        )
-        m = with_spectrum(rng, np.column_stack([np.full(b, lam), others]))
-        cleared = clear_of_floor(m, floor)
-        lowest = np.linalg.eigvalsh(m)[:, 0]
-        assert not np.any(cleared & (lowest < floor + 1e-13)), lam
-        # what the integrator relies on: a cleared row is never one min_eigenvalue flags
-        assert not np.any(cleared & (min_eigenvalue(m) < floor)), lam
+    for n in SCREEN_SIZES:
+        for lam in smallest:
+            others = max(floor, 0.0) + np.column_stack(
+                [rng.uniform(0.0, 1.0, b), rng.choice([1.0, 1e-6, 1e-12], (b, n - 2))]
+            )
+            m = with_spectrum(rng, np.column_stack([np.full(b, lam), others]))
+            cleared = clear_of_floor(m, floor)
+            lowest = np.linalg.eigvalsh(m)[:, 0]
+            assert not np.any(cleared & (lowest < floor + 1e-13)), (n, lam)
+            # what the integrator relies on: a cleared row is never one min_eigenvalue flags
+            assert not np.any(cleared & (min_eigenvalue(m) < floor)), (n, lam)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12, 0.0])
 def test_floor_screen_clears_near_pure_and_collapsed_states(eps):
     rng = np.random.default_rng(13)
-    near_pure = (1.0 - eps) * random_pure(rng, 3, (2000,)) + eps * ginibre(rng, 3, (2000,))
-    assert np.all(clear_of_floor(near_pure, EIG_FLOOR))
-    # collapsed onto each level of C's eigenbasis, with what is left of the others
-    collapsed = np.zeros((3, 3, 3), dtype=complex)
-    for k in range(3):
-        pops = np.full(3, eps / 2)
-        pops[k] = 1.0 - eps
-        collapsed[k] = np.diag(pops)
-    assert np.all(clear_of_floor(collapsed, EIG_FLOOR))
+    for n in SCREEN_SIZES:
+        near_pure = (1.0 - eps) * random_pure(rng, n, (2000,)) + eps * ginibre(rng, n, (2000,))
+        assert np.all(clear_of_floor(near_pure, EIG_FLOOR)), n
+        # collapsed onto each level of C's eigenbasis, with what is left of the others
+        collapsed = np.zeros((n, n, n), dtype=complex)
+        for k in range(n):
+            pops = np.full(n, eps / (n - 1))
+            pops[k] = 1.0 - eps
+            collapsed[k] = np.diag(pops)
+        assert np.all(clear_of_floor(collapsed, EIG_FLOOR)), n
 
 
 def test_floor_screen_keeps_stack_shape_and_refuses_other_sizes():
     rng = np.random.default_rng(14)
-    rho = ginibre(rng, 3, (2, 5))
-    assert clear_of_floor(rho, EIG_FLOOR).shape == (2, 5)
-    assert clear_of_floor(rho[0, 0], EIG_FLOOR).shape == ()
-    assert not clear_of_floor(-np.eye(3, dtype=complex), EIG_FLOOR)
-    with pytest.raises(ValueError, match="3x3"):
-        clear_of_floor(ginibre(rng, 4), EIG_FLOOR)
+    for n in SCREEN_SIZES:
+        rho = ginibre(rng, n, (2, 5))
+        assert clear_of_floor(rho, EIG_FLOOR).shape == (2, 5)
+        assert clear_of_floor(rho[0, 0], EIG_FLOOR).shape == ()
+        assert not clear_of_floor(-np.eye(n, dtype=complex), EIG_FLOOR)
+        with pytest.raises(ValueError, match="square"):
+            clear_of_floor(rho[..., :-1], EIG_FLOOR)
+    with pytest.raises(ValueError, match="square"):
+        clear_of_floor(np.ones(3), EIG_FLOOR)
 
 
 def test_validate_density_accepts_random_and_rejects_bad():

@@ -17,6 +17,7 @@ from conftest import (
     qutrit,
     random_model,
     random_pure,
+    with_spectrum,
 )
 from smestab import (
     ControllerSpec,
@@ -33,6 +34,7 @@ from smestab.hermitian import (
     EIG_FLOOR,
     SCREEN_MIN_ROWS,
     hermitize,
+    min_eigenvalue,
     project_to_density,
     trace,
     validate_density,
@@ -69,7 +71,13 @@ def test_sim_config_validation():
     for stride in (2.5, True, np.inf):
         with pytest.raises(ValueError, match="record_stride"):
             SimConfig(dt=1e-3, t_final=1.0, seed=1, record_stride=stride)
-    assert SimConfig(dt=1e-3, t_final=1.0, seed=2.0, record_stride=3.0).seed == 2
+    # integral floats are stored as int, so the loop can slice and key with them
+    sim = SimConfig(dt=0.1, t_final=0.4, seed=2.0, record_stride=2.0)
+    assert (sim.seed, sim.record_stride) == (2, 2)
+    assert type(sim.seed) is int and type(sim.record_stride) is int
+    model, target = qubit()
+    res = run_batch(RHO_D2, model, target, ControllerSpec(kind="open_loop"), sim)
+    assert np.allclose(res.times, [0.0, 0.2, 0.4])
 
 
 def test_run_batch_refuses_an_empty_batch_and_a_state_off_the_cone():
@@ -352,25 +360,55 @@ def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
             assert np.array_equal(solo.final_states[0], final[i]), rep
 
 
+def test_below_floor_is_min_eigenvalues_mask_next_to_the_floor():
+    # smallest eigenvalues planted on, just around and within the screen's
+    # margin above EIG_FLOOR: rows the screen cannot clear are decided by
+    # min_eigenvalue, so the mask is min_eigenvalue's on every row and N
+    rng = np.random.default_rng(45)
+    smallest = EIG_FLOOR + np.array([-1e-12, -1e-15, 0.0, 1e-15, 1e-13, 5e-13, 2e-12, 1e-9])
+    b = 8 * SCREEN_MIN_ROWS
+    for n in range(2, 7):
+        lam = rng.choice(smallest, b)
+        others = rng.uniform(0.0, 1.0, (b, n - 1))
+        rho = with_spectrum(rng, np.column_stack([lam, others]))
+        below = integrate._below_floor(rho)
+        assert np.array_equal(below, min_eigenvalue(rho) < EIG_FLOOR), n
+        assert 0 < below.sum() < b, n
+
+
 def test_screened_clip_decisions_match_eigvalsh_on_every_row(monkeypatch):
-    # a coarse qutrit regime that clips often, on a batch large enough for
-    # the floor screen: every clip and every state equal the step that asks
-    # eigvalsh about every row
-    model, target = qutrit(mu=6.0, eta=0.5)
-    plus = np.full((3, 3), 1.0 / 3.0, dtype=complex)
-    ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
-    sim = SimConfig(dt=0.3, t_final=9.0, seed=5, record_stride=3)
+    # coarse regimes that clip often, on batches large enough for the floor
+    # screen at N = 3: every clip and every state equal the step that asks
+    # eigvalsh about every row; the fixed qutrit from a shared start, and a
+    # random N = 4 model from mixed and pure starts
     b = 40
     assert b >= SCREEN_MIN_ROWS
-    screened = run_batch(plus, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-    monkeypatch.setattr(
-        integrate, "_below_floor", lambda rho: np.linalg.eigvalsh(rho)[:, 0] < EIG_FLOOR
-    )
-    reference = run_batch(plus, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-    assert screened.n_projected.sum() > 100
-    for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity", "final_states",
-                 "states", "n_projected", "n_rejected"):
-        assert np.array_equal(getattr(screened, name), getattr(reference, name)), name
+    rng = np.random.default_rng(44)
+    qutrit_model, qutrit_target = qutrit(mu=6.0, eta=0.5)
+    four_model, four_target = random_model(rng, 4)
+    cases = [
+        (qutrit_model, qutrit_target, np.full((3, 3), 1.0 / 3.0, dtype=complex)),
+        (four_model, four_target,
+         np.concatenate([ginibre(rng, 4, (b // 2,)), random_pure(rng, 4, (b - b // 2,))])),
+    ]
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
+    sim = SimConfig(dt=0.3, t_final=9.0, seed=5, record_stride=3)
+
+    def eigvalsh_mask(rho):
+        return np.linalg.eigvalsh(rho)[:, 0] < EIG_FLOOR
+
+    for model, target, rho0 in cases:
+        screened = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b,
+                             record_states=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(integrate, "_below_floor", eigvalsh_mask)
+            reference = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b,
+                                  record_states=True)
+        assert screened.n_projected.sum() > 100, model.n
+        for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity",
+                     "final_states", "states", "n_projected", "n_rejected"):
+            assert np.array_equal(getattr(screened, name), getattr(reference, name)), (
+                model.n, name)
 
 
 @settings(max_examples=12, deadline=None)
