@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import ModelSpec, TargetSpec
 from .ensemble import EnsembleConfig
-from .integrate import SimConfig
+from .integrate import SimConfig, as_integer
 from .lyapunov import ControllerSpec
 
 
@@ -61,13 +61,6 @@ def _get(section: dict, key: str, where: str):
     return section[key]
 
 
-def _integer(value, where: str) -> int:
-    """An integral JSON number as int; booleans and fractional numbers are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _real(value, where: str) -> float:
     """A finite JSON number as float; booleans, strings, nan and infinities are refused."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
@@ -82,13 +75,13 @@ def _real(value, where: str) -> float:
 def config_from_dict(doc: dict) -> EnsembleConfig:
     """Build and validate a full run configuration from parsed JSON."""
     msec = _section(doc, "model")
-    n = _integer(_get(msec, "n", "model"), "model.n")
-    h_a = parse_matrix(_get(msec, "h_a", "model"), "model.h_a")
-    h_b = parse_matrix(_get(msec, "h_b", "model"), "model.h_b")
-    c = parse_matrix(_get(msec, "c", "model"), "model.c")
-    if h_a.shape != (n, n):
-        raise ConfigError(f"model.n = {n} does not match matrix shape {h_a.shape}")
     try:
+        n = as_integer(_get(msec, "n", "model"), "model.n")
+        h_a = parse_matrix(_get(msec, "h_a", "model"), "model.h_a")
+        h_b = parse_matrix(_get(msec, "h_b", "model"), "model.h_b")
+        c = parse_matrix(_get(msec, "c", "model"), "model.c")
+        if h_a.shape != (n, n):
+            raise ConfigError(f"model.n = {n} does not match matrix shape {h_a.shape}")
         model = ModelSpec(
             h_a=h_a,
             h_b=h_b,
@@ -108,14 +101,14 @@ def config_from_dict(doc: dict) -> EnsembleConfig:
         sim = SimConfig(
             dt=_real(_get(ssec, "dt", "sim"), "sim.dt"),
             t_final=_real(_get(ssec, "t_final", "sim"), "sim.t_final"),
-            seed=_integer(_get(ssec, "seed", "sim"), "sim.seed"),
-            record_stride=_integer(ssec.get("record_stride", 1), "sim.record_stride"),
+            seed=as_integer(_get(ssec, "seed", "sim"), "sim.seed"),
+            record_stride=as_integer(ssec.get("record_stride", 1), "sim.record_stride"),
             representation=ssec.get("representation", "sme"),
         )
         esec = doc.get("ensemble", {})
         if not isinstance(esec, dict):
             raise ConfigError(f"section 'ensemble' must be an object, got {esec!r}")
-        n_traj = _integer(esec.get("n_trajectories", 1), "ensemble.n_trajectories")
+        n_traj = as_integer(esec.get("n_trajectories", 1), "ensemble.n_trajectories")
         rho0 = parse_matrix(_get(doc, "rho0", "config"), "rho0")
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):

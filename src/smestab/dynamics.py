@@ -25,10 +25,11 @@ only the control term multiplies matrices. The drift table is conjugate
 symmetric, the control term is -i u (X - X^dag) with X = h_b rho, and
 c_i + c_j - 2 <C> is real and symmetric, so a Hermitian rho steps to an
 exactly Hermitian one. The kernels below take states in that basis:
-densities (..., N, N) or ket columns (..., N, 1), and <C> as an argument
-(mean_level, read once per step by integrate.run_batch). ModelSpec holds the
-basis and the tables; run_batch rotates into the basis once per call and
-back only for the states it returns.
+densities (..., N, N) or ket columns (..., N, 1), <C> as an argument, and
+optionally X = h_b state, which the control rates and the control term share
+(integrate.run_batch forms it once per step). ModelSpec holds the basis and
+the tables; run_batch rotates into the basis once per call and back only for
+the states it returns.
 """
 from __future__ import annotations
 
@@ -258,32 +259,32 @@ def populations(state: np.ndarray) -> np.ndarray:
     return state.diagonal(0, -2, -1).real
 
 
-def rates(state: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """(..., N) control rates r_i = Im (h_b rho)_ii in C's eigenbasis.
+def rates(state: np.ndarray, hx: np.ndarray) -> np.ndarray:
+    """(..., N) control rates r_i = Im (h_b rho)_ii in C's eigenbasis, from hx = h_b state.
 
-    Under -i u [h_b, rho] population i moves at 2 u r_i. For a ket column,
-    (h_b rho)_ii = conj(psi_i) (h_b psi)_i.
+    Under -i u [h_b, rho] population i moves at 2 u r_i. For a ket column hx
+    is h_b psi and (h_b rho)_ii = conj(psi_i) (h_b psi)_i.
     """
     if state.shape[-1] == 1:
-        return (np.conj(state) * _left_product(coupling, state))[..., 0].imag
-    return sum_last((coupling * state.swapaxes(-1, -2)).imag)
+        return (np.conj(state) * hx)[..., 0].imag
+    return hx.diagonal(0, -2, -1).imag
 
 
 def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """<C> = sum_i c_i p_i; run_batch reads it once per step for every kernel."""
+    """<C> = sum_i c_i p_i, bit for bit the C1 row of lyapunov.moments."""
     return sum_last(populations(state) * model.levels)
 
 
-def sme_drift(rho: np.ndarray, model: ModelSpec, u) -> np.ndarray:
+def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None) -> np.ndarray:
     """F + D with H = h_a + u h_b: drift_table * rho - i u [h_b, rho].
 
-    u = None stands for the open-loop law, u = 0 on every row: the control
-    term is not evaluated and the drift is drift_table * rho, equal to the
-    result at zeros.
+    hr is h_b rho when the caller holds it, else it is formed here. u = None
+    stands for the open-loop law, u = 0 on every row: the control term is not
+    evaluated and the drift is drift_table * rho, equal to the result at zeros.
     """
     if u is None:
         return model.drift_table * rho
-    hr = _left_product(model.coupling, rho)
+    hr = _left_product(model.coupling, rho) if hr is None else hr
     return model.drift_table * rho + (-1j * np.asarray(u))[..., None, None] * (hr - dag(hr))
 
 
@@ -298,18 +299,19 @@ def measurement_increment(mean: np.ndarray, model: ModelSpec, dt: float, dW) -> 
     return np.sqrt(model.eta) * mean * dt + np.asarray(dW)
 
 
-def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u) -> np.ndarray:
+def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u, hpsi=None) -> np.ndarray:
     """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi of ket columns, valid at eta = 1.
 
-    u = None stands for the open-loop law, as in sme_drift: the control term
-    -i u h_b psi is not evaluated and only the diagonal part is returned.
+    hpsi is h_b psi when the caller holds it, as in sme_drift. u = None stands
+    for the open-loop law: the control term -i u h_b psi is not evaluated and
+    only the diagonal part is returned.
     """
     centered = model.levels[:, None] - mean[..., None, None]
     diagonal = -1j * model.energies[:, None] - 0.5 * model.mu * (centered * centered)
     if u is None:
         return diagonal * psi
-    control = (-1j * np.asarray(u))[..., None, None] * _left_product(model.coupling, psi)
-    return diagonal * psi + control
+    hpsi = _left_product(model.coupling, psi) if hpsi is None else hpsi
+    return diagonal * psi + (-1j * np.asarray(u))[..., None, None] * hpsi
 
 
 def sse_diffusion(psi: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:

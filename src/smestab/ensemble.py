@@ -19,7 +19,7 @@ from .integrate import (
     SimConfig,
     Trajectory,
     _classify,
-    _integral,
+    as_integer,
     _outcome_labels,
     run_batch,
     within_rejection_budget,
@@ -46,9 +46,10 @@ class EnsembleConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if not (_integral(self.n_trajectories) and self.n_trajectories >= 1):
+        n_traj = as_integer(self.n_trajectories, "n_trajectories")
+        object.__setattr__(self, "n_trajectories", n_traj)
+        if self.n_trajectories < 1:
             raise ValueError(f"n_trajectories must be an integer >= 1, got {self.n_trajectories!r}")
-        object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
         rho0 = np.asarray(self.rho0, dtype=complex)
         object.__setattr__(self, "rho0", rho0)
         if rho0.shape != (self.model.n, self.model.n):

@@ -13,16 +13,16 @@ initial state in once, feedback, the detector record and the certificates
 read the populations and control rates there, and only the states it
 returns (final_states, states) are rotated back to the lab basis.
 
-Per step: <C> and the control are read once at the pre-step state and the
-Ito increment is applied. Under the open-loop law the control term is zero
-and is not evaluated: run_batch decides this once per call and hands the
-step kernels u = None (see dynamics.sme_drift), while feedback still
-supplies the recorded zeros. A density stays Hermitian by construction (see
+Per step the pre-step state is read once. On a steered step or a record
+point, X = h_b state and the moment table built from it (lyapunov.moments)
+serve the law, <C> (the C1 row), the record point and the control term; an
+open-loop step off the record points reads only <C> (mean_level), and the
+step kernels get u = None and skip the zero control term (see
+dynamics.sme_drift). A density stays Hermitian by construction (see
 dynamics) and is trace-renormalized, and hermitian.project_to_density clips
 it only when its smallest eigenvalue drops below the validity floor; a state
-vector is renormalized. Record points store the moments of the state
-(lyapunov.moments), from which one certificates call derives every
-certificate series after the loop. On N = 3
+vector is renormalized. One certificates call derives every certificate
+series from the recorded tables after the loop. On N = 3
 stacks of at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
 first clears the rows it proves above the floor and min_eigenvalue decides
 only the rest, so the clipped rows are exactly those min_eigenvalue alone
@@ -37,8 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    C1,
     ModelSpec,
     TargetSpec,
+    _left_product,
     density,
     diffusion_term,
     mean_level,
@@ -69,9 +71,11 @@ class IntegrationError(RuntimeError):
     """Numerical failure inside the step loop (non-finite state, bad dt)."""
 
 
-def _integral(value) -> bool:
-    """True for an integral real number; booleans and non-finite values are not."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and value % 1 == 0
+def as_integer(value, where: str) -> int:
+    """An integral real number (numpy scalars too, booleans not) as int, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -89,12 +93,12 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ValueError(f"t_final must be finite and cover one step, got {self.t_final}")
-        if not (_integral(self.seed) and 0 <= self.seed <= 2**64 - 1):
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
+        if not 0 <= self.seed <= 2**64 - 1:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not (_integral(self.record_stride) and self.record_stride >= 1):
+        object.__setattr__(self, "record_stride", as_integer(self.record_stride, "record_stride"))
+        if self.record_stride < 1:
             raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "record_stride", int(self.record_stride))
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
 
@@ -193,19 +197,20 @@ def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int)
     return steps()
 
 
-def _sme_step(rho, mean, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
-    """One Euler-Maruyama step of the density SME on a (B, N, N) stack; mean is <C>.
+def _sme_step(rho, mean, u, hr, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+    """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
 
-    The increment is Hermitian term by term, so Hermitian rows stay exactly
-    Hermitian; the result is trace-normalized. It is assembled in place in the
-    arrays the kernels return, in the order of rho + drift dt + g dW, and
-    rho is left unmodified; u = None is the open-loop law (see sme_drift). A
+    mean is <C> and hr is h_b rho or None. The increment is Hermitian term by
+    term, so Hermitian rows stay exactly Hermitian; the result is
+    trace-normalized. It is assembled in place in the arrays the kernels
+    return, in the order of rho + drift dt + g dW, and rho is left
+    unmodified; u = None is the open-loop law (see sme_drift). A
     row left with a non-positive trace keeps its pre-step state and counts in
     n_rejected; a row whose smallest eigenvalue drops below EIG_FLOOR is
     projected onto the density cone and counts in n_projected. Both counters
     update in place.
     """
-    nxt = sme_drift(rho, model, u)
+    nxt = sme_drift(rho, model, u, hr)
     nxt *= dt
     nxt += rho
     g = diffusion_term(rho, mean, model)
@@ -244,13 +249,13 @@ def _below_floor(rho: np.ndarray) -> np.ndarray:
     return low
 
 
-def _sse_step(psi, mean, u, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
 
-    mean is <C>. Valid at eta = 1 only. The result is renormalized, so it
-    stays pure and neither counter ever moves.
+    mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. The result
+    is renormalized, so it stays pure and neither counter ever moves.
     """
-    drift = sse_drift(psi, mean, model, u) * dt
+    drift = sse_drift(psi, mean, model, u, hpsi) * dt
     psi = psi + drift + sse_diffusion(psi, mean, model) * dw[:, None, None]
     norm = np.linalg.norm(psi, axis=-2, keepdims=True)
     if not np.isfinite(norm).all() or (norm <= 0.0).any():
@@ -319,10 +324,10 @@ def _alloc(b: int, n_rec: int) -> dict[str, np.ndarray]:
     return {name: np.zeros((b, n_rec, *shape)) for name, shape in shapes.items()}
 
 
-def _record_point(out, slot, state, u, window_dy, target) -> None:
+def _record_point(out, slot, state, u, window_dy, m) -> None:
     out["controls"][:, slot] = u
     out["records"][:, slot] = window_dy
-    out["moments"][:, slot] = moments(state, target)
+    out["moments"][:, slot] = m
     out["purity"][:, slot] = purity(density(state))
 
 
@@ -378,21 +383,28 @@ def run_batch(
     noise = _brownian_increments(sim.seed, indices, sim.dt, n_steps)
 
     for k in range(n_steps + 1):
-        u = feedback(state, model, frame_target, ctrl)
-        if k in slot_of:
-            j = slot_of[k]
-            _record_point(out, j, state, u, window_dy, frame_target)
+        j = slot_of.get(k)
+        if steered or j is not None:
+            hx = _left_product(model.coupling, state)
+            m = moments(state, frame_target, hx)
+            mean = m[..., C1]
+        else:
+            hx = m = None
+            mean = mean_level(state, model)
+        u = feedback(state, model, frame_target, ctrl, m)
+        if j is not None:
+            _record_point(out, j, state, u, window_dy, m)
             if states is not None:
                 states[:, j] = density(state)
             window_dy = np.zeros(b)
         if k == n_steps:
             break
         dw = next(noise)
-        mean = mean_level(state, model)
         window_dy = window_dy + measurement_increment(mean, model, sim.dt, dw)
         try:
             state = step(
-                state, mean, u if steered else None, dw, model, sim.dt, n_rejected, n_projected
+                state, mean, u if steered else None, hx, dw, model, sim.dt, n_rejected,
+                n_projected,
             )
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}; reduce dt") from None

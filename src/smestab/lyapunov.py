@@ -25,8 +25,9 @@ rows of TargetSpec.observables (rho_d, C, C^2, C^3, K_rho_d, K_C, K_C2):
 All seven are diagonal or h_b-weighted in C's eigenbasis, so each is a fixed
 weighting of the populations p_i = rho_ii and the control rates
 r_i = Im (h_b rho)_ii there: <X> = sum_i x_i p_i and <K_X> = 2 sum_i x_i r_i.
-integrate.run_batch records these moments and derives every certificate
-series from them in one certificates call per run.
+integrate.run_batch builds this table from X = h_b rho, which its control
+term reuses, and hands it to the law; record points store it, and one
+certificates call per run derives every certificate series from them.
 
 v1, v2 and v_tilde keep their direct trace forms: the Monte-Carlo arbiter of
 the generator shares no code with the closed form it judges.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
 from .dynamics import ModelSpec, TargetSpec, diffusion_term, mean_level, populations, rates
-from .dynamics import sme_drift, sum_last
+from .dynamics import _left_product, sme_drift, sum_last
 from .hermitian import dag, expectation, purity, variance
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
@@ -90,19 +91,21 @@ def v_tilde(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -
     return v1(rho, target) + v2(rho, model) / ell**2
 
 
-def moments(rho: np.ndarray, target: TargetSpec) -> np.ndarray:
+def moments(rho: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -> np.ndarray:
     """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of rho on a last axis of 7.
 
     rho is a density (..., N, N) in the lab basis, rotated into C's eigenbasis
     here; for target.in_eigenbasis() it is a density or a ket column
-    (..., N, 1) already in that basis. Rows RHO_D..C3 weight the populations
+    (..., N, 1) already in that basis, and hx may hand in its product h_b rho
+    (h_b psi), else it is formed here. Rows RHO_D..C3 weight the populations
     and rows K_RHO_D..K_C2 the control rates, as elementwise products and adds,
     so a state's moments do not depend on the batch around it.
     """
     if target.basis is not None:
         v = target.basis
         rho = dag(v) @ np.asarray(rho, dtype=complex) @ v
-    p, r = populations(rho), rates(rho, target.coupling)
+    hx = _left_product(target.coupling, rho) if hx is None else hx
+    p, r = populations(rho), rates(rho, hx)
     rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
     return sum_last(target.observables * rows)
 
@@ -163,12 +166,12 @@ def certificates(
 
 
 def feedback(
-    rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec
+    rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec, m=None
 ) -> np.ndarray:
-    """Control value of the selected law at the current state."""
+    """Control value of the selected law at the current state; m, if given, is its moments."""
     if ctrl.kind == "open_loop":
         return np.zeros(np.asarray(rho).shape[:-2])
-    m = moments(rho, target)
+    m = moments(rho, target) if m is None else m
     if ctrl.kind == "linear":
         return ctrl.k * m[..., K_RHO_D]
     t = _trace_term(m, ctrl.ell)

@@ -1,6 +1,7 @@
 """JSON configuration parsing and the command-line entry points."""
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,34 @@ def test_config_missing_section_and_wrapped_errors():
     doc = json.loads(json.dumps(qubit_doc()).replace('"mu": 1.0', '"mu": NaN'))
     with pytest.raises(ConfigError, match="model.mu must be a finite number"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [True, 2, 2.0, 2.5, "2", float("nan"), np.int64(2)], ids=repr)
+@pytest.mark.parametrize("section, key", [("sim", "seed"), ("sim", "record_stride"),
+                                          ("ensemble", "n_trajectories")])
+def test_integer_keys_get_one_verdict_through_the_config_and_the_dataclasses(section, key, value):
+    # config_from_dict and SimConfig / EnsembleConfig share one integrality rule
+    doc = qubit_doc()
+    doc[section][key] = value
+    try:
+        loaded = config_from_dict(doc)
+    except ConfigError as exc:
+        assert f"{section}.{key} must be an integer" in str(exc)
+        loaded = None
+    base = config_from_dict(qubit_doc())
+    try:
+        if section == "sim":
+            built = replace(base.sim, **{key: value})
+        else:
+            built = replace(base, n_trajectories=value)
+    except ValueError:
+        built = None
+    accepted = not isinstance(value, (bool, str)) and value == 2
+    assert (loaded is not None) == (built is not None) == accepted
+    if accepted:
+        got = getattr(loaded.sim if section == "sim" else loaded, key)
+        assert got == 2 and type(got) is int
+        assert type(getattr(built, key)) is int
 
 
 def test_load_config(tmp_path):

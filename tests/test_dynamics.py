@@ -289,9 +289,9 @@ def test_sse_step_consistent_with_density_step():
         rho = model.to_eigenbasis(random_pure(rng, 2))[None]
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
         u = feedback(rho, model, target.in_eigenbasis(), ctrl)
-        r_next = _sme_step(rho, mean_level(rho, model), u, dw, model, dt, *counters)
+        r_next = _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, *counters)
         psi = np.linalg.eigh(rho)[1][..., :, -1:]
-        psi_next = _sse_step(psi, mean_level(psi, model), u, dw, model, dt, *counters)
+        psi_next = _sse_step(psi, mean_level(psi, model), u, None, dw, model, dt, *counters)
         gap = np.linalg.norm(r_next[0] - psi_next[0] @ psi_next[0].conj().T)
         worst = max(worst, float(gap))
     assert worst < 5.0 * dt  # measured 1.4 dt over this seed set

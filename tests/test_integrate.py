@@ -28,8 +28,10 @@ from smestab import (
     run_batch,
     simulate,
 )
+import smestab.dynamics as dynamics
 import smestab.integrate as integrate
-from smestab.dynamics import diffusion_term, mean_level, sme_drift
+import smestab.lyapunov as lyapunov
+from smestab.dynamics import _left_product, diffusion_term, mean_level, sme_drift
 from smestab.hermitian import (
     EIG_FLOOR,
     SCREEN_MIN_ROWS,
@@ -119,7 +121,7 @@ def test_em_step_matches_raw_increment():
         u = feedback(rho, model, target, ctrl)
         frame = model.to_eigenbasis(rho)[None]
         rho_next = model.from_eigenbasis(
-            _sme_step(frame, mean_level(frame, model), np.atleast_1d(u), dw, model, dt,
+            _sme_step(frame, mean_level(frame, model), np.atleast_1d(u), None, dw, model, dt,
                       n_rejected, n_projected)[0]
         )
         raw = rho + dense_drift(rho, model, u) * dt + dense_diffusion(rho, model) * dw[0]
@@ -455,7 +457,7 @@ def test_random_models_stay_exactly_hermitian_and_on_the_cone(n, seed, dt, kind)
 
     def step(rho, dw, counters):
         u = feedback(rho, model, frame_target, ctrl)
-        return _sme_step(rho, mean_level(rho, model), u, dw, model, dt, *counters)
+        return _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, *counters)
 
     for _ in range(400):
         dw = rng.normal(0.0, np.sqrt(dt), b)
@@ -469,8 +471,11 @@ def test_random_models_stay_exactly_hermitian_and_on_the_cone(n, seed, dt, kind)
         assert c[1][0] == counts[1][i]
 
 
-def repaired_sme_step(rho, mean, u, dw, model, dt, n_rejected, n_projected):
-    """The density step with the increment hermitized before it is normalized."""
+def repaired_sme_step(rho, mean, u, hr, dw, model, dt, n_rejected, n_projected):
+    """The density step with the increment hermitized before it is normalized.
+
+    It forms its own h_b rho and ignores the hr the loop hands it.
+    """
     nxt = rho + sme_drift(rho, model, u) * dt + diffusion_term(rho, mean, model) * dw[:, None, None]
     nxt = hermitize(nxt)
     nxt = nxt / trace(nxt).real[:, None, None]
@@ -555,7 +560,8 @@ def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monke
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
     # the step is assembled in place in the kernels' own arrays: the input
-    # stack is untouched and the result is the plain expression bit for bit
+    # stack is untouched and the result is the plain expression bit for bit,
+    # whether the step forms h_b rho itself or is handed the loop's product
     rng = np.random.default_rng(70 + n)
     model, target = random_model(rng, n)
     frame_target = target.in_eigenbasis()
@@ -565,13 +571,15 @@ def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
     counters = (np.zeros(b, dtype=int), np.zeros(b, dtype=int))
     rho = hermitize(model.to_eigenbasis(0.5 * ginibre(rng, n, (b,)) + 0.5 * np.eye(n) / n))
     mean = mean_level(rho, model)
+    hr = _left_product(model.coupling, rho)
     for u in (None, feedback(rho, model, frame_target, ctrl)):
-        before = rho.copy()
-        got = _sme_step(rho, mean, u, dw, model, dt, *counters)
-        assert np.array_equal(rho, before)
         g = diffusion_term(rho, mean, model)
         raw = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
-        assert np.array_equal(got, raw / trace(raw).real[:, None, None])
+        for shared in (None, hr):
+            before = rho.copy()
+            got = _sme_step(rho, mean, u, shared, dw, model, dt, *counters)
+            assert np.array_equal(rho, before)
+            assert np.array_equal(got, raw / trace(raw).real[:, None, None])
     assert not counters[0].any() and not counters[1].any()
 
 
@@ -584,8 +592,88 @@ def test_coarse_steps_that_clip_leave_their_input_unmodified():
     for u in (None, rng.normal(size=b)):
         for _ in range(20):
             before = rho.copy()
-            nxt = _sme_step(rho, mean_level(rho, model), u, rng.normal(0.0, 0.5, b), model, 0.3,
-                            *counters)
+            nxt = _sme_step(rho, mean_level(rho, model), u, None, rng.normal(0.0, 0.5, b), model,
+                            0.3, *counters)
             assert np.array_equal(rho, before)
             rho = nxt
     assert counters[1].sum() > 0
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls run_batch makes to names on smestab.integrate.
+
+    h_b state is counted wherever it is formed: the step kernels form it in
+    dynamics and moments in lyapunov when they are not handed the loop's.
+    """
+    counts = dict.fromkeys(names, 0)
+    for module in (integrate, dynamics, lyapunov):
+        for name in names:
+            if module is integrate or name == "_left_product":
+                real = getattr(module, name)
+
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("representation", ["sme", "sse"])
+def test_each_step_reads_its_state_once(monkeypatch, representation):
+    # a steered run that records every step builds one moment table and one
+    # h_b state product per step and never reads <C> on its own; an open-loop
+    # run builds them only at its record points
+    model, target = qubit(mu=1.0, eta=1.0)
+    rho0 = 0.5 * (np.eye(2, dtype=complex) + SX)
+    names = ("moments", "_left_product", "mean_level", "feedback")
+    steered = SimConfig(dt=1e-3, t_final=0.05, seed=4, representation=representation)
+    counts = _count_calls(monkeypatch, names)
+    run_batch(rho0, model, target, ControllerSpec(kind="square_of_sum"), steered, n_trajectories=3)
+    n = steered.n_steps
+    assert counts == {"moments": n + 1, "_left_product": n + 1, "mean_level": 0, "feedback": n + 1}
+    open_loop = SimConfig(dt=1e-3, t_final=1.0, seed=4, record_stride=200,
+                          representation=representation)
+    counts = _count_calls(monkeypatch, names)
+    res = run_batch(rho0, model, target, ControllerSpec(kind="open_loop"), open_loop,
+                    n_trajectories=3)
+    n, points = open_loop.n_steps, len(res.times)
+    assert points == 6
+    assert counts == {"moments": points, "_left_product": points, "mean_level": n + 1 - points,
+                      "feedback": n + 1}
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       representation=st.sampled_from(["sme", "sse"]))
+def test_random_steered_runs_are_row_local_and_keep_the_rates(n, seed, representation):
+    # a steered run on a random N = 2..8 model shares one h_b state product
+    # between the rates and the control term: rows run alone equal their rows
+    # in the batch bit for bit; the density rates taken from that product are
+    # the elementwise sum they replace, exactly up to N = 3 (broadcast adds in
+    # the same order) and within 1e-15 above it (a stacked matmul)
+    rng = np.random.default_rng(seed)
+    model, target = random_model(rng, n)
+    if representation == "sse":
+        model = replace(model, eta=1.0)
+    ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    sim = SimConfig(dt=0.01, t_final=1.2, seed=seed, record_stride=10,
+                    representation=representation)
+    b = 6
+    rho0 = random_pure(rng, n, (b,))
+    if representation == "sme":
+        rho0[: b // 2] = ginibre(rng, n, (b // 2,))
+    res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    assert sim.n_steps >= 100
+    for i in (0, b - 1):
+        solo = run_batch(rho0[i], model, target, ctrl, sim, indices=[i], record_states=True)
+        for f in fields(BatchResult):
+            if f.name not in ("indices", "times", "n_steps"):
+                assert np.array_equal(getattr(solo, f.name)[0], getattr(res, f.name)[i]), f.name
+    frame = hermitize(model.to_eigenbasis(res.states))
+    shared = dynamics.rates(frame, _left_product(model.coupling, frame))
+    summed = dynamics.sum_last((model.coupling * frame.swapaxes(-1, -2)).imag)
+    if n <= dynamics.SUM_MAX_N:
+        assert np.array_equal(shared, summed)
+    else:
+        np.testing.assert_allclose(shared, summed, rtol=0.0, atol=1e-15)
