@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, ensemble, levelset, rankcheck. Exit codes:
-0 success, 2 configuration or validation error, 3 numerical failure.
+0 success, 2 configuration or validation error, 3 numerical failure (a step
+whose trace is not finite and positive; the message names the step).
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from .analysis import kalman_like_rank, stochastic_jq_commutators, strong_regula
 from .bloch import levelset_table
 from .config import ConfigError, load_config
 from .ensemble import (
-    EnsembleError,
     run_ensemble,
     write_levelset_csv,
     write_mean_curves_csv,
@@ -97,11 +97,8 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {path}")
     print(
         f"outcome={traj.outcome} final_fidelity={traj.fidelity_target[-1]:.6f} "
-        f"steps={traj.n_steps} projected={traj.n_projected} rejected={traj.n_rejected}"
+        f"steps={traj.n_steps} projected={traj.n_projected}"
     )
-    if not traj.valid:
-        print("trajectory invalid: step-rejection budget exceeded", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -115,13 +112,11 @@ def _cmd_ensemble(args) -> int:
     write_mean_curves_csv(out / "mean_curves.csv", stats)
     print(f"wrote {out / 'summary.csv'} and {out / 'mean_curves.csv'}")
     print(
-        f"valid={stats.n_valid}/{stats.n_trajectories} "
+        f"trajectories={stats.n_trajectories} "
         f"target_frequency={stats.target_frequency:.4f} "
         f"(stderr {stats.target_frequency_stderr:.4f}) "
         f"supermartingale_violations={stats.supermartingale_violations}"
     )
-    if stats.excluded_indices:
-        print(f"excluded trajectories: {stats.excluded_indices}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -177,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, EnsembleError) as exc:
+    except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -33,7 +33,6 @@ the states it returns.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -79,7 +78,7 @@ class ModelSpec:
     Construction enforces the standing assumptions: all three matrices
     Hermitian and at least 2x2, [h_a, c] = 0 (nondemolition), c with a
     simple spectrum (every eigenvalue gap above SPECTRAL_GAP_TOL), the
-    coupling graph of h_b connected, mu > 0 and 0 < eta <= 1.
+    coupling graph of h_b connected, 0 < mu < inf and 0 < eta <= 1.
 
     c is decomposed here and nowhere else; the derived fields follow from it.
     basis holds c's eigenvectors as columns, in ascending eigenvalue order, and
@@ -117,8 +116,8 @@ class ModelSpec:
         for name, m in (("h_a", h_a), ("h_b", h_b), ("c", c)):
             if not is_hermitian(m):
                 raise ValueError(f"{name} is not Hermitian")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if np.max(np.abs(commutator(h_a, c))) > COMMUTING_TOL:
@@ -171,15 +170,12 @@ class TargetSpec:
     RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2, give <rho_d>, <C>, <C^2>, <C^3>
     (weights x_i on p) and <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i for
     X = rho_d, C, C^2 (weights 2 x_i on r). coupling is h_b in that basis.
-    basis rotates a lab-basis state into it before the read; in_eigenbasis()
-    gives the same target with basis None, for states already in C's
-    eigenbasis. A target serves models with the h_b and c it was built for.
+    A target serves models with the h_b and c it was built for.
     """
 
     rho_d: np.ndarray
     antipodal: list[np.ndarray] = field(repr=False)
     model: InitVar[ModelSpec | None] = None
-    basis: np.ndarray | None = _derived()
     coupling: np.ndarray = _derived()
     observables: np.ndarray = _derived()
 
@@ -192,7 +188,6 @@ class TargetSpec:
         c = model.levels
         # diagonals of rho_d, C, C^2, C^3 in C's eigenbasis
         diagonals = np.stack([np.diagonal(model.to_eigenbasis(self.rho_d)).real, c, c * c, c * c * c])
-        object.__setattr__(self, "basis", model.basis)
         object.__setattr__(self, "coupling", model.coupling)
         object.__setattr__(self, "observables", np.concatenate([diagonals, 2.0 * diagonals[:3]]))
 
@@ -212,12 +207,6 @@ class TargetSpec:
             raise ValueError("rho_d does not match any spectral projector of c")
         antipodal = [p for j, p in enumerate(model.projectors) if j != hit]
         return cls(rho_d=rho_d, antipodal=antipodal, model=model)
-
-    def in_eigenbasis(self) -> "TargetSpec":
-        """This target reading states that are already in C's eigenbasis."""
-        target = copy.copy(self)
-        object.__setattr__(target, "basis", None)
-        return target
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ outputs regardless of batch size or host.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,15 +21,12 @@ from .integrate import (
     as_integer,
     _outcome_labels,
     run_batch,
-    within_rejection_budget,
 )
 from .lyapunov import ControllerSpec
 
-INVALID_BUDGET = 0.01
-
 
 class EnsembleError(RuntimeError):
-    """Raised when too many trajectories fail their step-rejection budget."""
+    """Raised by nothing (a bad step raises IntegrationError); bench/run.py imports it."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,6 @@ class EnsembleStats:
     """Reduced ensemble observables."""
 
     n_trajectories: int
-    n_valid: int
-    excluded_indices: list[int]
     outcome_counts: dict[str, int]
     target_frequency: float
     target_frequency_stderr: float
@@ -74,6 +68,10 @@ class EnsembleStats:
     mean_purity: np.ndarray
     mean_fidelity: np.ndarray
     supermartingale_violations: int
+    # every trajectory counts; acceptance criteria 6 and 7 read it
+    n_valid = property(lambda self: self.n_trajectories)
+    # always empty, as no trajectory is excluded; bench/workloads.py reads it
+    excluded_indices = property(lambda self: [])
 
 
 def _count_supermartingale_violations(vt: np.ndarray) -> int:
@@ -87,39 +85,28 @@ def _count_supermartingale_violations(vt: np.ndarray) -> int:
 
 
 def reduce_batch(res: BatchResult, target: TargetSpec, sim: SimConfig) -> EnsembleStats:
-    """Classify, exclude over-budget trajectories, and average the certificates.
+    """Classify every trajectory and average the certificates.
 
     sim is not read: outcomes use integrate.CONVERGENCE_FIDELITY.
     """
     b = len(res.indices)
-    valid = within_rejection_budget(res.n_rejected, res.n_steps)
-    excluded = [res.indices[i] for i in range(b) if not valid[i]]
-    if len(excluded) > INVALID_BUDGET * b:
-        raise EnsembleError(
-            f"{len(excluded)} of {b} trajectories exceeded the step-rejection budget"
-        )
-    n_valid = int(valid.sum())
-    outcomes = _classify(res.final_states[valid], target)
     counts = {label: 0 for label in _outcome_labels(target)}
-    for o in outcomes:
+    for o in _classify(res.final_states, target):
         counts[o] += 1
-    freq = counts["converged_target"] / n_valid
-    stderr = float(np.sqrt(freq * (1.0 - freq) / n_valid))
-    vt = res.v_tilde[valid]
+    freq = counts["converged_target"] / b
+    stderr = float(np.sqrt(freq * (1.0 - freq) / b))
     return EnsembleStats(
         n_trajectories=b,
-        n_valid=n_valid,
-        excluded_indices=excluded,
         outcome_counts=counts,
         target_frequency=freq,
         target_frequency_stderr=stderr,
         times=res.times.copy(),
-        mean_v1=res.v1[valid].mean(axis=0),
-        mean_v2=res.v2[valid].mean(axis=0),
-        mean_v_tilde=vt.mean(axis=0),
-        mean_purity=res.purity[valid].mean(axis=0),
-        mean_fidelity=res.fidelity[valid].mean(axis=0),
-        supermartingale_violations=_count_supermartingale_violations(vt),
+        mean_v1=res.v1.mean(axis=0),
+        mean_v2=res.v2.mean(axis=0),
+        mean_v_tilde=res.v_tilde.mean(axis=0),
+        mean_purity=res.purity.mean(axis=0),
+        mean_fidelity=res.fidelity.mean(axis=0),
+        supermartingale_violations=_count_supermartingale_violations(res.v_tilde),
     )
 
 
@@ -137,12 +124,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     return reduce_batch(res, cfg.target, cfg.sim)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
-    """Header row, then row j holds entry j of every column as _fmt writes it.
+    """Header row, then row j holds entry j of every column in %.17g.
 
     The header names need no CSV quoting; rows end in \r\n, as csv.writer's do.
     """
@@ -175,13 +158,12 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 
 def write_summary_csv(path: str | Path, stats: EnsembleStats) -> None:
     """Columns outcome, count, frequency, stderr (binomial, per outcome)."""
+    n = stats.n_trajectories
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["outcome", "count", "frequency", "stderr"])
+        fh.write("outcome,count,frequency,stderr\r\n")
         for label, count in stats.outcome_counts.items():
-            f = count / stats.n_valid
-            se = np.sqrt(f * (1.0 - f) / stats.n_valid)
-            w.writerow([label, count, _fmt(f), _fmt(se)])
+            f = count / n
+            fh.write("%s,%d,%.17g,%.17g\r\n" % (label, count, f, np.sqrt(f * (1.0 - f) / n)))
 
 
 def write_mean_curves_csv(path: str | Path, stats: EnsembleStats) -> None:

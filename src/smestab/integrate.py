@@ -27,6 +27,11 @@ stacks of at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
 first clears the rows it proves above the floor and min_eigenvalue decides
 only the rest, so the clipped rows are exactly those min_eigenvalue alone
 would pick.
+
+One failure rule covers a bad step: a trace (or ket norm) that is not finite
+and positive raises IntegrationError naming the step. The density increment
+is traceless, so this happens only when |u| dt is so large that roundoff
+swamps the unit trace; a smaller dt is the remedy.
 """
 from __future__ import annotations
 
@@ -63,7 +68,6 @@ from .hermitian import (
 from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback, moments
 
 REPRESENTATIONS = ("sme", "sse")
-REJECTION_BUDGET = 1e-3
 NOISE_WINDOW = 4096
 
 
@@ -121,17 +125,7 @@ class Trajectory:
     purity: np.ndarray
     n_steps: int
     n_projected: int
-    n_rejected: int
     trajectory_index: int = 0
-
-    @property
-    def valid(self) -> bool:
-        return within_rejection_budget(self.n_rejected, self.n_steps)
-
-
-def within_rejection_budget(n_rejected, n_steps: int):
-    """True where the step-rejection count fits REJECTION_BUDGET; counts or arrays."""
-    return n_rejected <= REJECTION_BUDGET * n_steps
 
 
 class _Substream:
@@ -197,18 +191,17 @@ def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int)
     return steps()
 
 
-def _sme_step(rho, mean, u, hr, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
 
     mean is <C> and hr is h_b rho or None. The increment is Hermitian term by
     term, so Hermitian rows stay exactly Hermitian; the result is
     trace-normalized. It is assembled in place in the arrays the kernels
     return, in the order of rho + drift dt + g dW, and rho is left
-    unmodified; u = None is the open-loop law (see sme_drift). A
-    row left with a non-positive trace keeps its pre-step state and counts in
-    n_rejected; a row whose smallest eigenvalue drops below EIG_FLOOR is
-    projected onto the density cone and counts in n_projected. Both counters
-    update in place.
+    unmodified; u = None is the open-loop law (see sme_drift). A trace that
+    is not finite and positive raises IntegrationError; a row whose smallest
+    eigenvalue drops below EIG_FLOOR is projected onto the density cone and
+    counts in n_projected, which updates in place.
     """
     nxt = sme_drift(rho, model, u, hr)
     nxt *= dt
@@ -217,13 +210,8 @@ def _sme_step(rho, mean, u, hr, dw, model, dt, n_rejected, n_projected) -> np.nd
     g *= dw[:, None, None]
     nxt += g
     tr = trace(nxt).real
-    if not np.isfinite(tr).all():
-        raise IntegrationError("non-finite state")
-    bad = tr <= 0.0
-    if bad.any():
-        n_rejected[bad] += 1
-        nxt[bad] = rho[bad]
-        tr = np.where(bad, 1.0, tr)
+    if not (np.isfinite(tr).all() and (tr > 0.0).all()):
+        raise IntegrationError("trace not finite and positive")
     # a complex divided by a real t is multiplied by 1 / t, so this is bit for bit the division
     nxt *= (1.0 / tr)[:, None, None]
     low = _below_floor(nxt)
@@ -249,11 +237,11 @@ def _below_floor(rho: np.ndarray) -> np.ndarray:
     return low
 
 
-def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_rejected, n_projected) -> np.ndarray:
+def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
 
     mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. The result
-    is renormalized, so it stays pure and neither counter ever moves.
+    is renormalized, so it stays pure and n_projected never moves.
     """
     drift = sse_drift(psi, mean, model, u, hpsi) * dt
     psi = psi + drift + sse_diffusion(psi, mean, model) * dw[:, None, None]
@@ -283,8 +271,9 @@ class BatchResult:
     final_states: np.ndarray
     n_steps: int
     n_projected: np.ndarray
-    n_rejected: np.ndarray
     states: np.ndarray | None = field(default=None, repr=False)
+    # always zeros, as a bad step raises; bench/tracing.py reads it
+    n_rejected = property(lambda self: np.zeros(len(self.indices), dtype=int))
 
 
 def _record_slots(n_steps: int, stride: int) -> np.ndarray:
@@ -368,7 +357,6 @@ def run_batch(
     else:
         state = np.broadcast_to(hermitize(rho0), (b, n, n)).copy()
         step = _sme_step
-    frame_target = target.in_eigenbasis()
     # the open-loop law's zeros are recorded, but the step skips its control term
     steered = ctrl.kind != "open_loop"
 
@@ -378,7 +366,6 @@ def run_batch(
     out = _alloc(b, len(slots))
     states = np.zeros((b, len(slots), n, n), dtype=complex) if record_states else None
     n_projected = np.zeros(b, dtype=int)
-    n_rejected = np.zeros(b, dtype=int)
     window_dy = np.zeros(b)
     noise = _brownian_increments(sim.seed, indices, sim.dt, n_steps)
 
@@ -386,12 +373,12 @@ def run_batch(
         j = slot_of.get(k)
         if steered or j is not None:
             hx = _left_product(model.coupling, state)
-            m = moments(state, frame_target, hx)
+            m = moments(state, target, hx)
             mean = m[..., C1]
         else:
             hx = m = None
             mean = mean_level(state, model)
-        u = feedback(state, model, frame_target, ctrl, m)
+        u = feedback(state, model, target, ctrl, m)
         if j is not None:
             _record_point(out, j, state, u, window_dy, m)
             if states is not None:
@@ -402,21 +389,17 @@ def run_batch(
         dw = next(noise)
         window_dy = window_dy + measurement_increment(mean, model, sim.dt, dw)
         try:
-            state = step(
-                state, mean, u if steered else None, hx, dw, model, sim.dt, n_rejected,
-                n_projected,
-            )
+            state = step(state, mean, u if steered else None, hx, dw, model, sim.dt, n_projected)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}; reduce dt") from None
 
-    out.update(certificates(out.pop("moments"), model, frame_target, out["controls"], ctrl.ell))
+    out.update(certificates(out.pop("moments"), model, target, out["controls"], ctrl.ell))
     return BatchResult(
         indices=list(indices),
         times=slots * sim.dt,
         final_states=model.from_eigenbasis(density(state)),
         n_steps=n_steps,
         n_projected=n_projected,
-        n_rejected=n_rejected,
         states=None if states is None else model.from_eigenbasis(states),
         **out,
     )
@@ -448,6 +431,5 @@ def simulate(
         purity=res.purity[0],
         n_steps=res.n_steps,
         n_projected=int(res.n_projected[0]),
-        n_rejected=int(res.n_rejected[0]),
         trajectory_index=trajectory_index,
     )

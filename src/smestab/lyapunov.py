@@ -41,14 +41,14 @@ import numpy as np
 from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
 from .dynamics import ModelSpec, TargetSpec, diffusion_term, mean_level, populations, rates
 from .dynamics import _left_product, sme_drift, sum_last
-from .hermitian import dag, expectation, purity, variance
+from .hermitian import expectation, purity, variance
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
 
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Feedback law selector with gain k > 0 and variance weight ell > 0."""
+    """Feedback law selector with gain k > 0 and variance weight ell > 0, both finite."""
 
     kind: str
     k: float = 1.0
@@ -57,10 +57,10 @@ class ControllerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}, expected one of {KINDS}")
-        if not self.k > 0.0:
-            raise ValueError(f"gain k must be positive, got {self.k}")
-        if not self.ell > 0.0:
-            raise ValueError(f"weight ell must be positive, got {self.ell}")
+        if not 0.0 < self.k < np.inf:
+            raise ValueError(f"gain k must be positive and finite, got {self.k}")
+        if not 0.0 < self.ell < np.inf:
+            raise ValueError(f"weight ell must be positive and finite, got {self.ell}")
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,13 @@ def v_tilde(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -
 def moments(rho: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -> np.ndarray:
     """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of rho on a last axis of 7.
 
-    rho is a density (..., N, N) in the lab basis, rotated into C's eigenbasis
-    here; for target.in_eigenbasis() it is a density or a ket column
-    (..., N, 1) already in that basis, and hx may hand in its product h_b rho
-    (h_b psi), else it is formed here. Rows RHO_D..C3 weight the populations
-    and rows K_RHO_D..K_C2 the control rates, as elementwise products and adds,
-    so a state's moments do not depend on the batch around it.
+    rho is a density (..., N, N) or a ket column (..., N, 1) in C's
+    eigenbasis (model.to_eigenbasis rotates a lab-basis density there), and
+    hx may hand in its product h_b rho (h_b psi), else it is formed here.
+    Rows RHO_D..C3 weight the populations and rows K_RHO_D..K_C2 the control
+    rates, as elementwise products and adds, so a state's moments do not
+    depend on the batch around it.
     """
-    if target.basis is not None:
-        v = target.basis
-        rho = dag(v) @ np.asarray(rho, dtype=complex) @ v
     hx = _left_product(target.coupling, rho) if hx is None else hx
     p, r = populations(rho), rates(rho, hx)
     rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
@@ -126,15 +123,15 @@ def _l0(var: np.ndarray, model: ModelSpec, ell: float) -> np.ndarray:
 
 
 def trace_term(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -> np.ndarray:
-    """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2; model is not read."""
-    return _trace_term(moments(rho, target), ell)
+    """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2 of a lab-basis density."""
+    return _trace_term(moments(model.to_eigenbasis(rho), target), ell)
 
 
 def generator_v(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> np.ndarray:
     """Closed-form infinitesimal generator of Vt along the controlled diffusion."""
-    m = moments(rho, target)
+    m = moments(model.to_eigenbasis(rho), target)
     return -np.asarray(u) * _trace_term(m, ell) + _l0(_variance(m), model, ell)
 
 
@@ -168,10 +165,10 @@ def certificates(
 def feedback(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec, m=None
 ) -> np.ndarray:
-    """Control value of the selected law at the current state; m, if given, is its moments."""
+    """Control value of the selected law at a lab-basis density, or at the moments m if given."""
     if ctrl.kind == "open_loop":
         return np.zeros(np.asarray(rho).shape[:-2])
-    m = moments(rho, target) if m is None else m
+    m = moments(model.to_eigenbasis(rho), target) if m is None else m
     if ctrl.kind == "linear":
         return ctrl.k * m[..., K_RHO_D]
     t = _trace_term(m, ctrl.ell)

@@ -259,6 +259,16 @@ def test_cli_ensemble_writes_summary(tmp_path, capsys):
     assert "target_frequency" in out
 
 
+def test_cli_exits_3_naming_the_step_whose_trace_is_not_positive(tmp_path, capsys):
+    doc = qubit_doc()
+    doc["controller"]["k"] = 1e10
+    path = write_doc(tmp_path, doc)
+    for command in ("simulate", "ensemble"):
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^numerical failure: .* at step \d+; reduce dt$", err, re.M), err
+
+
 def test_cli_seed_override(tmp_path):
     path = write_doc(tmp_path, qubit_doc())
     a = tmp_path / "a"

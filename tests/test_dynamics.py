@@ -56,8 +56,9 @@ def test_model_rejects_non_hermitian():
 
 
 def test_model_rejects_bad_rates():
-    with pytest.raises(ValueError, match="mu"):
-        ModelSpec(h_a=SZ, h_b=SX, c=SZ, mu=0.0, eta=1.0)
+    for mu in (0.0, np.inf):
+        with pytest.raises(ValueError, match="mu"):
+            ModelSpec(h_a=SZ, h_b=SX, c=SZ, mu=mu, eta=1.0)
     with pytest.raises(ValueError, match="eta"):
         ModelSpec(h_a=SZ, h_b=SX, c=SZ, mu=1.0, eta=0.0)
     with pytest.raises(ValueError, match="eta"):
@@ -278,20 +279,21 @@ def test_sse_step_consistent_with_density_step():
     # C's eigenbasis; the schemes differ at O(dt) through the dW^2 terms
     from smestab import ControllerSpec, feedback
     from smestab.integrate import _sme_step, _sse_step
+    from smestab.lyapunov import moments
 
     rng = np.random.default_rng(28)
     model, target = qubit(mu=1.0, eta=1.0)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     dt = 1e-4
-    counters = (np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+    n_projected = np.zeros(1, dtype=int)
     worst = 0.0
     for _ in range(200):
         rho = model.to_eigenbasis(random_pure(rng, 2))[None]
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
-        u = feedback(rho, model, target.in_eigenbasis(), ctrl)
-        r_next = _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, *counters)
+        u = feedback(rho, model, target, ctrl, moments(rho, target))
+        r_next = _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, n_projected)
         psi = np.linalg.eigh(rho)[1][..., :, -1:]
-        psi_next = _sse_step(psi, mean_level(psi, model), u, None, dw, model, dt, *counters)
+        psi_next = _sse_step(psi, mean_level(psi, model), u, None, dw, model, dt, n_projected)
         gap = np.linalg.norm(r_next[0] - psi_next[0] @ psi_next[0].conj().T)
         worst = max(worst, float(gap))
     assert worst < 5.0 * dt  # measured 1.4 dt over this seed set

@@ -14,7 +14,6 @@ from smestab import (
     simulate,
 )
 from smestab.ensemble import (
-    EnsembleError,
     _count_supermartingale_violations,
     _write_columns,
     reduce_batch,
@@ -26,7 +25,7 @@ from smestab.ensemble import (
 from smestab.integrate import BatchResult
 
 
-def synthetic_batch(n_rejected, final_states, n_steps=1000, n_rec=5):
+def synthetic_batch(final_states, n_steps=1000, n_rec=5):
     b = len(final_states)
     times = np.linspace(0.0, 1.0, n_rec)
     flat = np.zeros((b, n_rec))
@@ -47,7 +46,6 @@ def synthetic_batch(n_rejected, final_states, n_steps=1000, n_rec=5):
         final_states=np.stack(final_states),
         n_steps=n_steps,
         n_projected=np.zeros(b, dtype=int),
-        n_rejected=np.asarray(n_rejected),
     )
 
 
@@ -66,14 +64,14 @@ def test_ensemble_config_validation():
         EnsembleConfig(1, model, target, ctrl, sim, 2.0 * np.eye(2, dtype=complex))
 
 
-def test_reduce_batch_counts_and_stderr():
+def test_reduce_batch_counts_and_stderr(tmp_path):
     model, target = qubit()
     sim = SimConfig(dt=1e-3, t_final=1.0, seed=1)
     up = np.diag([1.0, 0.0]).astype(complex)
     down = np.diag([0.0, 1.0]).astype(complex)
     mixed = np.eye(2, dtype=complex) / 2
     finals = [up] * 6 + [down] * 3 + [mixed]
-    stats = reduce_batch(synthetic_batch(np.zeros(10, dtype=int), finals), target, sim)
+    stats = reduce_batch(synthetic_batch(finals), target, sim)
     assert stats.n_valid == 10
     assert stats.outcome_counts == {
         "converged_target": 6,
@@ -83,30 +81,15 @@ def test_reduce_batch_counts_and_stderr():
     assert stats.target_frequency == pytest.approx(0.6)
     assert stats.target_frequency_stderr == pytest.approx(np.sqrt(0.6 * 0.4 / 10))
     assert stats.supermartingale_violations == 0
-
-
-def test_reduce_batch_excludes_over_budget_trajectories():
-    model, target = qubit()
-    sim = SimConfig(dt=1e-3, t_final=1.0, seed=1)
-    up = np.diag([1.0, 0.0]).astype(complex)
-    finals = [up] * 200
-    rejected = np.zeros(200, dtype=int)
-    rejected[7] = 5  # budget at n_steps = 1000 is 1 step
-    stats = reduce_batch(synthetic_batch(rejected, finals), target, sim)
-    assert stats.excluded_indices == [7]
-    assert stats.n_valid == 199
-    assert stats.target_frequency == 1.0
-
-
-def test_reduce_batch_raises_beyond_invalid_budget():
-    model, target = qubit()
-    sim = SimConfig(dt=1e-3, t_final=1.0, seed=1)
-    up = np.diag([1.0, 0.0]).astype(complex)
-    finals = [up] * 100
-    rejected = np.zeros(100, dtype=int)
-    rejected[:2] = 10  # 2 of 100 over a 1 percent budget
-    with pytest.raises(EnsembleError, match="budget"):
-        reduce_batch(synthetic_batch(rejected, finals), target, sim)
+    # the summary file is byte for byte what csv.writer over format(x, ".17g") rendered
+    write_summary_csv(tmp_path / "summary.csv", stats)
+    with open(tmp_path / "expected.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["outcome", "count", "frequency", "stderr"])
+        for label, count in stats.outcome_counts.items():
+            f = count / 10
+            w.writerow([label, count, format(f, ".17g"), format(np.sqrt(f * (1 - f) / 10), ".17g")])
+    assert (tmp_path / "summary.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_supermartingale_counter():

@@ -27,10 +27,12 @@ def bloch(x, y, z):
 def test_controller_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         ControllerSpec(kind="bang_bang")
-    with pytest.raises(ValueError, match="k"):
-        ControllerSpec(kind="linear", k=0.0)
-    with pytest.raises(ValueError, match="ell"):
-        ControllerSpec(kind="square_of_sum", ell=-1.0)
+    for bad in (0.0, np.inf):
+        with pytest.raises(ValueError, match="gain k"):
+            ControllerSpec(kind="linear", k=bad)
+    for bad in (-1.0, np.inf):
+        with pytest.raises(ValueError, match="ell"):
+            ControllerSpec(kind="square_of_sum", ell=bad)
 
 
 def test_v1_direct_formula():
@@ -72,7 +74,8 @@ def test_third_central_moment_direct():
     m2 = expectation(c @ c, rho)
     m3 = expectation(c @ c @ c, rho)
     expected = m3 - 3.0 * m2 * m1 + 2.0 * m1**3
-    third = certificates(moments(rho, target), model, target, 0.0, 1.0)["third"]
+    m = moments(model.to_eigenbasis(rho), target)
+    third = certificates(m, model, target, 0.0, 1.0)["third"]
     np.testing.assert_allclose(third, expected, atol=1e-13)
 
 
@@ -107,7 +110,7 @@ def test_lb_v_tilde_is_minus_trace_term():
     model, target = qutrit(mu=1.2, eta=0.7)
     rho = ginibre(rng, 3, batch=(6,))
     np.testing.assert_allclose(
-        certificates(moments(rho, target), model, target, 0.0, 1.3)["lb"],
+        certificates(moments(model.to_eigenbasis(rho), target), model, target, 0.0, 1.3)["lb"],
         -trace_term(rho, model, target, 1.3),
         atol=1e-13,
     )
@@ -119,7 +122,8 @@ def test_l0_v_tilde_closed_form():
     rho = ginibre(rng, 3, batch=(6,))
     ell = 0.8
     expected = -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / ell**2
-    l0 = certificates(moments(rho, target), model, target, 0.0, ell)["l0"]
+    m = moments(model.to_eigenbasis(rho), target)
+    l0 = certificates(m, model, target, 0.0, ell)["l0"]
     np.testing.assert_allclose(l0, expected, atol=1e-13)
 
 
@@ -323,5 +327,6 @@ def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
               dense_feedback(rho, model, target, ctrl))
     expected = dense_certificates(rho, model, target, u, ell)
     for name, value in expected.items():
-        close(row_local(lambda r, v: certificates(moments(r, target), model, target, v, ell)[name]),
+        close(row_local(lambda r, v: certificates(moments(model.to_eigenbasis(r), target), model,
+                                                  target, v, ell)[name]),
               value)
