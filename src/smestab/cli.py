@@ -3,6 +3,9 @@
 Subcommands: validate, simulate, ensemble, levelset, rankcheck. Exit codes:
 0 success, 2 configuration or validation error, 3 numerical failure (a step
 whose trace is not finite and positive; the message names the step).
+simulate and ensemble print their positivity clip count, and write one
+warning line to stderr when at least half of the trajectory-steps were
+clipped: such paths are projections, not solutions of the SME.
 """
 from __future__ import annotations
 
@@ -71,6 +74,15 @@ def _out_dir(arg: str | None, cfg_dir: str | None) -> Path:
     return out
 
 
+def _warn_if_mostly_clipped(clips: int, traj_steps: int) -> None:
+    if 2 * clips >= traj_steps:
+        print(
+            f"warning: {clips} of {traj_steps} trajectory-steps were clipped onto the density "
+            "cone, so the paths are projections, not solutions of the SME; reduce dt or the gains",
+            file=sys.stderr,
+        )
+
+
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     m = cfg.model
@@ -99,6 +111,7 @@ def _cmd_simulate(args) -> int:
         f"outcome={traj.outcome} final_fidelity={traj.fidelity_target[-1]:.6f} "
         f"steps={traj.n_steps} projected={traj.n_projected}"
     )
+    _warn_if_mostly_clipped(traj.n_projected, traj.n_steps)
     return EXIT_OK
 
 
@@ -111,12 +124,15 @@ def _cmd_ensemble(args) -> int:
     write_summary_csv(out / "summary.csv", stats)
     write_mean_curves_csv(out / "mean_curves.csv", stats)
     print(f"wrote {out / 'summary.csv'} and {out / 'mean_curves.csv'}")
+    traj_steps = stats.n_trajectories * stats.n_steps
     print(
         f"trajectories={stats.n_trajectories} "
         f"target_frequency={stats.target_frequency:.4f} "
         f"(stderr {stats.target_frequency_stderr:.4f}) "
-        f"supermartingale_violations={stats.supermartingale_violations}"
+        f"supermartingale_violations={stats.supermartingale_violations} "
+        f"projected={stats.n_projected}/{traj_steps}"
     )
+    _warn_if_mostly_clipped(stats.n_projected, traj_steps)
     return EXIT_OK
 
 

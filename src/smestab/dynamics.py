@@ -33,6 +33,7 @@ the states it returns.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -43,8 +44,12 @@ COMMUTING_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
 SPECTRAL_GAP_TOL = 1e-10
-# Up to this N, h_b @ x is written as N broadcast products; above it a stacked
-# matmul is faster. Either is computed row by row, so no row depends on the batch.
+# Up to this N, h_b @ x is written as N broadcast products and run_batch holds
+# the density stack in batch-last lanes, (N, N, B) memory seen as (B, N, N),
+# on which every kernel here loops over the batch; above it the stack is
+# row-major and h_b @ x a stacked matmul. Each is computed row by row, so no
+# row depends on the batch. The kernels read either layout and return arrays
+# in their input's.
 SUM_MAX_N = 3
 
 # rows of TargetSpec.observables
@@ -279,8 +284,11 @@ def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None
 
 def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
     """G = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with mean = <C>; traceless and Hermitian."""
-    centered = model.level_sums - 2.0 * mean[..., None, None]
-    return np.sqrt(model.mu * model.eta) * centered * rho
+    # formed in rho's layout: broadcast from (N, N) and (..., 1, 1) alone it comes out row-major
+    centered = np.subtract(
+        model.level_sums, 2.0 * mean[..., None, None], out=np.empty_like(rho, dtype=float)
+    )
+    return math.sqrt(model.mu * model.eta) * centered * rho
 
 
 def measurement_increment(mean: np.ndarray, model: ModelSpec, dt: float, dW) -> np.ndarray:

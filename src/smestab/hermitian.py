@@ -1,7 +1,9 @@
 """Hermitian matrix kernel: traces, moments, density-cone checks and projection.
 
 Every function accepts stacked operands of shape (..., N, N) and broadcasts
-over the leading axes; a single matrix is the degenerate stack.
+over the leading axes; a single matrix is the degenerate stack. The stacks
+may be row-major or batch-last (the integrator's lanes, see integrate):
+min_eigenvalue and clear_of_floor give the same rows in either layout.
 
 The density-cone check asks whether the smallest eigenvalue lies below a
 floor. min_eigenvalue answers it exactly (a radical at N = 2, eigvalsh above).
@@ -97,6 +99,9 @@ def min_eigenvalue(m: np.ndarray) -> np.ndarray:
     near-pure states this check has to resolve against EIG_FLOOR.  At N = 3
     the integrator asks clear_of_floor first, which proves most rows above
     the floor with one Cholesky pass, and calls this only on the rest.
+
+    The radical is elementwise on the entries m[..., i, j], so on batch-last
+    lanes it reads contiguous (B,) arrays; eigvalsh reads a row-major copy.
     """
     m = np.asarray(m)
     n = m.shape[-1]
@@ -107,7 +112,8 @@ def min_eigenvalue(m: np.ndarray) -> np.ndarray:
         mid = 0.5 * (a + d)
         rad = np.sqrt((0.5 * (a - d)) ** 2 + (b * b.conj()).real)
         return mid - rad
-    return np.linalg.eigvalsh(m)[..., 0]
+    # on a row-major copy, so the call sees one layout whatever the caller's
+    return np.linalg.eigvalsh(np.ascontiguousarray(m))[..., 0]
 
 
 def clear_of_floor(m: np.ndarray, floor: float) -> np.ndarray:
@@ -129,6 +135,9 @@ def clear_of_floor(m: np.ndarray, floor: float) -> np.ndarray:
     and eigvalsh (backward stable too) never puts a cleared row below the floor.
     Every pivot is at least lambda_min(A), so at EIG_FLOOR every state on the
     cone, pure and collapsed ones included, is cleared.
+
+    The pass is elementwise on the entries m[..., i, j]: on batch-last lanes
+    each is a contiguous (B,) array, and the result is the same in any layout.
     """
     m = np.asarray(m)
     n = m.shape[-1]

@@ -8,6 +8,18 @@ counter-based substream keyed (master_seed, trajectory_index), so a path is
 bit-identical whether it runs alone or inside any batch, and reruns
 reproduce it exactly.
 
+Up to dynamics.SUM_MAX_N the density stack is held in batch-last lanes
+(_density_stack): (N, N, B) memory seen through its (B, N, N) transposed view,
+so entry (i, j) of every row is one contiguous (B,) lane. The kernels keep
+their (..., N, N) call forms, and every elementwise temporary takes its
+input's layout, so each inner loop runs over the batch. No einsum, np.sum,
+norm, matmul or LAPACK call reads the lane stack, as their summation order
+follows the strides: the level-axis sums are index-order adds
+(dynamics.sum_last), and the purity at a record point, eigvalsh on the rows
+the floor screen leaves and the rotation back to the lab basis run on
+row-major copies. Above SUM_MAX_N the density stack, and the ket stack at
+every N, is row-major, for the stacked matmul. A single row is both.
+
 States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
 initial state in once, feedback, the detector record and the certificates
 read the populations and control rates there, and only the states it
@@ -43,6 +55,7 @@ import numpy as np
 
 from .dynamics import (
     C1,
+    SUM_MAX_N,
     ModelSpec,
     TargetSpec,
     _left_product,
@@ -53,6 +66,7 @@ from .dynamics import (
     sme_drift,
     sse_diffusion,
     sse_drift,
+    sum_last,
 )
 from .hermitian import (
     EIG_FLOOR,
@@ -62,7 +76,6 @@ from .hermitian import (
     min_eigenvalue,
     project_to_density,
     purity,
-    trace,
     validate_density,
 )
 from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback, moments
@@ -141,13 +154,12 @@ class _Substream:
     def __init__(self, gen: np.random.Generator, seed: int, index: int, n_steps: int):
         self._gen = gen
         self._left = n_steps
+        # Python ints: the state setter reads these element by element, and a
+        # list of ints is several times cheaper to index than a uint64 array
         self._state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([seed, index], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, index]},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -186,7 +198,8 @@ def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int)
     def steps():
         for start in range(0, n_steps, NOISE_WINDOW):
             width = min(NOISE_WINDOW, n_steps - start)
-            yield from np.stack([g.normal(0.0, sqrt_dt, width) for g in gens]).T
+            # (width, B) with each step's increments contiguous
+            yield from np.stack([g.normal(0.0, sqrt_dt, width) for g in gens], axis=1)
 
     return steps()
 
@@ -198,7 +211,10 @@ def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
     term, so Hermitian rows stay exactly Hermitian; the result is
     trace-normalized. It is assembled in place in the arrays the kernels
     return, in the order of rho + drift dt + g dW, and rho is left
-    unmodified; u = None is the open-loop law (see sme_drift). A trace that
+    unmodified; u = None is the open-loop law (see sme_drift). rho may be
+    row-major or a batch-last lanes view (see _density_stack): every
+    temporary, and the result, takes rho's layout, and the trace is an
+    index-order sum, so each row's result is the same in either. A trace that
     is not finite and positive raises IntegrationError; a row whose smallest
     eigenvalue drops below EIG_FLOOR is projected onto the density cone and
     counts in n_projected, which updates in place.
@@ -209,8 +225,9 @@ def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
     g = diffusion_term(rho, mean, model)
     g *= dw[:, None, None]
     nxt += g
-    tr = trace(nxt).real
-    if not (np.isfinite(tr).all() and (tr > 0.0).all()):
+    tr = sum_last(nxt.diagonal(0, -2, -1).real)
+    # a nan fails both comparisons
+    if not (tr.min() > 0.0 and tr.max() < np.inf):
         raise IntegrationError("trace not finite and positive")
     # a complex divided by a real t is multiplied by 1 / t, so this is bit for bit the division
     nxt *= (1.0 / tr)[:, None, None]
@@ -226,7 +243,7 @@ def _below_floor(rho: np.ndarray) -> np.ndarray:
 
     The mask is min_eigenvalue's on every row. On N = 3 stacks of at least
     SCREEN_MIN_ROWS rows, clear_of_floor clears most rows first and
-    min_eigenvalue runs only on those it leaves.
+    min_eigenvalue runs only on those it leaves (a row-major copy of them).
     """
     b, n = rho.shape[:2]
     if n != 3 or b < SCREEN_MIN_ROWS:
@@ -235,6 +252,19 @@ def _below_floor(rho: np.ndarray) -> np.ndarray:
     if low.any():
         low[low] = min_eigenvalue(rho[low]) < EIG_FLOOR
     return low
+
+
+def _density_stack(b: int, n: int) -> np.ndarray:
+    """An empty (b, n, n) density stack in the layout its step kernels run fastest on.
+
+    Up to SUM_MAX_N it is the batch-last view of (n, n, b) memory: entry
+    (i, j) of every row is one contiguous (b,) lane, so each elementwise
+    kernel loops over the batch rather than over N^2 <= 9 entries. Above
+    SUM_MAX_N it is row-major, for the stacked matmul.
+    """
+    if n > SUM_MAX_N:
+        return np.empty((b, n, n), dtype=complex)
+    return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
 
 def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:
@@ -317,7 +347,8 @@ def _record_point(out, slot, state, u, window_dy, m) -> None:
     out["controls"][:, slot] = u
     out["records"][:, slot] = window_dy
     out["moments"][:, slot] = m
-    out["purity"][:, slot] = purity(density(state))
+    # einsum sums in an order that follows the strides: give it a row-major copy
+    out["purity"][:, slot] = purity(np.ascontiguousarray(density(state)))
 
 
 def run_batch(
@@ -355,7 +386,8 @@ def run_batch(
         state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1:], (b, n, 1)).copy()
         step = _sse_step
     else:
-        state = np.broadcast_to(hermitize(rho0), (b, n, n)).copy()
+        state = _density_stack(b, n)
+        state[...] = hermitize(rho0)
         step = _sme_step
     # the open-loop law's zeros are recorded, but the step skips its control term
     steered = ctrl.kind != "open_loop"
@@ -397,7 +429,7 @@ def run_batch(
     return BatchResult(
         indices=list(indices),
         times=slots * sim.dt,
-        final_states=model.from_eigenbasis(density(state)),
+        final_states=model.from_eigenbasis(np.ascontiguousarray(density(state))),
         n_steps=n_steps,
         n_projected=n_projected,
         states=None if states is None else model.from_eigenbasis(states),

@@ -684,3 +684,107 @@ def test_random_steered_runs_are_row_local_and_keep_the_rates(n, seed, represent
         assert np.array_equal(shared, summed)
     else:
         np.testing.assert_allclose(shared, summed, rtol=0.0, atol=1e-15)
+
+
+def _position_cases():
+    """(name, model, target, ctrl, sim): steered N = 2, open-loop and steered N = 3."""
+    model2, target2 = qubit(mu=1.0, eta=0.5)
+    model3, target3 = qutrit(mu=6.0, eta=0.5)
+    steered = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
+    return (
+        ("qubit_steered", model2, target2, steered,
+         SimConfig(dt=0.05, t_final=3.0, seed=21, record_stride=7)),
+        ("qutrit_open", model3, target3, ControllerSpec(kind="open_loop"),
+         SimConfig(dt=0.1, t_final=6.0, seed=22, record_stride=7)),
+        ("qutrit_steered", model3, target3, steered,
+         SimConfig(dt=0.1, t_final=6.0, seed=23, record_stride=7)),
+    )
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
+    # B = 1003 is no multiple of a SIMD width, so the first, a middle and the
+    # last lane each sit at a different offset in their vector; coarse steps
+    # from mixed and pure starts clip often. Each row equals its solo run bit
+    # for bit on every series, and the batch stepped on a row-major stack
+    # equals the batch stepped on lanes
+    name, model, target, ctrl, sim = _position_cases()[case]
+    n, b = model.n, 1003
+    rng = np.random.default_rng(60 + case)
+    # mixed starts in rows 0..500, pure ones in rows 501..1002
+    rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
+    res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    assert res.n_projected.sum() > b, name
+    for i in (0, 501, 1002):
+        solo = run_batch(rho0[i], model, target, ctrl, sim, indices=[i], record_states=True)
+        for f in fields(BatchResult):
+            if f.name not in ("indices", "times", "n_steps"):
+                assert np.array_equal(getattr(solo, f.name)[0], getattr(res, f.name)[i]), (
+                    name, i, f.name)
+    monkeypatch.setattr(integrate, "_density_stack",
+                        lambda b, n: np.empty((b, n, n), dtype=complex))
+    row_major = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    for f in fields(BatchResult):
+        assert np.array_equal(getattr(row_major, f.name), getattr(res, f.name)), (name, f.name)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
+    # the kernels that read the lane stack, fed its row-major copy, agree bit
+    # for bit and hand back arrays in their input's layout
+    rng = np.random.default_rng(30 + n)
+    model, target = random_model(rng, n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=2.0, ell=0.5)
+    b = 2 * SCREEN_MIN_ROWS + 1
+    lanes = integrate._density_stack(b, n)
+    lanes[...] = hermitize(model.to_eigenbasis(
+        np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])))
+    row_major = np.ascontiguousarray(lanes)
+    assert lanes.strides[0] < min(lanes.strides[1:]) and row_major.flags.c_contiguous
+    dw = rng.normal(0.0, 0.5, b)
+    outputs = []
+    for rho in (lanes, row_major):
+        hr = _left_product(model.coupling, rho)
+        m = moments(rho, target, hr)
+        u = feedback(rho, model, target, ctrl, m)
+        n_projected = np.zeros(b, dtype=int)
+        mean = m[..., dynamics.C1]
+        nxt = _sme_step(rho, mean, u, hr, dw, model, 0.2, n_projected)
+        assert nxt.strides == rho.strides
+        outputs.append((hr, m, mean_level(rho, model), sme_drift(rho, model, u, hr),
+                        diffusion_term(rho, mean, model), min_eigenvalue(rho),
+                        integrate._below_floor(rho), nxt, n_projected))
+    assert outputs[1][-1].sum() > 0
+    for got, want in zip(*outputs):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_density_steps_run_on_batch_last_lanes_up_to_sum_max_n(monkeypatch, n):
+    # every step of a batch with N <= SUM_MAX_N reads and returns a stack
+    # whose batch axis has the smallest stride; above, the stack stays
+    # row-major for the stacked matmul. Without this check a fall back to the
+    # slow layout would keep every output, and every other test, unchanged
+    rng = np.random.default_rng(50 + n)
+    model, target = random_model(rng, n)
+    real = integrate._sme_step
+    seen = []
+
+    def watched(state, *rest):
+        nxt = real(state, *rest)
+        seen.extend([state, nxt])
+        return nxt
+
+    monkeypatch.setattr(integrate, "_sme_step", watched)
+    sim = SimConfig(dt=0.05, t_final=1.0, seed=n, record_stride=5)
+    for kind in ("open_loop", "square_of_sum"):
+        for b in (5, SCREEN_MIN_ROWS + 8):
+            seen.clear()
+            run_batch(np.eye(n) / n, model, target, ControllerSpec(kind=kind), sim,
+                      n_trajectories=b)
+            assert len(seen) == 2 * sim.n_steps
+            for state in seen:
+                if n <= dynamics.SUM_MAX_N:
+                    assert state.strides[0] < min(state.strides[1:]), (kind, b, state.strides)
+                else:
+                    assert state.flags.c_contiguous, (kind, b, state.strides)
