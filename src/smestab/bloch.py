@@ -99,7 +99,11 @@ def integrate_bloch(
     indices: list[int] | None = None,
     n_trajectories: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep Bloch trajectories on the same substreams as the matrix engine.
+    """Lockstep Bloch trajectories on the matrix engine's Brownian increments.
+
+    Index i draws what run_batch draws for it: column i % NOISE_BLOCK of the
+    Philox stream keyed (seed, i // NOISE_BLOCK) (see
+    integrate._brownian_increments).
 
     Returns (times, paths) with paths of shape (B, n_recorded, 3). The post-step
     maintenance mirrors the matrix engine: when the implied minimum eigenvalue

@@ -3,10 +3,14 @@
 One step loop, run_batch, advances trajectories in lockstep. The
 representation picks its step kernel once per call: _sme_step advances a
 (B, N, N) density stack, _sse_step a (B, N, 1) stack of ket columns (eta = 1
-only). Each trajectory index draws its Brownian increments from its own
-counter-based substream keyed (master_seed, trajectory_index), so a path is
-bit-identical whether it runs alone or inside any batch, and reruns
-reproduce it exactly.
+only). Trajectory index i draws its Brownian increments from column
+i % NOISE_BLOCK of a counter-based substream keyed (master_seed,
+i // NOISE_BLOCK), one per block of NOISE_BLOCK consecutive indices (see
+_brownian_increments). A path still depends only on (master_seed, i), so it
+is bit-identical whether it runs alone or inside any batch, and reruns
+reproduce it exactly. Before block keying each index had a Philox stream of
+its own, keyed (master_seed, i): a given seed now draws other paths, from the
+same distribution.
 
 Up to dynamics.SUM_MAX_N the density stack is held in batch-last lanes
 (_density_stack): (N, N, B) memory seen through its (B, N, N) transposed view,
@@ -82,6 +86,7 @@ from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback, mo
 
 REPRESENTATIONS = ("sme", "sse")
 NOISE_WINDOW = 4096
+NOISE_BLOCK = 16
 
 
 class IntegrationError(RuntimeError):
@@ -90,6 +95,8 @@ class IntegrationError(RuntimeError):
 
 def as_integer(value, where: str) -> int:
     """An integral real number (numpy scalars too, booleans not) as int, else ValueError."""
+    if type(value) is int:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
         raise ValueError(f"{where} must be an integer, got {value!r}")
     return int(value)
@@ -97,7 +104,10 @@ def as_integer(value, where: str) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, seeding, and recording policy for one integration."""
+    """Step size, horizon, seeding, and recording policy for one integration.
+
+    t_final must be a whole number of steps of dt, to a relative 1e-9.
+    """
 
     dt: float
     t_final: float
@@ -110,6 +120,9 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ValueError(f"t_final must be finite and cover one step, got {self.t_final}")
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_final must be a whole number of steps, t_final/dt = {steps:.17g}")
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if not 0 <= self.seed <= 2**64 - 1:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
@@ -142,64 +155,82 @@ class Trajectory:
 
 
 class _Substream:
-    """The noise stream of one trajectory: Philox keyed (seed, index).
+    """The noise stream of one block of trajectory indices: Philox keyed (seed, block).
 
     Every substream of a batch draws through one shared Generator. Its Philox
     state is set to this stream's before each draw and saved after it while
-    draws of the n_steps remain, so the draws are bit for bit those of
-    Generator(Philox(key=[seed, index])), without building (and seeding from
-    OS entropy) one Philox per trajectory.
+    steps of the n_steps remain, so the draws are bit for bit those of
+    Generator(Philox(key=[seed, block])), without building (and seeding from
+    OS entropy) one Philox per block.
     """
 
-    def __init__(self, gen: np.random.Generator, seed: int, index: int, n_steps: int):
+    def __init__(self, gen: np.random.Generator, seed: int, block: int, n_steps: int):
         self._gen = gen
         self._left = n_steps
         # Python ints: the state setter reads these element by element, and a
         # list of ints is several times cheaper to index than a uint64 array
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [seed, index]},
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, block]},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
+    def normal(self, loc: float, scale: float, size: tuple[int, int]) -> np.ndarray:
+        """Draw size = (steps, NOISE_BLOCK) increments, one row per step."""
         bits = self._gen.bit_generator
         bits.state = self._state
         out = self._gen.normal(loc, scale, size)
-        self._left -= size
+        self._left -= size[0]
         if self._left > 0:
             self._state = bits.state
         return out
 
 
-def _substream(seed: int, index: int, gen: np.random.Generator, n_steps: int) -> _Substream:
-    return _Substream(gen, seed, index, n_steps)
+def _substream(seed: int, block: int, gen: np.random.Generator, n_steps: int) -> _Substream:
+    return _Substream(gen, seed, block, n_steps)
+
+
+def _noise_key(index) -> int:
+    """A trajectory index as the int it keys, else ValueError (see _brownian_increments)."""
+    i = as_integer(index, "trajectory index")
+    if not 0 <= i < 2**64:
+        raise ValueError(f"trajectory index {i} does not fit in an unsigned 64-bit integer")
+    return i
 
 
 def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int):
     """Return an iterator over the (B,) Brownian increments of steps 0..n_steps-1.
 
-    Each trajectory's substream draws NOISE_WINDOW steps at a time, so memory
-    stays bounded on long horizons and no path depends on the others. A
-    substream key is an unsigned 64-bit integer, so an index outside
-    [0, 2**64) raises ValueError here, before any step runs.
+    Trajectory index i reads column i % NOISE_BLOCK of the substream of block
+    i // NOISE_BLOCK, so one draw serves up to NOISE_BLOCK trajectories and a
+    path depends only on (seed, i), never on the rest of the batch. Each
+    substream draws NOISE_WINDOW steps at a time, so memory stays bounded on
+    long horizons. An index must be an integer in [0, 2**64), the range of
+    the unsigned 64-bit key, else ValueError here, before any key is built.
     """
-    for i in indices:
-        if not 0 <= i < 2**64:
-            raise ValueError(f"trajectory index {i} does not fit in an unsigned 64-bit integer")
+    if len(indices) == 0:
+        raise ValueError("no trajectory indices to draw noise for")
+    keys = np.array([_noise_key(i) for i in indices], dtype=np.uint64)
+    blocks, slot = np.unique(keys // NOISE_BLOCK, return_inverse=True)
+    # a duplicated index reads the same column
+    cols = slot * NOISE_BLOCK + (keys % NOISE_BLOCK).astype(np.intp)
+    lo, b = int(cols[0]), len(cols)
+    run = slice(lo, lo + b) if np.array_equal(cols, np.arange(lo, lo + b)) else None
     # seed 0 is never drawn from: each substream sets its own key first
     shared = np.random.Generator(np.random.Philox(0))
-    gens = [_substream(seed, i, shared, n_steps) for i in indices]
+    gens = [_substream(seed, block, shared, n_steps) for block in blocks.tolist()]
     sqrt_dt = np.sqrt(dt)
 
     def steps():
         for start in range(0, n_steps, NOISE_WINDOW):
-            width = min(NOISE_WINDOW, n_steps - start)
-            # (width, B) with each step's increments contiguous
-            yield from np.stack([g.normal(0.0, sqrt_dt, width) for g in gens], axis=1)
+            size = (min(NOISE_WINDOW, n_steps - start), NOISE_BLOCK)
+            window = np.concatenate([g.normal(0.0, sqrt_dt, size) for g in gens], axis=1)
+            # (width, B) with each step's increments contiguous: consecutive
+            # indices read a slice of the window, others a gathered copy
+            yield from window[:, run] if run is not None else window.take(cols, axis=1)
 
     return steps()
 
@@ -364,8 +395,8 @@ def run_batch(
     """Integrate trajectories in lockstep from a shared or stacked initial state.
 
     rho0 is broadcast against (B, N, N), so one state may be shared by the
-    whole batch or each trajectory may start from its own. indices selects the
-    noise substreams (default 0..n_trajectories-1); every recorded scalar
+    whole batch or each trajectory may start from its own. indices selects
+    each trajectory's noise (default 0..n_trajectories-1); every recorded scalar
     series has shape (B, n_recorded). The "sse" representation needs eta = 1
     and a rank-one rho0, and advances the leading eigenvector of rho0.
     """
@@ -427,7 +458,8 @@ def run_batch(
 
     out.update(certificates(out.pop("moments"), model, target, out["controls"], ctrl.ell))
     return BatchResult(
-        indices=list(indices),
+        # integers, as _brownian_increments has checked
+        indices=[int(i) for i in indices],
         times=slots * sim.dt,
         final_states=model.from_eigenbasis(np.ascontiguousarray(density(state))),
         n_steps=n_steps,

@@ -233,6 +233,16 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
             assert message in capsys.readouterr().err, (n, argv)
 
 
+def test_a_horizon_that_is_not_a_whole_number_of_steps_is_a_config_error(tmp_path, capsys):
+    # 0.15/0.1 = 1.4999999999999998 would run to t = 0.1, 1.0/0.3 to t = 0.9
+    for dt, t_final in ((0.1, 0.15), (0.3, 1.0)):
+        path = write_doc(tmp_path, qubit_doc(sim={"dt": dt, "t_final": t_final, "seed": 42}))
+        for argv in (["validate"], ["simulate", "--out", str(tmp_path / "s")],
+                     ["ensemble", "--out", str(tmp_path / "e")]):
+            assert main([*argv, "--config", path]) == 2, (dt, argv)
+            assert "whole number of steps" in capsys.readouterr().err, (dt, argv)
+
+
 def test_cli_simulate_writes_trajectory(tmp_path, capsys):
     path = write_doc(tmp_path, qubit_doc())
     out_dir = tmp_path / "out"

@@ -43,6 +43,7 @@ from smestab.hermitian import (
     validate_density,
 )
 from smestab.integrate import (
+    NOISE_BLOCK,
     NOISE_WINDOW,
     BatchResult,
     IntegrationError,
@@ -75,6 +76,12 @@ def test_sim_config_validation():
     for stride in (2.5, True, np.inf):
         with pytest.raises(ValueError, match="record_stride"):
             SimConfig(dt=1e-3, t_final=1.0, seed=1, record_stride=stride)
+    # a horizon that is not a whole number of steps: 0.15/0.1 = 1.4999999999999998
+    # would run one step and end at 0.1, 1.0/0.3 would end at 0.9
+    for dt, t_final in ((0.1, 0.15), (0.3, 1.0), (1e-3, 1.0005)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            SimConfig(dt=dt, t_final=t_final, seed=1)
+    assert SimConfig(dt=0.1, t_final=0.3, seed=1).n_steps == 3
     # integral floats are stored as int, so the loop can slice and key with them
     sim = SimConfig(dt=0.1, t_final=0.4, seed=2.0, record_stride=2.0)
     assert (sim.seed, sim.record_stride) == (2, 2)
@@ -137,16 +144,32 @@ def test_em_step_matches_raw_increment():
 
 
 @pytest.mark.parametrize("n_steps", [7, 2 * NOISE_WINDOW + 5])
-def test_substreams_are_one_philox_per_trajectory(n_steps):
-    # the shared, re-keyed generator draws exactly what a Philox of its own
-    # per trajectory draws, within one noise window and across windows
+def test_noise_blocks_are_one_philox_per_block_of_indices(n_steps):
+    # index i reads column i % NOISE_BLOCK of the Philox keyed (seed, i // NOISE_BLOCK),
+    # window by window, with duplicates, unsorted indices, both sides of a
+    # block edge and the last key
     seed, dt = 2**64 - 1, 1e-3
-    indices = [3, 0, 2**64 - 1, 3]
+    indices = [3, 0, 2**64 - 1, 3, 15, 16]
     got = np.stack(list(_brownian_increments(seed, indices, dt, n_steps)))
     assert got.shape == (n_steps, len(indices))
     for col, i in enumerate(indices):
-        own = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        assert np.array_equal(got[:, col], own.normal(0.0, np.sqrt(dt), n_steps)), i
+        key = np.array([seed, i // NOISE_BLOCK], dtype=np.uint64)
+        own = np.random.Generator(np.random.Philox(key=key))
+        for start in range(0, n_steps, NOISE_WINDOW):
+            width = min(NOISE_WINDOW, n_steps - start)
+            window = own.normal(0.0, np.sqrt(dt), (width, NOISE_BLOCK))
+            assert np.array_equal(got[start : start + width, col], window[:, i % NOISE_BLOCK]), i
+
+
+def test_the_columns_of_a_noise_block_are_independent_increments():
+    # the NOISE_BLOCK indices of one block: each has variance dt and every
+    # pair has correlation 0, within 5 standard errors
+    n_steps, dt = 20_000, 1e-3
+    got = np.stack(list(_brownian_increments(11, list(range(NOISE_BLOCK)), dt, n_steps)))
+    variance = np.mean(got**2, axis=0)
+    assert np.all(np.abs(variance - dt) < 5 * dt * np.sqrt(2 / n_steps)), variance / dt
+    corr = np.corrcoef(got.T)[np.triu_indices(NOISE_BLOCK, 1)]
+    assert np.all(np.abs(corr) < 5 / np.sqrt(n_steps)), np.abs(corr).max()
 
 
 def test_sse_step_requires_unit_efficiency():
@@ -182,13 +205,35 @@ def test_trajectory_independent_of_batch_composition():
     assert np.array_equal(full.final_states[3], solo.final_states[0])
 
 
+def test_rows_at_a_noise_block_edge_equal_their_solo_runs():
+    # indices 15 and 16 lie in different blocks; inside a batch that spans
+    # both blocks and a third, each row is its solo run
+    model, target = qubit(mu=1.0, eta=0.5)
+    ctrl = ControllerSpec(kind="square_of_sum")
+    sim = SimConfig(dt=1e-3, t_final=0.2, seed=123, record_stride=10)
+    rho0 = np.eye(2, dtype=complex) / 2
+    batch = run_batch(rho0, model, target, ctrl, sim, indices=[14, 15, 16, 17, 40])
+    for row, i in ((1, 15), (2, 16)):
+        solo = run_batch(rho0, model, target, ctrl, sim, indices=[i])
+        assert np.array_equal(batch.controls[row], solo.controls[0])
+        assert np.array_equal(batch.records[row], solo.records[0])
+        assert np.array_equal(batch.final_states[row], solo.final_states[0])
+    assert not np.array_equal(batch.records[1], batch.records[2])
+
+
 def test_run_batch_refuses_indices_outside_the_substream_keys():
     model, target = qubit()
     sim = SimConfig(dt=1e-3, t_final=0.01, seed=1)
-    for index in (-1, 2**64):
+    # out of the key range, booleans and non-integral numbers: the key would
+    # wrap or be truncated onto another index's noise
+    for index in (-1, 2**64, 0.5, 0.9, True, np.float64(1.5), np.inf, np.nan):
         with pytest.raises(ValueError, match="trajectory index"):
             run_batch(np.eye(2) / 2, model, target, ControllerSpec(kind="open_loop"), sim,
                       indices=[0, index])
+    # numpy integers are accepted and recorded as ints
+    res = run_batch(np.eye(2) / 2, model, target, ControllerSpec(kind="open_loop"), sim,
+                    indices=[np.int64(3), np.uint64(2**64 - 1)])
+    assert res.indices == [3, 2**64 - 1] and all(type(i) is int for i in res.indices)
 
 
 @pytest.mark.parametrize("make", [qubit, qutrit])
