@@ -24,8 +24,11 @@ G_ij = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with <C> = sum_i c_i rho_ii, and
 only the control term multiplies matrices. The drift table is conjugate
 symmetric, the control term is -i u (X - X^dag) with X = h_b rho, and
 c_i + c_j - 2 <C> is real and symmetric, so a Hermitian rho steps to an
-exactly Hermitian one. The kernels below take states in that basis:
-densities (..., N, N) or ket columns (..., N, 1), <C> as an argument, and
+exactly Hermitian one. For a ket the drift is
+(-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i and the noise
+coefficient (sqrt(mu) c_i - sqrt(mu) <C>) psi_i, read from two constant
+(N, 1) columns, -i a and sqrt(mu) c. The kernels below take states in that
+basis: densities (..., N, N) or ket columns (..., N, 1), <C> as an argument, and
 optionally X = h_b state, which the control rates and the control term share
 (integrate.run_batch forms it once per step). ModelSpec holds the basis and
 the tables; run_batch rotates into the basis once per call and back only for
@@ -90,9 +93,11 @@ class ModelSpec:
     levels those eigenvalues; projectors are the rank-one eigenprojectors in
     the same order (targets, antipodes and collapse outcomes are members of
     it). In that basis h_a is diag(energies) (the off-diagonal part that the
-    commutation tolerance admits is dropped) and h_b is coupling. The kernels
-    read the constant tables drift_table, -i (a_i - a_j) - mu (c_i - c_j)^2 / 2,
-    and level_sums, c_i + c_j.
+    commutation tolerance admits is dropped) and h_b is coupling. The density
+    kernels read the constant tables drift_table,
+    -i (a_i - a_j) - mu (c_i - c_j)^2 / 2, and level_sums, c_i + c_j; the ket
+    kernels read the (N, 1) columns ket_phase, -i a_i, and ket_noise,
+    sqrt(mu) c_i.
     """
 
     h_a: np.ndarray
@@ -107,6 +112,8 @@ class ModelSpec:
     coupling: np.ndarray = _derived()
     drift_table: np.ndarray = _derived()
     level_sums: np.ndarray = _derived()
+    ket_phase: np.ndarray = _derived()
+    ket_noise: np.ndarray = _derived()
 
     def __post_init__(self):
         h_a = np.asarray(self.h_a, dtype=complex)
@@ -142,6 +149,8 @@ class ModelSpec:
             "coupling": hermitize(dag(v) @ h_b @ v),
             "drift_table": -1j * (a[:, None] - a[None, :]) - 0.5 * self.mu * (gaps * gaps),
             "level_sums": w[:, None] + w[None, :],
+            "ket_phase": -1j * a[:, None],
+            "ket_noise": math.sqrt(self.mu) * w[:, None],
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -246,10 +255,14 @@ def density(state: np.ndarray) -> np.ndarray:
 
 
 def populations(state: np.ndarray) -> np.ndarray:
-    """(..., N) populations in C's eigenbasis: rho_ii, or |psi_i|^2 of a ket column."""
+    """(..., N) populations in C's eigenbasis: rho_ii, or |psi_i|^2 of a ket column.
+
+    A ket's are Re(conj(psi_i) psi_i), one conjugate and one product; the
+    values are elementwise, so no row depends on the batch around it.
+    """
     if state.shape[-1] == 1:
         psi = state[..., 0]
-        return psi.real * psi.real + psi.imag * psi.imag
+        return (np.conj(psi) * psi).real
     return state.diagonal(0, -2, -1).real
 
 
@@ -292,25 +305,34 @@ def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.nd
 
 
 def measurement_increment(mean: np.ndarray, model: ModelSpec, dt: float, dW) -> np.ndarray:
-    """Detector record dY = sqrt(eta) <C> dt + dW, with mean = <C>."""
-    return np.sqrt(model.eta) * mean * dt + np.asarray(dW)
+    """Detector record dY = sqrt(eta) <C> dt + dW, with mean = <C>, as (sqrt(eta) dt) <C> + dW."""
+    return (math.sqrt(model.eta) * dt) * mean + dW
 
 
 def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u, hpsi=None) -> np.ndarray:
     """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi of ket columns, valid at eta = 1.
 
-    hpsi is h_b psi when the caller holds it, as in sme_drift. u = None stands
-    for the open-loop law: the control term -i u h_b psi is not evaluated and
-    only the diagonal part is returned.
+    The diagonal is ket_phase, -i a, plus the centred levels squared and
+    scaled in place; the result is a new array, which the caller may assemble
+    into. hpsi is h_b psi when the caller holds it, as in sme_drift. u = None
+    stands for the open-loop law: the control term -i u h_b psi is not
+    evaluated and only the diagonal part is returned.
     """
     centered = model.levels[:, None] - mean[..., None, None]
-    diagonal = -1j * model.energies[:, None] - 0.5 * model.mu * (centered * centered)
+    centered *= centered
+    centered *= -0.5 * model.mu
+    out = np.add(centered, model.ket_phase)
+    out *= psi
     if u is None:
-        return diagonal * psi
+        return out
     hpsi = _left_product(model.coupling, psi) if hpsi is None else hpsi
-    return diagonal * psi + (-1j * np.asarray(u))[..., None, None] * hpsi
+    out += (-1j * np.asarray(u))[..., None, None] * hpsi
+    return out
 
 
 def sse_diffusion(psi: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """State-vector noise coefficient sqrt(mu) (c - <c>) psi of ket columns, valid at eta = 1."""
-    return np.sqrt(model.mu) * (model.levels[:, None] - mean[..., None, None]) * psi
+    """State-vector noise coefficient sqrt(mu) (c - <c>) psi of ket columns, valid at eta = 1.
+
+    Formed as (ket_noise - sqrt(mu) <c>) psi, ket_noise being the constant sqrt(mu) c.
+    """
+    return (model.ket_noise - math.sqrt(model.mu) * mean[..., None, None]) * psi

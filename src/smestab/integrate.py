@@ -37,8 +37,10 @@ step kernels get u = None and skip the zero control term (see
 dynamics.sme_drift). A density stays Hermitian by construction (see
 dynamics) and is trace-renormalized, and hermitian.project_to_density clips
 it only when its smallest eigenvalue drops below the validity floor; a state
-vector is renormalized. One certificates call derives every certificate
-series from the recorded tables after the loop. On N = 3
+vector is renormalized. Both step kernels assemble the step in place in the
+arrays the dynamics kernels return, leave their input alone, and check the
+trace (the ket norm) with one min/max pair. One certificates call derives
+every certificate series from the recorded tables after the loop. On N = 3
 stacks of at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
 first clears the rows it proves above the floor and min_eigenvalue decides
 only the rest, so the clipped rows are exactly those min_eigenvalue alone
@@ -67,6 +69,7 @@ from .dynamics import (
     diffusion_term,
     mean_level,
     measurement_increment,
+    populations,
     sme_drift,
     sse_diffusion,
     sse_drift,
@@ -301,15 +304,27 @@ def _density_stack(b: int, n: int) -> np.ndarray:
 def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
 
-    mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. The result
-    is renormalized, so it stays pure and n_projected never moves.
+    mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. As in
+    _sme_step, the step is assembled in place in the arrays the kernels
+    return, in the order of psi + drift dt + g dW, and psi is left unmodified.
+    The result is divided by its norm, sqrt(sum_i populations), a sum along
+    each row's own level axis of the row-major stack, so it stays pure, no
+    row depends on the batch and n_projected never moves. A norm that is not
+    finite and positive raises IntegrationError.
     """
-    drift = sse_drift(psi, mean, model, u, hpsi) * dt
-    psi = psi + drift + sse_diffusion(psi, mean, model) * dw[:, None, None]
-    norm = np.linalg.norm(psi, axis=-2, keepdims=True)
-    if not np.isfinite(norm).all() or (norm <= 0.0).any():
+    nxt = sse_drift(psi, mean, model, u, hpsi)
+    nxt *= dt
+    nxt += psi
+    g = sse_diffusion(psi, mean, model)
+    g *= dw[:, None, None]
+    nxt += g
+    norm = np.sqrt(populations(nxt).sum(-1))
+    # a nan fails both comparisons
+    if not (norm.min() > 0.0 and norm.max() < np.inf):
         raise IntegrationError("degenerate state-vector norm")
-    return psi / norm
+    # bit for bit the division, as in _sme_step
+    nxt *= (1.0 / norm)[:, None, None]
+    return nxt
 
 
 @dataclass
@@ -450,7 +465,7 @@ def run_batch(
         if k == n_steps:
             break
         dw = next(noise)
-        window_dy = window_dy + measurement_increment(mean, model, sim.dt, dw)
+        window_dy += measurement_increment(mean, model, sim.dt, dw)
         try:
             state = step(state, mean, u if steered else None, hx, dw, model, sim.dt, n_projected)
         except IntegrationError as exc:

@@ -32,7 +32,15 @@ import smestab.dynamics as dynamics
 import smestab.integrate as integrate
 import smestab.lyapunov as lyapunov
 from smestab.lyapunov import moments
-from smestab.dynamics import _left_product, diffusion_term, mean_level, sme_drift
+from smestab.dynamics import (
+    _left_product,
+    diffusion_term,
+    mean_level,
+    populations,
+    sme_drift,
+    sse_diffusion,
+    sse_drift,
+)
 from smestab.hermitian import (
     EIG_FLOOR,
     SCREEN_MIN_ROWS,
@@ -50,6 +58,7 @@ from smestab.integrate import (
     _brownian_increments,
     _record_slots,
     _sme_step,
+    _sse_step,
 )
 
 
@@ -632,6 +641,37 @@ def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
             got = _sme_step(rho, mean, u, shared, dw, model, dt, n_projected)
             assert np.array_equal(rho, before)
             assert np.array_equal(got, raw / trace(raw).real[:, None, None])
+    assert not n_projected.any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
+    # the state-vector twin of the density test above: the step is assembled
+    # in place in the kernels' own arrays, and the result is the plain
+    # expression divided by the same norm, sqrt of the summed populations
+    rng = np.random.default_rng(90 + n)
+    model, target = random_model(rng, n)
+    model = replace(model, eta=1.0)
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.3, ell=0.7)
+    b, dt = 40, 1e-3
+    dw = rng.normal(0.0, np.sqrt(dt), b)
+    n_projected = np.zeros(b, dtype=int)
+    psi = rng.normal(size=(b, n, 1)) + 1j * rng.normal(size=(b, n, 1))
+    psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
+    mean = mean_level(psi, model)
+    hpsi = _left_product(model.coupling, psi)
+    for u in (None, feedback(psi, model, target, ctrl, moments(psi, target))):
+        g = sse_diffusion(psi, mean, model)
+        raw = psi + sse_drift(psi, mean, model, u) * dt + g * dw[:, None, None]
+        norm = np.sqrt(populations(raw).sum(-1))[:, None, None]
+        for shared in (None, hpsi):
+            before = psi.copy()
+            got = _sse_step(psi, mean, u, shared, dw, model, dt, n_projected)
+            assert np.array_equal(psi, before)
+            assert np.array_equal(got, raw / norm)
+            np.testing.assert_allclose(
+                got, raw / np.linalg.norm(raw, axis=-2, keepdims=True), rtol=0.0, atol=1e-15
+            )
     assert not n_projected.any()
 
 

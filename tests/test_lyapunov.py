@@ -312,11 +312,11 @@ def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
     def close(a, b):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
-    def row_local(f):
+    def row_local(f, states=rho):
         # each row of the batch, bit for bit, equals that state alone
-        out = f(rho, u)
+        out = f(states, u)
         for i in range(batch):
-            assert np.array_equal(out[i], f(rho[i], u[i]))
+            assert np.array_equal(out[i], f(states[i], u[i]))
         return out
 
     close(row_local(lambda r, _: trace_term(r, model, target, ell)),
@@ -329,4 +329,19 @@ def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
     for name, value in expected.items():
         close(row_local(lambda r, v: certificates(moments(model.to_eigenbasis(r), target), model,
                                                   target, v, ell)[name]),
+              value)
+
+    # a ket column in C's eigenbasis reads as its density psi psi^dag
+    psi = rng.normal(size=(batch, n, 1)) + 1j * rng.normal(size=(batch, n, 1))
+    psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
+    pure = psi * np.conj(np.swapaxes(psi, -1, -2))
+    lab = model.from_eigenbasis(pure)
+    close(row_local(lambda p, _: moments(p, target), psi), moments(pure, target))
+    for kind in ("open_loop", "linear", "sum_of_squares", "square_of_sum"):
+        ctrl = ControllerSpec(kind=kind, k=k, ell=ell)
+        close(row_local(lambda p, _: feedback(p, model, target, ctrl, moments(p, target)), psi),
+              dense_feedback(lab, model, target, ctrl))
+    for name, value in dense_certificates(lab, model, target, u, ell).items():
+        close(row_local(lambda p, v: certificates(moments(p, target), model, target, v, ell)[name],
+                        psi),
               value)
