@@ -50,9 +50,11 @@ SPECTRAL_GAP_TOL = 1e-10
 # Up to this N, h_b @ x is written as N broadcast products and run_batch holds
 # the density stack in batch-last lanes, (N, N, B) memory seen as (B, N, N),
 # on which every kernel here loops over the batch; above it the stack is
-# row-major and h_b @ x a stacked matmul. Each is computed row by row, so no
-# row depends on the batch. The kernels read either layout and return arrays
-# in their input's.
+# row-major and h_b @ x a stacked matmul. The same bound picks the form of
+# lyapunov.moments (index-order sums up to it, one stacked product per row
+# above) and of ModelSpec.from_eigenbasis (einsum up to it, matmul above).
+# Each is computed row by row, so no row depends on the batch. The kernels
+# read either layout and return arrays in their input's.
 SUM_MAX_N = 3
 
 # rows of TargetSpec.observables
@@ -164,8 +166,16 @@ class ModelSpec:
         return dag(self.basis) @ m @ self.basis
 
     def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """V m V^dag: stacked (..., N, N) matrices back in the lab basis."""
-        return self.basis @ m @ dag(self.basis)
+        """V m V^dag: stacked (..., N, N) matrices back in the lab basis.
+
+        Up to SUM_MAX_N it is two einsum calls on a row-major copy of m,
+        whose summation order then does not depend on the batch; above it,
+        two stacked matmuls. Either way each row is rotated alone.
+        """
+        if self.n > SUM_MAX_N:
+            return self.basis @ m @ dag(self.basis)
+        vm = np.einsum("ij,...jk->...ik", self.basis, np.ascontiguousarray(m))
+        return np.einsum("...ij,kj->...ik", vm, self.basis.conj())
 
 
 @dataclass(frozen=True)
@@ -183,8 +193,12 @@ class TargetSpec:
     diagonal. observables is the (7, N) table of weights whose rows, indexed by
     RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2, give <rho_d>, <C>, <C^2>, <C^3>
     (weights x_i on p) and <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i for
-    X = rho_d, C, C^2 (weights 2 x_i on r). coupling is h_b in that basis.
-    A target serves models with the h_b and c it was built for.
+    X = rho_d, C, C^2 (weights 2 x_i on r). moment_weights holds the same
+    weights in block form, a (2N, 7) table that maps the row [p, r] to the
+    seven moments: rows RHO_D..C3 of observables, transposed, in its upper
+    left block, rows K_RHO_D..K_C2 in its lower right, zeros elsewhere.
+    coupling is h_b in that basis. A target serves models with the h_b and c
+    it was built for.
     """
 
     rho_d: np.ndarray
@@ -192,6 +206,7 @@ class TargetSpec:
     model: InitVar[ModelSpec | None] = None
     coupling: np.ndarray = _derived()
     observables: np.ndarray = _derived()
+    moment_weights: np.ndarray = _derived()
 
     def __post_init__(self, model: ModelSpec | None):
         if model is None:
@@ -202,8 +217,14 @@ class TargetSpec:
         c = model.levels
         # diagonals of rho_d, C, C^2, C^3 in C's eigenbasis
         diagonals = np.stack([np.diagonal(model.to_eigenbasis(self.rho_d)).real, c, c * c, c * c * c])
+        observables = np.concatenate([diagonals, 2.0 * diagonals[:3]])
+        n = len(c)
+        weights = np.zeros((2 * n, 7))
+        weights[:n, :K_RHO_D] = observables[:K_RHO_D].T
+        weights[n:, K_RHO_D:] = observables[K_RHO_D:].T
         object.__setattr__(self, "coupling", model.coupling)
-        object.__setattr__(self, "observables", np.concatenate([diagonals, 2.0 * diagonals[:3]]))
+        object.__setattr__(self, "observables", observables)
+        object.__setattr__(self, "moment_weights", weights)
 
     @classmethod
     def for_model(cls, model: ModelSpec, rho_d: np.ndarray) -> "TargetSpec":

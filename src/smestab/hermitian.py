@@ -21,8 +21,10 @@ EIG_FLOOR = -1e-9
 # eigvalsh on matrices of order-one norm, such as densities.
 SCREEN_TOL = 1e-12
 # From this many rows up, clear_of_floor plus eigvalsh on the rows it leaves
-# beats eigvalsh on every row at N = 3 (about 20 rows on a 2-core Xeon,
-# numpy 2.4). It sets speed only: the rows found below the floor are the same.
+# beats eigvalsh on every row at N = 3 to 5 (about 20 rows at N = 3 on a
+# 2-core Xeon, numpy 2.4); at N = 6 to 8 the two are about even at 32 rows
+# and the screen is 2-3 times faster from 100. It sets speed only: the rows
+# found below the floor are the same.
 SCREEN_MIN_ROWS = 32
 
 
@@ -96,9 +98,11 @@ def min_eigenvalue(m: np.ndarray) -> np.ndarray:
     integrator and stays exact on degenerate spectra.  Larger sizes go through
     eigvalsh: a trigonometric 3x3 closed form was tried and dropped, its
     arccos endpoint conditioning costs ~1e-8 absolute accuracy exactly on the
-    near-pure states this check has to resolve against EIG_FLOOR.  At N = 3
+    near-pure states this check has to resolve against EIG_FLOOR.  At N >= 3
     the integrator asks clear_of_floor first, which proves most rows above
-    the floor with one Cholesky pass, and calls this only on the rest.
+    the floor with one Cholesky pass, and calls this only on the rest; the
+    screen's roundoff stays far under its margin at N = 8 (see
+    clear_of_floor).
 
     The radical is elementwise on the entries m[..., i, j], so on batch-last
     lanes it reads contiguous (B,) arrays; eigvalsh reads a row-major copy.
@@ -131,8 +135,9 @@ def clear_of_floor(m: np.ndarray, floor: float) -> np.ndarray:
         lambda_min(m) > floor + SCREEN_TOL - N (N + 1) u ||m||.
 
     This assumes ||m|| is of order one, as for trace-one densities and their
-    Euler steps: the roundoff term is then 5e-15 at N = 6, far under SCREEN_TOL,
-    and eigvalsh (backward stable too) never puts a cleared row below the floor.
+    Euler steps: the roundoff term is then 5e-15 at N = 6 and 8e-15 at N = 8,
+    far under SCREEN_TOL, and eigvalsh (backward stable too) never puts a
+    cleared row below the floor.
     Every pivot is at least lambda_min(A), so at EIG_FLOOR every state on the
     cone, pure and collapsed ones included, is cleared.
 

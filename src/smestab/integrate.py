@@ -40,11 +40,11 @@ it only when its smallest eigenvalue drops below the validity floor; a state
 vector is renormalized. Both step kernels assemble the step in place in the
 arrays the dynamics kernels return, leave their input alone, and check the
 trace (the ket norm) with one min/max pair. One certificates call derives
-every certificate series from the recorded tables after the loop. On N = 3
-stacks of at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
-first clears the rows it proves above the floor and min_eigenvalue decides
-only the rest, so the clipped rows are exactly those min_eigenvalue alone
-would pick.
+every certificate series from the recorded tables after the loop. On
+stacks of N >= 3 and at least hermitian.SCREEN_MIN_ROWS rows,
+hermitian.clear_of_floor first clears the rows it proves above the floor and
+min_eigenvalue decides only the rest, so the clipped rows are exactly those
+min_eigenvalue alone would pick.
 
 One failure rule covers a bad step: a trace (or ket norm) that is not finite
 and positive raises IntegrationError naming the step. The density increment
@@ -204,6 +204,21 @@ def _noise_key(index) -> int:
     return i
 
 
+def _noise_keys(indices) -> np.ndarray:
+    """Trajectory indices as the uint64 keys they stand for, else ValueError.
+
+    A list of plain ints is checked by its one conversion, which overflows on
+    any index outside [0, 2**64); any other list, or that overflow, goes
+    through _noise_key index by index, which names the bad index.
+    """
+    if set(map(type, indices)) == {int}:
+        try:
+            return np.array(indices, dtype=np.uint64)
+        except OverflowError:
+            pass
+    return np.array([_noise_key(i) for i in indices], dtype=np.uint64)
+
+
 def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int):
     """Return an iterator over the (B,) Brownian increments of steps 0..n_steps-1.
 
@@ -216,7 +231,7 @@ def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int)
     """
     if len(indices) == 0:
         raise ValueError("no trajectory indices to draw noise for")
-    keys = np.array([_noise_key(i) for i in indices], dtype=np.uint64)
+    keys = _noise_keys(indices)
     blocks, slot = np.unique(keys // NOISE_BLOCK, return_inverse=True)
     # a duplicated index reads the same column
     cols = slot * NOISE_BLOCK + (keys % NOISE_BLOCK).astype(np.intp)
@@ -275,12 +290,12 @@ def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
 def _below_floor(rho: np.ndarray) -> np.ndarray:
     """Rows of a (B, N, N) stack whose smallest eigenvalue is below EIG_FLOOR.
 
-    The mask is min_eigenvalue's on every row. On N = 3 stacks of at least
-    SCREEN_MIN_ROWS rows, clear_of_floor clears most rows first and
+    The mask is min_eigenvalue's on every row. On stacks of N >= 3 and at
+    least SCREEN_MIN_ROWS rows, clear_of_floor clears most rows first and
     min_eigenvalue runs only on those it leaves (a row-major copy of them).
     """
     b, n = rho.shape[:2]
-    if n != 3 or b < SCREEN_MIN_ROWS:
+    if n < 3 or b < SCREEN_MIN_ROWS:
         return min_eigenvalue(rho) < EIG_FLOOR
     low = ~clear_of_floor(rho, EIG_FLOOR)
     if low.any():

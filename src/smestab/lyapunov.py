@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
 from .dynamics import ModelSpec, TargetSpec, diffusion_term, mean_level, populations, rates
-from .dynamics import _left_product, sme_drift, sum_last
+from .dynamics import SUM_MAX_N, _left_product, sme_drift, sum_last
 from .hermitian import expectation, purity, variance
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
@@ -98,11 +98,17 @@ def moments(rho: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -
     eigenbasis (model.to_eigenbasis rotates a lab-basis density there), and
     hx may hand in its product h_b rho (h_b psi), else it is formed here.
     Rows RHO_D..C3 weight the populations and rows K_RHO_D..K_C2 the control
-    rates, as elementwise products and adds, so a state's moments do not
-    depend on the batch around it.
+    rates. Up to SUM_MAX_N levels this is elementwise products and
+    index-order adds; above it, one stacked matmul of each state's (1, 2N)
+    row [p, r] with target.moment_weights, one small BLAS call of the same
+    shape per row. Either way a state's moments do not depend on the batch
+    around it.
     """
     hx = _left_product(target.coupling, rho) if hx is None else hx
     p, r = populations(rho), rates(rho, hx)
+    if p.shape[-1] > SUM_MAX_N:
+        pr = np.concatenate([p, r], axis=-1)[..., None, :]
+        return (pr @ target.moment_weights)[..., 0, :]
     rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
     return sum_last(target.observables * rows)
 

@@ -2,6 +2,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ import pytest
 from smestab import ControllerSpec
 from smestab.cli import main
 from smestab.config import ConfigError, config_from_dict, load_config, parse_matrix
+from smestab.hermitian import validate_density
+from smestab.integrate import run_batch
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def matrix_to_literal(m):
@@ -216,6 +221,27 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "configuration valid" in out
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load_validate_and_step_on_the_cone(path, capsys):
+    # every file under configs/ loads, passes `smestab validate`, and a few
+    # steps of four trajectories keep every recorded state a density
+    cfg = load_config(path)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "configuration valid" in capsys.readouterr().out
+    sim = replace(cfg.sim, t_final=20 * cfg.sim.dt, record_stride=5)
+    res = run_batch(cfg.rho0, cfg.model, cfg.target, cfg.controller, sim, n_trajectories=4,
+                    record_states=True)
+    assert res.states.shape == (4, 5, cfg.model.n, cfg.model.n)
+    for row in res.states.reshape(-1, cfg.model.n, cfg.model.n):
+        validate_density(row)
+
+
+def test_shipped_configs_include_the_spin_systems():
+    assert {"qubit.json", "three_level.json", "spin_3_2.json", "spin_2.json"} <= {
+        p.name for p in SHIPPED_CONFIGS
+    }
 
 
 def test_cli_validate_rejects_bad_config(tmp_path, capsys):

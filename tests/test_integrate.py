@@ -432,7 +432,7 @@ def test_below_floor_is_min_eigenvalues_mask_next_to_the_floor():
     rng = np.random.default_rng(45)
     smallest = EIG_FLOOR + np.array([-1e-12, -1e-15, 0.0, 1e-15, 1e-13, 5e-13, 2e-12, 1e-9])
     b = 8 * SCREEN_MIN_ROWS
-    for n in range(2, 7):
+    for n in range(2, 9):
         lam = rng.choice(smallest, b)
         others = rng.uniform(0.0, 1.0, (b, n - 1))
         rho = with_spectrum(rng, np.column_stack([lam, others]))
@@ -443,19 +443,18 @@ def test_below_floor_is_min_eigenvalues_mask_next_to_the_floor():
 
 def test_screened_clip_decisions_match_eigvalsh_on_every_row(monkeypatch):
     # coarse regimes that clip often, on batches large enough for the floor
-    # screen at N = 3: every clip and every state equal the step that asks
-    # eigvalsh about every row; the fixed qutrit from a shared start, and a
-    # random N = 4 model from mixed and pure starts
+    # screen at N >= 3: every clip and every state equal the step that asks
+    # eigvalsh about every row; the fixed qutrit from a shared start, and
+    # random N = 4 and N = 6 models from mixed and pure starts
     b = 40
     assert b >= SCREEN_MIN_ROWS
     rng = np.random.default_rng(44)
     qutrit_model, qutrit_target = qutrit(mu=6.0, eta=0.5)
-    four_model, four_target = random_model(rng, 4)
-    cases = [
-        (qutrit_model, qutrit_target, np.full((3, 3), 1.0 / 3.0, dtype=complex)),
-        (four_model, four_target,
-         np.concatenate([ginibre(rng, 4, (b // 2,)), random_pure(rng, 4, (b - b // 2,))])),
-    ]
+    cases = [(qutrit_model, qutrit_target, np.full((3, 3), 1.0 / 3.0, dtype=complex))]
+    for n in (4, 6):
+        model, target = random_model(rng, n)
+        starts = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
+        cases.append((model, target, starts))
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     sim = SimConfig(dt=0.3, t_final=9.0, seed=5, record_stride=3)
 
@@ -474,6 +473,29 @@ def test_screened_clip_decisions_match_eigvalsh_on_every_row(monkeypatch):
                      "final_states", "states", "n_projected", "n_rejected"):
             assert np.array_equal(getattr(screened, name), getattr(reference, name)), (
                 model.n, name)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_interior_stacks_above_three_levels_ask_min_eigenvalue_about_no_row(monkeypatch, n):
+    # the screen clears every row of an interior stack of N > 3, and of a
+    # fine-step run from the maximally mixed state, so eigvalsh sees none
+    asked = []
+
+    def counted(rho):
+        asked.append(len(rho))
+        return min_eigenvalue(rho)
+
+    monkeypatch.setattr(integrate, "min_eigenvalue", counted)
+    rng = np.random.default_rng(n)
+    for b in (SCREEN_MIN_ROWS, 5 * SCREEN_MIN_ROWS):
+        rho = with_spectrum(rng, rng.uniform(0.02, 1.0, (b, n)))
+        assert not integrate._below_floor(rho).any()
+    model, target = random_model(rng, n)
+    sim = SimConfig(dt=1e-3, t_final=0.2, seed=n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=3.0, ell=3.0)
+    res = run_batch(np.eye(n) / n, model, target, ctrl, sim, n_trajectories=SCREEN_MIN_ROWS)
+    assert res.n_projected.sum() == 0
+    assert asked == []
 
 
 @settings(max_examples=12, deadline=None)

@@ -298,7 +298,7 @@ def dense_certificates(rho, model, target, u, ell):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    n=st.integers(2, 6),
+    n=st.integers(2, 8),
     batch=st.sampled_from([1, 3, 100]),
     seed=st.integers(0, 2**32 - 1),
 )
