@@ -27,7 +27,11 @@ c_i + c_j - 2 <C> is real and symmetric, so a Hermitian rho steps to an
 exactly Hermitian one. For a ket the drift is
 (-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i and the noise
 coefficient (sqrt(mu) c_i - sqrt(mu) <C>) psi_i, read from two constant
-(N, 1) columns, -i a and sqrt(mu) c. The kernels below take states in that
+(N, 1) columns, -i a and sqrt(mu) c. sse_drift and sse_diffusion form these
+terms as the reference for integrate._sse_step: all of the ket step but the
+control term is diagonal, so it takes the step as f psi - i u dt h_b psi with
+one factor per level, f_i = (1 - i a_i dt) + x_i (sqrt(mu) dW - (mu dt / 2) x_i)
+and x_i = c_i - <C>. The kernels below take states in that
 basis: densities (..., N, N) or ket columns (..., N, 1), <C> as an argument, and
 optionally X = h_b state, which the control rates and the control term share
 (integrate.run_batch forms it once per step). ModelSpec holds the basis and

@@ -20,6 +20,7 @@ from .integrate import (
     _classify,
     as_integer,
     _outcome_labels,
+    check_representation,
     run_batch,
 )
 from .lyapunov import ControllerSpec
@@ -51,6 +52,7 @@ class EnsembleConfig:
         if rho0.shape != (self.model.n, self.model.n):
             raise ValueError(f"rho0 shape {rho0.shape} does not match model dimension")
         validate_density(rho0, name="rho0")
+        check_representation(self.model, rho0, self.sim.representation)
 
 
 @dataclass

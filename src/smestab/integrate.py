@@ -37,14 +37,15 @@ step kernels get u = None and skip the zero control term (see
 dynamics.sme_drift). A density stays Hermitian by construction (see
 dynamics) and is trace-renormalized, and hermitian.project_to_density clips
 it only when its smallest eigenvalue drops below the validity floor; a state
-vector is renormalized. Both step kernels assemble the step in place in the
-arrays the dynamics kernels return, leave their input alone, and check the
-trace (the ket norm) with one min/max pair. One certificates call derives
-every certificate series from the recorded tables after the loop. On
-stacks of N >= 3 and at least hermitian.SCREEN_MIN_ROWS rows,
-hermitian.clear_of_floor first clears the rows it proves above the floor and
-min_eigenvalue decides only the rest, so the clipped rows are exactly those
-min_eigenvalue alone would pick.
+vector is renormalized. _sme_step assembles the step in place in the arrays
+the dynamics kernels return; _sse_step multiplies the ket by one diagonal
+factor and adds the control term (see dynamics). Both leave their input
+alone and check the trace (the ket norm) with one min/max pair. One
+certificates call derives every certificate series from the recorded tables
+after the loop. On stacks of N >= 3 and at least hermitian.SCREEN_MIN_ROWS
+rows, hermitian.clear_of_floor first clears the rows it proves above the
+floor and min_eigenvalue decides only the rest, so the clipped rows are
+exactly those min_eigenvalue alone would pick.
 
 One failure rule covers a bad step: a trace (or ket norm) that is not finite
 and positive raises IntegrationError naming the step. The density increment
@@ -71,8 +72,8 @@ from .dynamics import (
     measurement_increment,
     populations,
     sme_drift,
-    sse_diffusion,
-    sse_drift,
+    sse_diffusion,  # the reference ket terms: _sse_step forms their factor instead,
+    sse_drift,  # but bench/tracing.py looks both names up here
     sum_last,
 )
 from .hermitian import (
@@ -253,6 +254,16 @@ def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int)
     return steps()
 
 
+def check_representation(model: ModelSpec, rho0: np.ndarray, representation: str) -> None:
+    """Refuse a state-vector run that could not start: eta != 1 or rho0 not rank one."""
+    if representation != "sse":
+        return
+    if model.eta != 1.0:
+        raise ValueError("the state-vector representation requires eta = 1")
+    if np.max(np.abs(purity(rho0) - 1.0)) > 1e-9:
+        raise ValueError("the state-vector representation requires a rank-one rho0")
+
+
 def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
 
@@ -319,20 +330,26 @@ def _density_stack(b: int, n: int) -> np.ndarray:
 def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
 
-    mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. As in
-    _sme_step, the step is assembled in place in the arrays the kernels
-    return, in the order of psi + drift dt + g dW, and psi is left unmodified.
-    The result is divided by its norm, sqrt(sum_i populations), a sum along
-    each row's own level axis of the row-major stack, so it stays pure, no
-    row depends on the batch and n_projected never moves. A norm that is not
+    mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. In C's
+    eigenbasis every term of psi + sse_drift dt + sse_diffusion dW but the
+    control term is diagonal, so the step is f psi - i u dt h_b psi with one
+    (B, N, 1) factor f = (1 - i a dt) + x (sqrt(mu) dW - (mu dt / 2) x),
+    x = c - <C>, formed in real arithmetic and the constant column added
+    last; u = None skips the control term. psi is left unmodified. The
+    result is divided by its norm, sqrt(sum_i populations), a sum along each
+    row's own level axis of the row-major stack, so it stays pure, no row
+    depends on the batch and n_projected never moves. A norm that is not
     finite and positive raises IntegrationError.
     """
-    nxt = sse_drift(psi, mean, model, u, hpsi)
-    nxt *= dt
-    nxt += psi
-    g = sse_diffusion(psi, mean, model)
-    g *= dw[:, None, None]
-    nxt += g
+    x = model.levels[:, None] - mean[:, None, None]
+    f = (0.5 * model.mu * dt) * x
+    np.subtract((math.sqrt(model.mu) * dw)[:, None, None], f, out=f)
+    f *= x
+    nxt = np.add(f, 1.0 + dt * model.ket_phase)
+    nxt *= psi
+    if u is not None:
+        hpsi = _left_product(model.coupling, psi) if hpsi is None else hpsi
+        nxt += (-1j * dt * u)[:, None, None] * hpsi
     norm = np.sqrt(populations(nxt).sum(-1))
     # a nan fails both comparisons
     if not (norm.min() > 0.0 and norm.max() < np.inf):
@@ -439,11 +456,8 @@ def run_batch(
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density(rho0, name="rho0")
     rho0 = model.to_eigenbasis(rho0)
+    check_representation(model, rho0, sim.representation)
     if sim.representation == "sse":
-        if model.eta != 1.0:
-            raise ValueError("the state-vector representation requires eta = 1")
-        if np.max(np.abs(purity(rho0) - 1.0)) > 1e-9:
-            raise ValueError("the state-vector representation requires a rank-one rho0")
         state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1:], (b, n, 1)).copy()
         step = _sse_step
     else:

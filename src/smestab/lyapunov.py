@@ -34,6 +34,7 @@ the generator shares no code with the closed form it judges.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,12 @@ def moments(rho: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -
     around it.
     """
     hx = _left_product(target.coupling, rho) if hx is None else hx
-    p, r = populations(rho), rates(rho, hx)
+    if rho.shape[-1] == 1:
+        # a ket's populations and rates share one conjugate
+        bra = np.conj(rho[..., 0])
+        p, r = (bra * rho[..., 0]).real, (bra * hx[..., 0]).imag
+    else:
+        p, r = populations(rho), rates(rho, hx)
     if p.shape[-1] > SUM_MAX_N:
         pr = np.concatenate([p, r], axis=-1)[..., None, :]
         return (pr @ target.moment_weights)[..., 0, :]
@@ -181,7 +187,7 @@ def feedback(
     if ctrl.kind == "sum_of_squares":
         return ctrl.k * t
     # square_of_sum and tuned share the gain-bearing completed-square law
-    gain = 4.0 * ctrl.k * np.sqrt(model.mu * model.eta) / ctrl.ell
+    gain = 4.0 * ctrl.k * math.sqrt(model.mu * model.eta) / ctrl.ell
     return ctrl.k**2 * t - gain * _variance(m)
 
 

@@ -259,6 +259,27 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
             assert message in capsys.readouterr().err, (n, argv)
 
 
+def test_validate_refuses_state_vector_configs_that_no_run_could_start(tmp_path, capsys):
+    # the state-vector representation needs eta = 1 and a rank-one rho0:
+    # validate refuses what every run refuses, with the same message, and
+    # passes a unit-efficiency config from a pure start, which then runs
+    sim = {"dt": 1e-3, "t_final": 0.2, "seed": 42, "representation": "sse"}
+    half, unit = qubit_doc()["model"], {**qubit_doc()["model"], "eta": 1.0}
+    plus = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
+    for model, rho0, message in ((half, plus, "requires eta = 1"),
+                                 (unit, qubit_doc()["rho0"], "requires a rank-one rho0")):
+        path = write_doc(tmp_path, qubit_doc(model=model, sim=sim, rho0=rho0))
+        for argv in (["validate"], ["simulate", "--out", str(tmp_path / "s")],
+                     ["ensemble", "--out", str(tmp_path / "e")]):
+            assert main([*argv, "--config", path]) == 2, (message, argv)
+            assert message in capsys.readouterr().err, (message, argv)
+    path = write_doc(tmp_path, qubit_doc(model=unit, sim=sim, rho0=plus))
+    assert main(["validate", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "representation=sse" in out and "configuration valid" in out
+    assert main(["simulate", "--out", str(tmp_path / "ok"), "--config", path]) == 0
+
+
 def test_a_horizon_that_is_not_a_whole_number_of_steps_is_a_config_error(tmp_path, capsys):
     # 0.15/0.1 = 1.4999999999999998 would run to t = 0.1, 1.0/0.3 to t = 0.9
     for dt, t_final in ((0.1, 0.15), (0.3, 1.0)):

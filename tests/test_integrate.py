@@ -381,13 +381,14 @@ def dense_sse_step(psi, model, u, dt, dw):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(2, 6),
+    n=st.integers(2, 8),
     batch=st.sampled_from([1, 3, 100]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
-    # N = 2..6 runs both the broadcast-sum and the matmul side of the
-    # eigenbasis kernels; the reference is the dense lab-basis scheme
+    # N = 2..8 runs both the broadcast-sum and the matmul side of the
+    # eigenbasis kernels, up to the N = 8 of the state-vector benchmark; the
+    # reference is the dense lab-basis scheme
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
@@ -668,9 +669,9 @@ def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
-    # the state-vector twin of the density test above: the step is assembled
-    # in place in the kernels' own arrays, and the result is the plain
-    # expression divided by the same norm, sqrt of the summed populations
+    # the state-vector twin of the density test above: the step is the plain
+    # expression to roundoff, and bit for bit one diagonal factor times psi
+    # plus the control term, divided by sqrt of its summed populations
     rng = np.random.default_rng(90 + n)
     model, target = random_model(rng, n)
     model = replace(model, eta=1.0)
@@ -682,15 +683,21 @@ def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
     psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
     mean = mean_level(psi, model)
     hpsi = _left_product(model.coupling, psi)
+    x = model.levels[:, None] - mean[:, None, None]
+    f = x * (np.sqrt(model.mu) * dw[:, None, None] - (0.5 * model.mu * dt) * x)
+    f = f + (1.0 - 1j * dt * model.energies[:, None])
     for u in (None, feedback(psi, model, target, ctrl, moments(psi, target))):
         g = sse_diffusion(psi, mean, model)
         raw = psi + sse_drift(psi, mean, model, u) * dt + g * dw[:, None, None]
-        norm = np.sqrt(populations(raw).sum(-1))[:, None, None]
+        factored = f * psi
+        if u is not None:
+            factored = factored + (-1j * dt * u)[:, None, None] * hpsi
+        want = factored / np.sqrt(populations(factored).sum(-1))[:, None, None]
         for shared in (None, hpsi):
             before = psi.copy()
             got = _sse_step(psi, mean, u, shared, dw, model, dt, n_projected)
             assert np.array_equal(psi, before)
-            assert np.array_equal(got, raw / norm)
+            assert np.array_equal(got, want)
             np.testing.assert_allclose(
                 got, raw / np.linalg.norm(raw, axis=-2, keepdims=True), rtol=0.0, atol=1e-15
             )
@@ -794,9 +801,11 @@ def test_random_steered_runs_are_row_local_and_keep_the_rates(n, seed, represent
 
 
 def _position_cases():
-    """(name, model, target, ctrl, sim): steered N = 2, open-loop and steered N = 3."""
+    """(name, model, target, ctrl, sim): densities steered at N = 2, open-loop and
+    steered at N = 3; kets steered at N = 8 and open-loop at N = 3."""
     model2, target2 = qubit(mu=1.0, eta=0.5)
     model3, target3 = qutrit(mu=6.0, eta=0.5)
+    model8, target8 = random_model(np.random.default_rng(8), 8)
     steered = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     return (
         ("qubit_steered", model2, target2, steered,
@@ -805,23 +814,32 @@ def _position_cases():
          SimConfig(dt=0.1, t_final=6.0, seed=22, record_stride=7)),
         ("qutrit_steered", model3, target3, steered,
          SimConfig(dt=0.1, t_final=6.0, seed=23, record_stride=7)),
+        ("ket8_steered", replace(model8, eta=1.0), target8, steered,
+         SimConfig(dt=0.01, t_final=3.0, seed=24, record_stride=7, representation="sse")),
+        ("ket3_open", replace(model3, eta=1.0), target3, ControllerSpec(kind="open_loop"),
+         SimConfig(dt=0.02, t_final=2.0, seed=25, record_stride=7, representation="sse")),
     )
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(5))
 def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
     # B = 1003 is no multiple of a SIMD width, so the first, a middle and the
-    # last lane each sit at a different offset in their vector; coarse steps
-    # from mixed and pure starts clip often. Each row equals its solo run bit
-    # for bit on every series, and the batch stepped on a row-major stack
-    # equals the batch stepped on lanes
+    # last lane each sit at a different offset in their vector; coarse density
+    # steps from mixed and pure starts clip often, and kets start pure. Each
+    # row equals its solo run bit for bit on every series, and the batch
+    # stepped on a row-major stack equals the batch stepped on lanes (for
+    # kets, always row-major, a rerun)
     name, model, target, ctrl, sim = _position_cases()[case]
     n, b = model.n, 1003
     rng = np.random.default_rng(60 + case)
-    # mixed starts in rows 0..500, pure ones in rows 501..1002
-    rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
+    if sim.representation == "sse":
+        rho0 = random_pure(rng, n, (b,))
+    else:
+        # mixed starts in rows 0..500, pure ones in rows 501..1002
+        rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
     res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-    assert res.n_projected.sum() > b, name
+    if sim.representation == "sme":
+        assert res.n_projected.sum() > b, name
     for i in (0, 501, 1002):
         solo = run_batch(rho0[i], model, target, ctrl, sim, indices=[i], record_states=True)
         for f in fields(BatchResult):
