@@ -3,9 +3,12 @@
 The Kalman-like test spans the iterated commutator family
 {b0, [A, b0], [A, [A, b0]], ...} with b0 = -i[h_b, rho_d] and A either -i h_a
 or c; the stochastic variant spans all words in the two super-operators
-ad(-i h_a) and -(mu/2) ad_c o ad_c. Matrices are flattened to 2 N^2 real
-components (real and imaginary parts side by side) before the SVD rank count,
-which is exact for families mixing Hermitian and anti-Hermitian members.
+ad(-i h_a) and -(mu/2) ad_c o ad_c. Both reports run one breadth-first span
+search (_span) over unit-norm words, so no power of a letter swamps the rank
+threshold; iterated_commutators is the dense family it stands for. Matrices
+are flattened to 2 N^2 real components (real and imaginary parts side by
+side) before the SVD rank count, which is exact for families mixing
+Hermitian and anti-Hermitian members.
 """
 from __future__ import annotations
 
@@ -46,18 +49,44 @@ def _vectorize(mats: list[np.ndarray]) -> np.ndarray:
     return np.asarray(rows)
 
 
-def span_rank(mats: list[np.ndarray], rtol: float = RANK_RTOL) -> int:
-    """Real dimension of span{mats} via SVD with a relative threshold."""
+def span_rank(mats: list[np.ndarray]) -> int:
+    """Real dimension of span{mats} via SVD with the relative threshold RANK_RTOL."""
     rows = _vectorize(mats)
     s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def control_direction(model: ModelSpec, target: TargetSpec) -> np.ndarray:
     """b0 = -i [h_b, rho_d]: the control vector field at the target."""
     return -1j * commutator(model.h_b, target.rho_d)
+
+
+def _span(letters, b0: np.ndarray, depth: int) -> tuple[int, int]:
+    """Rank of the words of length <= depth in letters applied to b0, and the words tested.
+
+    Breadth first: a word, b0 or a letter applied to a kept word, is kept
+    only when it raises span_rank of the kept words, and only kept words are
+    extended. Kept words are stored at unit norm, so no repeated letter grows
+    a word until it swamps the rank threshold. A level that keeps nothing ends
+    the search: the kept span is then closed under every letter, and each
+    dropped word lies in it, so no longer or dropped word could raise it.
+    """
+    kept: list[np.ndarray] = []
+    level = [np.asarray(b0, dtype=complex)]
+    tested = 0
+    for _ in range(depth + 1):
+        grown = []
+        for w in level:
+            tested += 1
+            if span_rank(kept + [w]) > len(kept):
+                grown.append(w / np.linalg.norm(w))
+                kept.append(grown[-1])
+        if not grown:
+            break
+        level = [letter(w) for w in grown for letter in letters]
+    return len(kept), tested
 
 
 def kalman_like_rank(
@@ -83,56 +112,16 @@ def kalman_like_rank(
     required = n * n - n
     if depth is None:
         depth = required - 1
-    b0 = control_direction(model, target)
-    mats = iterated_commutators(a, b0, depth)
-    labels = [f"ad_{{{label}}}^{r}(b0)" for r in range(depth + 1)]
-    achieved = span_rank(mats)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    achieved, _ = _span([lambda x: commutator(a, x)], control_direction(model, target), depth)
     return RankReport(
-        generators_tested=labels,
+        generators_tested=[f"ad_{{{label}}}^{r}(b0)" for r in range(depth + 1)],
         achieved_rank=achieved,
         required_rank=required,
         passed=achieved >= required,
         commutator_depth_used=depth,
     )
-
-
-def _jq_letters(h_a: np.ndarray, c: np.ndarray, mu: float):
-    def drift(x: np.ndarray) -> np.ndarray:
-        return commutator(-1j * h_a, x)
-
-    def kick(x: np.ndarray) -> np.ndarray:
-        return -0.5 * mu * commutator(c, commutator(c, x))
-
-    return drift, kick
-
-
-def _jq_span(
-    h_a: np.ndarray, c: np.ndarray, mu: float, b0: np.ndarray, depth: int, cap: int = 4096
-) -> tuple[int, int]:
-    """Rank of all words of length <= depth in the two letters, applied to b0.
-
-    Expands breadth-first and stops once the rank saturates (the span is
-    monotone in the word set, so early termination cannot change the result).
-    Returns (rank, number of words spanned).
-    """
-    drift, kick = _jq_letters(h_a, c, mu)
-    words = [np.asarray(b0, dtype=complex)]
-    frontier = [words[0]]
-    rank = span_rank(words)
-    tested = 1
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            nxt.extend((drift(w), kick(w)))
-        words.extend(nxt)
-        tested += len(nxt)
-        new_rank = span_rank(words)
-        if new_rank == rank or tested >= cap:
-            rank = new_rank
-            break
-        rank = new_rank
-        frontier = nxt
-    return rank, tested
 
 
 def stochastic_jq_commutators(
@@ -149,9 +138,15 @@ def stochastic_jq_commutators(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     b0 = control_direction(model, target)
-    achieved, tested = _jq_span(model.h_a, model.c, model.mu, b0, depth)
-    pure_chain = iterated_commutators(-1j * model.h_a, b0, depth)
-    required = span_rank(pure_chain)
+
+    def drift(x: np.ndarray) -> np.ndarray:
+        return commutator(-1j * model.h_a, x)
+
+    def kick(x: np.ndarray) -> np.ndarray:
+        return -0.5 * model.mu * commutator(model.c, commutator(model.c, x))
+
+    achieved, tested = _span([drift, kick], b0, depth)
+    required, _ = _span([drift], b0, depth)
     return RankReport(
         generators_tested=[f"words(length<={depth}) x {tested}"],
         achieved_rank=achieved,
@@ -161,8 +156,8 @@ def stochastic_jq_commutators(
     )
 
 
-def strong_regularity(levels: np.ndarray, tol: float = REGULARITY_TOL) -> bool:
-    """Distinct levels with pairwise-distinct gaps (transition frequencies).
+def strong_regularity(levels: np.ndarray) -> bool:
+    """Distinct levels with pairwise-distinct gaps (transition frequencies), to REGULARITY_TOL.
 
     levels is a spectrum in any order, e.g. ModelSpec.levels or
     ModelSpec.energies; nothing is decomposed here.
@@ -172,7 +167,7 @@ def strong_regularity(levels: np.ndarray, tol: float = REGULARITY_TOL) -> bool:
     if n < 2:
         return True
     gaps = [w[j] - w[i] for i in range(n) for j in range(i + 1, n)]
-    if min(gaps) <= tol:
+    if min(gaps) <= REGULARITY_TOL:
         return False
     gaps = sorted(gaps)
-    return all(b - a > tol for a, b in zip(gaps, gaps[1:]))
+    return all(b - a > REGULARITY_TOL for a, b in zip(gaps, gaps[1:]))

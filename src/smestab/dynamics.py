@@ -25,9 +25,9 @@ only the control term multiplies matrices. The drift table is conjugate
 symmetric, the control term is -i u (X - X^dag) with X = h_b rho, and
 c_i + c_j - 2 <C> is real and symmetric, so a Hermitian rho steps to an
 exactly Hermitian one. For a ket the drift is
-(-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i and the noise
-coefficient (sqrt(mu) c_i - sqrt(mu) <C>) psi_i, read from two constant
-(N, 1) columns, -i a and sqrt(mu) c. sse_drift and sse_diffusion form these
+(-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i, its diagonal read
+from the constant (N, 1) column -i a, and the noise coefficient
+sqrt(mu) (c_i - <C>) psi_i. sse_drift and sse_diffusion form these
 terms as the reference for integrate._sse_step: all of the ket step but the
 control term is diagonal, so it takes the step as f psi - i u dt h_b psi with
 one factor per level, f_i = (1 - i a_i dt) + x_i (sqrt(mu) dW - (mu dt / 2) x_i)
@@ -69,10 +69,10 @@ def _derived():
     return field(init=False, repr=False, compare=False)
 
 
-def _connected(h_b: np.ndarray, tol: float = EDGE_TOL) -> bool:
-    """Breadth-first search on the coupling graph: edge (i,j) iff |h_b[i,j]| > tol."""
+def _connected(h_b: np.ndarray) -> bool:
+    """Breadth-first search on the coupling graph: edge (i,j) iff |h_b[i,j]| > EDGE_TOL."""
     n = h_b.shape[0]
-    adj = np.abs(h_b) > tol
+    adj = np.abs(h_b) > EDGE_TOL
     np.fill_diagonal(adj, False)
     seen = {0}
     frontier = [0]
@@ -102,8 +102,7 @@ class ModelSpec:
     commutation tolerance admits is dropped) and h_b is coupling. The density
     kernels read the constant tables drift_table,
     -i (a_i - a_j) - mu (c_i - c_j)^2 / 2, and level_sums, c_i + c_j; the ket
-    kernels read the (N, 1) columns ket_phase, -i a_i, and ket_noise,
-    sqrt(mu) c_i.
+    kernels read the (N, 1) column ket_phase, -i a_i.
     """
 
     h_a: np.ndarray
@@ -119,7 +118,6 @@ class ModelSpec:
     drift_table: np.ndarray = _derived()
     level_sums: np.ndarray = _derived()
     ket_phase: np.ndarray = _derived()
-    ket_noise: np.ndarray = _derived()
 
     def __post_init__(self):
         h_a = np.asarray(self.h_a, dtype=complex)
@@ -156,7 +154,6 @@ class ModelSpec:
             "drift_table": -1j * (a[:, None] - a[None, :]) - 0.5 * self.mu * (gaps * gaps),
             "level_sums": w[:, None] + w[None, :],
             "ket_phase": -1j * a[:, None],
-            "ket_noise": math.sqrt(self.mu) * w[:, None],
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -291,19 +288,21 @@ def populations(state: np.ndarray) -> np.ndarray:
     return state.diagonal(0, -2, -1).real
 
 
-def rates(state: np.ndarray, hx: np.ndarray) -> np.ndarray:
-    """(..., N) control rates r_i = Im (h_b rho)_ii in C's eigenbasis, from hx = h_b state.
+def rates(hr: np.ndarray) -> np.ndarray:
+    """(..., N) control rates r_i = Im (h_b rho)_ii in C's eigenbasis, from hr = h_b rho.
 
-    Under -i u [h_b, rho] population i moves at 2 u r_i. For a ket column hx
-    is h_b psi and (h_b rho)_ii = conj(psi_i) (h_b psi)_i.
+    Under -i u [h_b, rho] population i moves at 2 u r_i. A ket's rates,
+    Im conj(psi_i) (h_b psi)_i, are read in lyapunov.moments.
     """
-    if state.shape[-1] == 1:
-        return (np.conj(state) * hx)[..., 0].imag
-    return hx.diagonal(0, -2, -1).imag
+    return hr.diagonal(0, -2, -1).imag
 
 
 def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """<C> = sum_i c_i p_i, bit for bit the C1 row of lyapunov.moments."""
+    """<C> = sum_i c_i p_i as adds in index order.
+
+    Up to SUM_MAX_N this is bit for bit the C1 row of lyapunov.moments; above
+    it moments takes a BLAS product, which may differ in the last bit.
+    """
     return sum_last(populations(state) * model.levels)
 
 
@@ -356,8 +355,5 @@ def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u, hpsi=None)
 
 
 def sse_diffusion(psi: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """State-vector noise coefficient sqrt(mu) (c - <c>) psi of ket columns, valid at eta = 1.
-
-    Formed as (ket_noise - sqrt(mu) <c>) psi, ket_noise being the constant sqrt(mu) c.
-    """
-    return (model.ket_noise - math.sqrt(model.mu) * mean[..., None, None]) * psi
+    """State-vector noise coefficient sqrt(mu) (c - <c>) psi of ket columns, valid at eta = 1."""
+    return (math.sqrt(model.mu) * (model.levels[:, None] - mean[..., None, None])) * psi

@@ -31,10 +31,11 @@ returns (final_states, states) are rotated back to the lab basis.
 
 Per step the pre-step state is read once. On a steered step or a record
 point, X = h_b state and the moment table built from it (lyapunov.moments)
-serve the law, <C> (the C1 row), the record point and the control term; an
-open-loop step off the record points reads only <C> (mean_level), and the
-step kernels get u = None and skip the zero control term (see
-dynamics.sme_drift). A density stays Hermitian by construction (see
+serve the law, the record point and the control term. A steered step takes
+<C> from the table's C1 row; an open-loop step takes it from mean_level at
+every step, record point or not, as above SUM_MAX_N the two may differ in
+the last bit. Open-loop steps get u = None and skip the zero control term
+(see dynamics.sme_drift). A density stays Hermitian by construction (see
 dynamics) and is trace-renormalized, and hermitian.project_to_density clips
 it only when its smallest eigenvalue drops below the validity floor; a state
 vector is renormalized. _sme_step assembles the step in place in the arrays
@@ -478,13 +479,12 @@ def run_batch(
 
     for k in range(n_steps + 1):
         j = slot_of.get(k)
+        hx = m = None
         if steered or j is not None:
             hx = _left_product(model.coupling, state)
             m = moments(state, target, hx)
-            mean = m[..., C1]
-        else:
-            hx = m = None
-            mean = mean_level(state, model)
+        # one source of <C> per law, so the path does not depend on the record points
+        mean = m[..., C1] if steered else mean_level(state, model)
         u = feedback(state, model, target, ctrl, m)
         if j is not None:
             _record_point(out, j, state, u, window_dy, m)

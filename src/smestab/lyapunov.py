@@ -111,7 +111,7 @@ def moments(rho: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -
         bra = np.conj(rho[..., 0])
         p, r = (bra * rho[..., 0]).real, (bra * hx[..., 0]).imag
     else:
-        p, r = populations(rho), rates(rho, hx)
+        p, r = populations(rho), rates(hx)
     if p.shape[-1] > SUM_MAX_N:
         pr = np.concatenate([p, r], axis=-1)[..., None, :]
         return (pr @ target.moment_weights)[..., 0, :]

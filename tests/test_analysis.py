@@ -1,8 +1,13 @@
 """Commutator rank certificates and structural predicates."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import H_A3, H_B3, RHO_D2, SX, SY, SZ, qubit, qutrit
+from conftest import H_A3, H_B3, RHO_D2, SX, SY, SZ, qubit, qutrit, random_model
+from smestab import ModelSpec, TargetSpec
+from smestab.cli import main
 from smestab.analysis import (
     RankReport,
     control_direction,
@@ -93,3 +98,79 @@ def test_strong_regularity():
     assert not strong_regularity([2.0, 0.0, 1.0])  # gap 1 repeats, in any order
     assert not strong_regularity([0.0, 0.0, 1.0])
     assert strong_regularity([5.0])
+
+
+def separated_gaps(rng, n):
+    """n - 1 signed gaps, |g| in (0.1, 3) and pairwise at least 0.1 apart."""
+    while True:
+        g = rng.uniform(0.1, 3.0, n - 1)
+        if np.all(np.diff(np.sort(g)) >= 0.1):
+            return g * rng.choice([-1.0, 1.0], n - 1)
+
+
+def gapped_model(rng, n):
+    """h_a and C diagonal with the target's gaps separated, then one random rotation."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    t = int(rng.integers(n))
+    a, c = (np.insert(separated_gaps(rng, n), t, 0.0) for _ in range(2))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    def rotate(m):
+        return q @ m @ q.conj().T
+
+    model = ModelSpec(h_a=rotate(np.diag(a)), h_b=rotate(g + g.conj().T), c=rotate(np.diag(c)),
+                      mu=rng.uniform(0.2, 2.0), eta=1.0)
+    return model, TargetSpec.for_model(model, rotate(np.diag(np.eye(n)[t]).astype(complex)))
+
+
+def all_ranks(model, target):
+    jq = stochastic_jq_commutators(model, target)
+    return [kalman_like_rank(model, target).achieved_rank,
+            kalman_like_rank(model, target, use="c").achieved_rank,
+            jq.achieved_rank, jq.required_rank]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_random_reports_stay_on_the_target_row_and_column(n):
+    # every letter is a Schur multiplier in C's eigenbasis, so every family
+    # stays on b0's support, the target's row and column: 2 (N - 1) real
+    # dimensions of Hermitian matrices
+    rng = np.random.default_rng(700 + n)
+    for _ in range(6):
+        for model, target in (random_model(rng, n), gapped_model(rng, n)):
+            assert max(all_ranks(model, target)) <= 2 * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kalman_ranks_reach_the_span_when_the_target_gaps_are_separated(n):
+    # distinct nonzero gaps make ad_A a rotation with distinct frequencies on
+    # b0's support, so the chain spans all of it, at N = 8 too, where its
+    # powers grow by up to 3^55
+    rng = np.random.default_rng(800 + n)
+    for _ in range(4):
+        model, target = gapped_model(rng, n)
+        for use in ("h_a", "c"):
+            assert kalman_like_rank(model, target, use=use).achieved_rank == 2 * (n - 1), use
+
+
+RANKCHECK_LINES = {
+    "qubit.json": ["achieved rank 2 / required 2 (depth 1): PASSED",
+                   "achieved rank 2 vs drift-chain rank 2 (words(length<=2) x #): PASSED"],
+    "spin_2.json": ["achieved rank 1 / required 20 (depth 19): FAILED",
+                    "achieved rank 1 vs drift-chain rank 1 (words(length<=20) x #): PASSED"],
+    "spin_3_2.json": ["achieved rank 1 / required 12 (depth 11): FAILED",
+                      "achieved rank 1 vs drift-chain rank 1 (words(length<=12) x #): PASSED"],
+    "three_level.json": ["achieved rank 4 / required 6 (depth 5): FAILED",
+                         "achieved rank 4 vs drift-chain rank 4 (words(length<=6) x #): PASSED"],
+}
+
+
+def test_rankcheck_prints_the_same_ranks_and_verdicts_on_every_shipped_config(capsys):
+    # the words-tested count depends on the search, not on the span
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert sorted(p.name for p in configs) == sorted(RANKCHECK_LINES)
+    for path in configs:
+        assert main(["rankcheck", "--config", str(path)]) == 0
+        lines = [re.sub(r" x \d+\)", " x #)", line.strip())
+                 for line in capsys.readouterr().out.splitlines() if "achieved rank" in line]
+        assert lines == RANKCHECK_LINES[path.name], path.name

@@ -744,7 +744,8 @@ def _count_calls(monkeypatch, names):
 def test_each_step_reads_its_state_once(monkeypatch, representation):
     # a steered run that records every step builds one moment table and one
     # h_b state product per step and never reads <C> on its own; an open-loop
-    # run builds them only at its record points
+    # run builds them only at its record points and reads <C> from mean_level
+    # at every step
     model, target = qubit(mu=1.0, eta=1.0)
     rho0 = 0.5 * (np.eye(2, dtype=complex) + SX)
     names = ("moments", "_left_product", "mean_level", "feedback")
@@ -760,8 +761,32 @@ def test_each_step_reads_its_state_once(monkeypatch, representation):
                     n_trajectories=3)
     n, points = open_loop.n_steps, len(res.times)
     assert points == 6
-    assert counts == {"moments": points, "_left_product": points, "mean_level": n + 1 - points,
+    assert counts == {"moments": points, "_left_product": points, "mean_level": n + 1,
                       "feedback": n + 1}
+
+
+@pytest.mark.parametrize("n, representation", [(4, "sme"), (5, "sme"), (6, "sme"), (5, "sse")])
+def test_open_loop_paths_do_not_depend_on_the_record_stride(n, representation):
+    # above SUM_MAX_N the moment table's <C> may differ from mean_level's in
+    # the last bit; an open-loop step reads mean_level at every step, so a
+    # record point does not move the path
+    rng = np.random.default_rng(40 + n)
+    model, target = random_model(rng, n)
+    if representation == "sse":
+        model = replace(model, eta=1.0)
+    b = 8
+    rho0 = random_pure(rng, n, (b,)) if representation == "sse" else ginibre(rng, n, (b,))
+    ctrl = ControllerSpec(kind="open_loop")
+    sim = SimConfig(dt=1e-3, t_final=0.2, seed=n, representation=representation)
+    every = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b)
+    for stride in (7, sim.n_steps):
+        res = run_batch(rho0, model, target, ctrl, replace(sim, record_stride=stride),
+                        n_trajectories=b)
+        at = _record_slots(sim.n_steps, stride)
+        assert np.array_equal(res.final_states, every.final_states), stride
+        # records sum dY over each stride's window, so they are not compared
+        for name in ("fidelity", "purity", "v_tilde", "third"):
+            assert np.array_equal(getattr(res, name), getattr(every, name)[:, at]), (stride, name)
 
 
 @settings(max_examples=12, deadline=None)
@@ -792,7 +817,7 @@ def test_random_steered_runs_are_row_local_and_keep_the_rates(n, seed, represent
             if f.name not in ("indices", "times", "n_steps"):
                 assert np.array_equal(getattr(solo, f.name)[0], getattr(res, f.name)[i]), f.name
     frame = hermitize(model.to_eigenbasis(res.states))
-    shared = dynamics.rates(frame, _left_product(model.coupling, frame))
+    shared = dynamics.rates(_left_product(model.coupling, frame))
     summed = dynamics.sum_last((model.coupling * frame.swapaxes(-1, -2)).imag)
     if n <= dynamics.SUM_MAX_N:
         assert np.array_equal(shared, summed)
