@@ -152,7 +152,7 @@ def _cmd_rankcheck(args) -> int:
     lines = []
     rep = kalman_like_rank(cfg.model, cfg.target, use=args.use, depth=args.depth)
     lines.append(f"kalman-like span (A = {args.use}):")
-    lines.append(f"  family: {', '.join(rep.generators_tested)}")
+    lines.append(f"  words tested: {rep.words_tested}")
     lines.append(
         f"  achieved rank {rep.achieved_rank} / required {rep.required_rank} "
         f"(depth {rep.commutator_depth_used}): {'PASSED' if rep.passed else 'FAILED'}"
@@ -161,7 +161,8 @@ def _cmd_rankcheck(args) -> int:
     lines.append("stochastic Jurdjevic-Quinn span:")
     lines.append(
         f"  achieved rank {jq.achieved_rank} vs drift-chain rank {jq.required_rank} "
-        f"({jq.generators_tested[0]}): {'PASSED' if jq.passed else 'FAILED'}"
+        f"(words(length<={jq.commutator_depth_used}) x {jq.words_tested}): "
+        f"{'PASSED' if jq.passed else 'FAILED'}"
     )
     lines.append(f"strong regularity h_a: {strong_regularity(cfg.model.energies)}")
     lines.append(f"strong regularity c:   {strong_regularity(cfg.model.levels)}")

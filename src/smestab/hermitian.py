@@ -76,8 +76,11 @@ def purity(rho: np.ndarray) -> np.ndarray:
 
 
 def project_to_density(m: np.ndarray) -> np.ndarray:
-    """Nearest density matrix: hermitize, clip negative eigenvalues, renormalize trace.
+    """Clip onto the density cone: hermitize, zero the negative eigenvalues, rescale to unit trace.
 
+    The kept eigenvalues are scaled, not shifted, so for N >= 3 this is not
+    the Frobenius-nearest density matrix: the spectrum (0.6, 0.5, -0.1)
+    becomes (0.545, 0.455, 0), while the nearest state is (0.55, 0.45, 0).
     The result is hermitized too. Raises ValueError when the clipped trace is
     not positive (nothing to normalize onto the cone).
     """

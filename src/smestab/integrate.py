@@ -8,9 +8,7 @@ i % NOISE_BLOCK of a counter-based substream keyed (master_seed,
 i // NOISE_BLOCK), one per block of NOISE_BLOCK consecutive indices (see
 _brownian_increments). A path still depends only on (master_seed, i), so it
 is bit-identical whether it runs alone or inside any batch, and reruns
-reproduce it exactly. Before block keying each index had a Philox stream of
-its own, keyed (master_seed, i): a given seed now draws other paths, from the
-same distribution.
+reproduce it exactly.
 
 Up to dynamics.SUM_MAX_N the density stack is held in batch-last lanes
 (_density_stack): (N, N, B) memory seen through its (B, N, N) transposed view,

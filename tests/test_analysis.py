@@ -174,3 +174,16 @@ def test_rankcheck_prints_the_same_ranks_and_verdicts_on_every_shipped_config(ca
         lines = [re.sub(r" x \d+\)", " x #)", line.strip())
                  for line in capsys.readouterr().out.splitlines() if "achieved rank" in line]
         assert lines == RANKCHECK_LINES[path.name], path.name
+
+
+def test_rankcheck_prints_the_words_tested_not_one_label_per_power(capsys):
+    # the Kalman search stops at the first level that adds nothing, so a
+    # huge depth tests no more words and prints no longer lines
+    path = Path(__file__).resolve().parents[1] / "configs" / "three_level.json"
+    assert main(["rankcheck", "--config", str(path), "--depth", "1000000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert max(len(line) for line in out) <= 200
+    lines = [re.sub(r" x \d+\)", " x #)", line.strip()) for line in out if "achieved rank" in line]
+    kalman, stochastic = RANKCHECK_LINES["three_level.json"]
+    assert lines == [kalman.replace("(depth 5)", "(depth 1000000)"), stochastic]
+    assert "  words tested: 5" in out

@@ -130,6 +130,25 @@ def test_reduced_integrator_matches_matrix_engine():
         assert np.max(np.linalg.norm(paths, axis=-1)) <= 1.0 + 2e-9
 
 
+def test_reduced_integrator_mirrors_the_eigenvalue_clip_on_coarse_steps():
+    # at dt = 0.05 the step overshoots the Bloch ball: the matrix engine clips
+    # those rows onto the cone and integrate_bloch rescales onto the sphere
+    omega, mu, eta = 1.0, 1.0, 1.0
+    model, target = qubit(mu=mu, eta=eta, omega=omega)
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
+    b0 = np.array([0.3, 0.2, 0.1])
+    sim = SimConfig(dt=0.05, t_final=1.0, seed=515, record_stride=1)
+    times, paths = integrate_bloch(b0, omega, ctrl, mu, eta, sim, n_trajectories=20)
+    res = run_batch(
+        to_density(b0), model, target, ctrl, sim, n_trajectories=20, record_states=True
+    )
+    assert res.n_projected.sum() > 0
+    assert np.any(np.abs(np.linalg.norm(paths, axis=-1) - 1.0) < 1e-12)
+    np.testing.assert_array_equal(times, res.times)
+    gap = np.max(np.abs(paths - from_density(res.states)))
+    assert gap < 1e-9, f"bloch/matrix divergence {gap:.2e}"
+
+
 def test_levelset_table_structure():
     tab = levelset_table(1.0, 1.0, 1.0, 0.5, resolution=101)
     for key in ("y", "z", "lv", "physical"):

@@ -351,12 +351,17 @@ def test_cli_warns_once_when_most_trajectory_steps_are_clipped(tmp_path, capsys)
 
 
 def test_cli_seed_override(tmp_path):
+    # the same seed writes the same CSV bytes, another seed other ones
     path = write_doc(tmp_path, qubit_doc())
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert main(["simulate", "--config", path, "--out", str(a), "--seed", "7"]) == 0
-    assert main(["simulate", "--config", path, "--out", str(b), "--seed", "7"]) == 0
-    assert (a / "trajectory_0.csv").read_text() == (b / "trajectory_0.csv").read_text()
+
+    def written(command, seed, name):
+        out = tmp_path / command / name
+        assert main([command, "--config", path, "--out", str(out), "--seed", seed]) == 0
+        return sorted((f.name, f.read_bytes()) for f in out.iterdir())
+
+    for command in ("simulate", "ensemble"):
+        assert written(command, "7", "a") == written(command, "7", "b"), command
+        assert written(command, "8", "c") != written(command, "7", "a"), command
 
 
 def test_cli_levelset(tmp_path):
@@ -374,6 +379,11 @@ def test_cli_rankcheck(tmp_path, capsys):
     assert main(["rankcheck", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "rank" in out.lower()
+    # --out writes exactly the report it prints, then names the file
+    assert main(["rankcheck", "--config", path, "--out", str(tmp_path / "r")]) == 0
+    report = tmp_path / "r" / "rank_report.txt"
+    assert capsys.readouterr().out == out + f"wrote {report}\n"
+    assert report.read_text() == out
 
 
 def test_cli_missing_config_is_a_usage_error(tmp_path, capsys):

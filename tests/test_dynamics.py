@@ -85,7 +85,8 @@ def test_model_projectors_and_target_in_a_rotated_basis():
     c = q @ np.diag(w) @ dag(q)
     h_a = q @ np.diag([0.5, -1.0, 2.0, 0.0]) @ dag(q)
     model = ModelSpec(h_a=h_a, h_b=g + dag(g), c=c, mu=1.0, eta=1.0)
-    p = model.projectors
+    v = model.basis
+    p = [v[:, [j]] @ dag(v[:, [j]]) for j in range(4)]
     np.testing.assert_allclose(sum(lam * pj for lam, pj in zip(w, p)), c, atol=1e-12)
     for i in range(4):
         for j in range(4):
@@ -102,10 +103,10 @@ def test_model_projectors_and_target_in_a_rotated_basis():
     np.testing.assert_allclose(model.from_eigenbasis(np.diag(model.energies)), h_a, atol=1e-12)
     np.testing.assert_allclose(model.from_eigenbasis(model.coupling), model.h_b, atol=1e-12)
     np.testing.assert_allclose(model.to_eigenbasis(model.from_eigenbasis(g)), g, atol=1e-12)
-    # replace() re-derives the projectors and tables of the new model
+    # replace() re-derives the basis and tables of the new model
     slower = replace(model, mu=0.5, eta=0.7)
     assert (slower.mu, slower.eta) == (0.5, 0.7)
-    np.testing.assert_array_equal(np.stack(slower.projectors), np.stack(p))
+    np.testing.assert_array_equal(slower.basis, v)
     gaps = w[:, None] - w[None, :]
     np.testing.assert_allclose(slower.drift_table.real, -0.25 * gaps * gaps, atol=1e-12)
 
@@ -115,6 +116,32 @@ def test_model_rejects_disconnected_coupling():
     h_b[0, 1] = h_b[1, 0] = 1.0  # level 3 unreachable
     with pytest.raises(ValueError, match="disconnected"):
         ModelSpec(h_a=H_A3, h_b=h_b, c=C3, mu=1.0, eta=1.0)
+
+
+def test_model_checks_the_coupling_in_the_eigenbasis_of_c_in_any_basis():
+    # H_b must connect C's eigenlevels: the verdict reads coupling, so a joint
+    # rotation of (h_a, h_b, c) cannot change it
+    cut = np.zeros((3, 3), dtype=complex)
+    cut[0, 1] = cut[1, 0] = 1.0  # level 3 unreachable
+    cases = [
+        (H_A3, cut, C3, False),
+        (H_A3, H_B3, C3, True),
+        (SX, SZ, SX, True),  # sz couples the two eigenlevels of sx
+        (SX, SX, SX, False),  # diagonal in c's eigenbasis: no population moves
+    ]
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        qs = {}
+        for n in (2, 3):
+            qs[n], _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for h_a, h_b, c, connected in cases:
+            q = qs[len(c)]
+            h_a, h_b, c = (q @ m @ dag(q) for m in (h_a, h_b, c))
+            if connected:
+                ModelSpec(h_a=h_a, h_b=h_b, c=c, mu=1.0, eta=1.0)
+            else:
+                with pytest.raises(ValueError, match="disconnected"):
+                    ModelSpec(h_a=h_a, h_b=h_b, c=c, mu=1.0, eta=1.0)
 
 
 def test_model_shape_mismatch():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import H_B3, SX, SY, SZ, ginibre, random_pure, with_spectrum
-from smestab import ModelSpec
+from smestab import ModelSpec, TargetSpec
 from smestab.hermitian import (
     EIG_FLOOR,
     clear_of_floor,
@@ -89,7 +89,9 @@ def test_born_probabilities_resolve_identity():
     rho = ginibre(rng, 3)
     c = np.diag([2.0, -1.0, 0.5]).astype(complex)
     model = ModelSpec(h_a=np.zeros((3, 3)), h_b=H_B3, c=c, mu=1.0, eta=1.0)
-    probs = [float(expectation(p, rho)) for p in model.projectors]
+    # the target and its antipodes are the projectors onto model.basis's columns
+    target = TargetSpec.for_model(model, np.diag([0.0, 1.0, 0.0]).astype(complex))
+    probs = [float(expectation(p, rho)) for p in (target.rho_d, *target.antipodal)]
     assert all(q > 0 for q in probs)
     np.testing.assert_allclose(sum(probs), 1.0, atol=1e-12)
 

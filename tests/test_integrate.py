@@ -257,6 +257,19 @@ def test_a_step_whose_trace_is_not_positive_raises_at_its_step(make):
         run_batch(np.eye(n) / n, model, target, law, sim, n_trajectories=50)
 
 
+@pytest.mark.parametrize("make", [qubit, qutrit])
+def test_a_ket_step_whose_norm_overflows_raises_at_step_0(make):
+    # at k = 1e200 the linear law's control term overflows the ket's norm on
+    # the first step; run_batch stops there and names it
+    model, target = make(eta=1.0)
+    psi0 = random_pure(np.random.default_rng(3), model.n)
+    sim = SimConfig(dt=1e-3, t_final=0.05, seed=7, representation="sse")
+    law = ControllerSpec(kind="linear", k=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match=r"norm at step 0; reduce dt$"):
+            run_batch(psi0, model, target, law, sim, n_trajectories=5)
+
+
 def test_eigenvalue_clip_engages_on_coarse_steps():
     # a deliberately coarse step pushes the spectrum below the floor; the
     # maintenance projection must fire and still hand back valid densities
