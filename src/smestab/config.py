@@ -10,15 +10,15 @@ and an optional output_dir.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import ModelSpec, TargetSpec
 from .ensemble import EnsembleConfig
-from .integrate import SimConfig, as_integer
+from .integrate import SimConfig
 from .lyapunov import ControllerSpec
+from .params import as_integer, as_real
 
 
 class ConfigError(ValueError):
@@ -62,14 +62,11 @@ def _get(section: dict, key: str, where: str):
 
 
 def _real(value, where: str) -> float:
-    """A finite JSON number as float; booleans, strings, nan and infinities are refused."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    """A finite JSON number as float (params.as_real), else ConfigError."""
+    try:
+        return as_real(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def config_from_dict(doc: dict) -> EnsembleConfig:

@@ -36,29 +36,31 @@ basis: densities (..., N, N) or ket columns (..., N, 1), <C> as an argument, and
 optionally X = h_b state, which the control rates and the control term share
 (integrate.run_batch forms it once per step). ModelSpec holds the basis and
 the tables; run_batch rotates into the basis once per call and back only for
-the states it returns.
+the states it returns. The stepped state is laid out and read here alone:
+_density_stack gives the density stack's layout, and populations, mean_level
+and moments read a state.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hermitian import commutator, dag, hermitize, is_hermitian, purity, validate_density
+from .params import as_real
 
 COMMUTING_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
 SPECTRAL_GAP_TOL = 1e-10
-# Up to this N, h_b @ x is written as N broadcast products and run_batch holds
-# the density stack in batch-last lanes, (N, N, B) memory seen as (B, N, N),
-# on which every kernel here loops over the batch; above it the stack is
+# Up to this N, h_b @ x is written as N broadcast products and the density
+# stack is held in batch-last lanes (_density_stack); above it the stack is
 # row-major and h_b @ x a stacked matmul. The same bound picks the form of
-# lyapunov.moments (index-order sums up to it, one stacked product per row
-# above) and of ModelSpec.from_eigenbasis (einsum up to it, matmul above).
-# Each is computed row by row, so no row depends on the batch. The kernels
-# read either layout and return arrays in their input's.
+# moments (index-order sums up to it, one stacked product per row above) and
+# of ModelSpec.from_eigenbasis (einsum up to it, matmul above). Each is
+# computed row by row, so no row depends on the batch. The kernels read
+# either layout and return arrays in their input's.
 SUM_MAX_N = 3
 
 # rows of TargetSpec.observables
@@ -124,8 +126,10 @@ class ModelSpec:
         for name, m in (("h_a", h_a), ("h_b", h_b), ("c", c)):
             if not is_hermitian(m):
                 raise ValueError(f"{name} is not Hermitian")
-        if not 0.0 < self.mu < np.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        object.__setattr__(self, "mu", as_real(self.mu, "mu"))
+        object.__setattr__(self, "eta", as_real(self.eta, "eta"))
+        if not 0.0 < self.mu:
+            raise ValueError(f"mu must be positive, got {self.mu}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if np.max(np.abs(commutator(h_a, c))) > COMMUTING_TOL:
@@ -175,50 +179,26 @@ class ModelSpec:
 class TargetSpec:
     """Rank-one target eigenstate rho_d and the competing eigenprojectors of c.
 
-    Build it with for_model; the constructor alone refuses to run without the
-    model. for_model accepts a rank-one rho_d within EIGENSTATE_TOL of the
-    projector onto one level in C's eigenbasis. antipodal[j] projects onto the
+    Build it with for_model, which accepts a rank-one rho_d within
+    EIGENSTATE_TOL of the projector onto one level in C's eigenbasis and
+    derives the tables below from the model. antipodal[j] projects onto the
     j-th other column of model.basis, in ascending eigenvalue order; outcomes
-    refer to antipodal states by that index.
+    refer to antipodal states by that index. coupling is h_b in that basis; a
+    target serves models with the h_b and c it was built for.
 
-    Feedback and certificates read a state only through its populations
-    p_i = rho_ii and control rates r_i = Im (h_b rho)_ii in C's eigenbasis
-    (dynamics.populations and dynamics.rates), where rho_d, C, C^2 and C^3 are
-    diagonal. observables is the (7, N) table of weights whose rows, indexed by
-    RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2, give <rho_d>, <C>, <C^2>, <C^3>
-    (weights x_i on p) and <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i for
-    X = rho_d, C, C^2 (weights 2 x_i on r). moment_weights holds the same
-    weights in block form, a (2N, 7) table that maps the row [p, r] to the
-    seven moments: rows RHO_D..C3 of observables, transposed, in its upper
-    left block, rows K_RHO_D..K_C2 in its lower right, zeros elsewhere.
-    coupling is h_b in that basis. A target serves models with the h_b and c
-    it was built for.
+    observables is the (7, N) table of weights that moments reads: rows RHO_D,
+    C1, C2, C3 weight the populations p_i by x_i = (rho_d)_ii, c_i, c_i^2,
+    c_i^3, and rows K_RHO_D, K_C, K_C2 the control rates r_i by 2 x_i for
+    X = rho_d, C, C^2, as <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i.
+    moment_weights is the same table in (2N, 7) block form, mapping the row
+    [p, r] to the seven moments.
     """
 
     rho_d: np.ndarray
     antipodal: list[np.ndarray] = field(repr=False)
-    model: InitVar[ModelSpec | None] = None
-    coupling: np.ndarray = _derived()
-    observables: np.ndarray = _derived()
-    moment_weights: np.ndarray = _derived()
-
-    def __post_init__(self, model: ModelSpec | None):
-        if model is None:
-            raise TypeError(
-                "a TargetSpec reads its model's eigenbasis: build it with "
-                "TargetSpec.for_model(model, rho_d)"
-            )
-        c = model.levels
-        # diagonals of rho_d, C, C^2, C^3 in C's eigenbasis
-        diagonals = np.stack([np.diagonal(model.to_eigenbasis(self.rho_d)).real, c, c * c, c * c * c])
-        observables = np.concatenate([diagonals, 2.0 * diagonals[:3]])
-        n = len(c)
-        weights = np.zeros((2 * n, 7))
-        weights[:n, :K_RHO_D] = observables[:K_RHO_D].T
-        weights[n:, K_RHO_D:] = observables[K_RHO_D:].T
-        object.__setattr__(self, "coupling", model.coupling)
-        object.__setattr__(self, "observables", observables)
-        object.__setattr__(self, "moment_weights", weights)
+    coupling: np.ndarray = field(repr=False)
+    observables: np.ndarray = field(repr=False)
+    moment_weights: np.ndarray = field(repr=False)
 
     @classmethod
     def for_model(cls, model: ModelSpec, rho_d: np.ndarray) -> "TargetSpec":
@@ -227,13 +207,21 @@ class TargetSpec:
         if abs(purity(rho_d) - 1.0) > EIGENSTATE_TOL:
             raise ValueError("rho_d is not rank one")
         d = model.to_eigenbasis(rho_d)
-        hit = int(np.argmax(np.diagonal(d).real))
+        c = model.levels
+        # diagonals of rho_d, C, C^2, C^3 in C's eigenbasis, taken before the level check edits d
+        diagonals = np.stack([np.diagonal(d).real, c, c * c, c * c * c])
+        hit = int(np.argmax(diagonals[0]))
         d[hit, hit] -= 1.0
         if np.max(np.abs(d)) > EIGENSTATE_TOL:
             raise ValueError("rho_d is not an eigenstate of c: in c's eigenbasis it is no level")
         v = model.basis
         antipodal = [v[:, [j]] @ dag(v[:, [j]]) for j in range(model.n) if j != hit]
-        return cls(rho_d=rho_d, antipodal=antipodal, model=model)
+        observables = np.concatenate([diagonals, 2.0 * diagonals[:3]])
+        n = model.n
+        weights = np.zeros((2 * n, 7))
+        weights[:n, :K_RHO_D] = observables[:K_RHO_D].T
+        weights[n:, K_RHO_D:] = observables[K_RHO_D:].T
+        return cls(rho_d, antipodal, model.coupling, observables, weights)
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -279,19 +267,54 @@ def populations(state: np.ndarray) -> np.ndarray:
     return state.diagonal(0, -2, -1).real
 
 
-def rates(hr: np.ndarray) -> np.ndarray:
-    """(..., N) control rates r_i = Im (h_b rho)_ii in C's eigenbasis, from hr = h_b rho.
+def moments(state: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -> np.ndarray:
+    """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of a state on a last axis of 7.
 
-    Under -i u [h_b, rho] population i moves at 2 u r_i. A ket's rates,
-    Im conj(psi_i) (h_b psi)_i, are read in lyapunov.moments.
+    state is a density (..., N, N) or a ket column (..., N, 1) in C's
+    eigenbasis, and hx may hand in h_b state, else it is formed here. The
+    table weights the populations p_i and the control rates
+    r_i = Im (h_b rho)_ii (Im conj(psi_i) (h_b psi)_i for a ket) by
+    target.observables; under -i u [h_b, rho] population i moves at 2 u r_i.
+    Up to SUM_MAX_N levels that is elementwise products and index-order adds;
+    above it, one stacked matmul of each state's row [p, r] with
+    target.moment_weights. Either way no row depends on the batch around it.
     """
-    return hr.diagonal(0, -2, -1).imag
+    hx = _left_product(target.coupling, state) if hx is None else hx
+    if state.shape[-1] == 1:
+        bra = np.conj(state[..., 0])
+        p, r = (bra * state[..., 0]).real, (bra * hx[..., 0]).imag
+    else:
+        p, r = populations(state), hx.diagonal(0, -2, -1).imag
+    if p.shape[-1] > SUM_MAX_N:
+        pr = np.concatenate([p, r], axis=-1)[..., None, :]
+        return (pr @ target.moment_weights)[..., 0, :]
+    rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
+    return sum_last(target.observables * rows)
+
+
+def _density_stack(b: int, n: int) -> np.ndarray:
+    """An empty (b, n, n) density stack in the layout the step kernels run fastest on.
+
+    Up to SUM_MAX_N it is the batch-last view of (n, n, b) memory: entry
+    (i, j) of every row is one contiguous (b,) lane, so each elementwise
+    kernel loops over the batch rather than over N^2 <= 9 entries, and every
+    elementwise temporary takes that layout too. No einsum, np.sum, norm,
+    matmul or LAPACK call may read the lane stack, as their summation order
+    follows the strides: the level-axis sums are index-order adds (sum_last),
+    and the purity at a record point, eigvalsh on the rows the floor screen
+    leaves and the rotation back to the lab basis run on row-major copies.
+    Above SUM_MAX_N the stack is row-major, for the stacked matmul, as is the
+    ket stack at every N. A single row is both.
+    """
+    if n > SUM_MAX_N:
+        return np.empty((b, n, n), dtype=complex)
+    return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
 
 def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
     """<C> = sum_i c_i p_i as adds in index order.
 
-    Up to SUM_MAX_N this is bit for bit the C1 row of lyapunov.moments; above
+    Up to SUM_MAX_N this is bit for bit the C1 row of moments; above
     it moments takes a BLAS product, which may differ in the last bit.
     """
     return sum_last(populations(state) * model.levels)

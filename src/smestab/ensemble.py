@@ -18,12 +18,12 @@ from .integrate import (
     SimConfig,
     Trajectory,
     _classify,
-    as_integer,
     _outcome_labels,
     check_representation,
     run_batch,
 )
 from .lyapunov import ControllerSpec
+from .params import as_integer
 
 
 class EnsembleError(RuntimeError):

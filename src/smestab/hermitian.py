@@ -2,8 +2,9 @@
 
 Every function accepts stacked operands of shape (..., N, N) and broadcasts
 over the leading axes; a single matrix is the degenerate stack. The stacks
-may be row-major or batch-last (the integrator's lanes, see integrate):
-min_eigenvalue and clear_of_floor give the same rows in either layout.
+may be row-major or batch-last (the integrator's lanes, see
+dynamics._density_stack): min_eigenvalue and clear_of_floor give the same
+rows in either layout.
 
 The density-cone check asks whether the smallest eigenvalue lies below a
 floor. min_eigenvalue answers it exactly (a radical at N = 2, eigvalsh above).
@@ -43,12 +44,12 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dag(m))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True when max |m - m^dag| <= tol across the whole stack."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """True when max |m - m^dag| <= HERMITICITY_TOL across the whole stack."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
-    return bool(np.max(np.abs(m - dag(m))) <= tol)
+    return bool(np.max(np.abs(m - dag(m))) <= HERMITICITY_TOL)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,17 +10,8 @@ _brownian_increments). A path still depends only on (master_seed, i), so it
 is bit-identical whether it runs alone or inside any batch, and reruns
 reproduce it exactly.
 
-Up to dynamics.SUM_MAX_N the density stack is held in batch-last lanes
-(_density_stack): (N, N, B) memory seen through its (B, N, N) transposed view,
-so entry (i, j) of every row is one contiguous (B,) lane. The kernels keep
-their (..., N, N) call forms, and every elementwise temporary takes its
-input's layout, so each inner loop runs over the batch. No einsum, np.sum,
-norm, matmul or LAPACK call reads the lane stack, as their summation order
-follows the strides: the level-axis sums are index-order adds
-(dynamics.sum_last), and the purity at a record point, eigvalsh on the rows
-the floor screen leaves and the rotation back to the lab basis run on
-row-major copies. Above SUM_MAX_N the density stack, and the ket stack at
-every N, is row-major, for the stacked matmul. A single row is both.
+The density stack takes the layout dynamics._density_stack gives it, which
+also states the rule that keeps each row independent of the batch.
 
 States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
 initial state in once, feedback, the detector record and the certificates
@@ -28,23 +19,24 @@ read the populations and control rates there, and only the states it
 returns (final_states, states) are rotated back to the lab basis.
 
 Per step the pre-step state is read once. On a steered step or a record
-point, X = h_b state and the moment table built from it (lyapunov.moments)
+point, X = h_b state and the moment table built from it (dynamics.moments)
 serve the law, the record point and the control term. A steered step takes
 <C> from the table's C1 row; an open-loop step takes it from mean_level at
-every step, record point or not, as above SUM_MAX_N the two may differ in
-the last bit. Open-loop steps get u = None and skip the zero control term
-(see dynamics.sme_drift). A density stays Hermitian by construction (see
-dynamics) and is trace-renormalized, and hermitian.project_to_density clips
-it only when its smallest eigenvalue drops below the validity floor; a state
-vector is renormalized. _sme_step assembles the step in place in the arrays
-the dynamics kernels return; _sse_step multiplies the ket by one diagonal
-factor and adds the control term (see dynamics). Both leave their input
-alone and check the trace (the ket norm) with one min/max pair. One
-certificates call derives every certificate series from the recorded tables
-after the loop. On stacks of N >= 3 and at least hermitian.SCREEN_MIN_ROWS
-rows, hermitian.clear_of_floor first clears the rows it proves above the
-floor and min_eigenvalue decides only the rest, so the clipped rows are
-exactly those min_eigenvalue alone would pick.
+every step, record point or not, as above three levels the two may differ in
+the last bit (see dynamics.mean_level). Open-loop steps get u = None and
+skip the zero control term (see dynamics.sme_drift). A density stays
+Hermitian by construction (see dynamics) and is trace-renormalized, and
+hermitian.project_to_density clips it only when its smallest eigenvalue
+drops below the validity floor; a state vector is renormalized. _sme_step
+assembles the step in place in the arrays the dynamics kernels return;
+_sse_step multiplies the ket by one diagonal factor and adds the control
+term (see dynamics). Both leave their input alone and check the trace (the
+ket norm) with one min/max pair. One certificates call derives every
+certificate series from the recorded tables after the loop. On stacks of
+N >= 3 and at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
+first clears the rows it proves above the floor and min_eigenvalue decides
+only the rest, so the clipped rows are exactly those min_eigenvalue alone
+would pick.
 
 One failure rule covers a bad step: a trace (or ket norm) that is not finite
 and positive raises IntegrationError naming the step. The density increment
@@ -54,21 +46,21 @@ swamps the unit trace; a smaller dt is the remedy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import (
     C1,
-    SUM_MAX_N,
     ModelSpec,
     TargetSpec,
+    _density_stack,
     _left_product,
     density,
     diffusion_term,
     mean_level,
     measurement_increment,
+    moments,
     populations,
     sme_drift,
     sse_diffusion,  # the reference ket terms: _sse_step forms their factor instead,
@@ -85,7 +77,8 @@ from .hermitian import (
     purity,
     validate_density,
 )
-from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback, moments
+from .lyapunov import ControllerSpec, LyapunovReport, certificates, feedback
+from .params import as_integer, as_real
 
 REPRESENTATIONS = ("sme", "sse")
 NOISE_WINDOW = 4096
@@ -94,15 +87,6 @@ NOISE_BLOCK = 16
 
 class IntegrationError(RuntimeError):
     """Numerical failure inside the step loop (non-finite state, bad dt)."""
-
-
-def as_integer(value, where: str) -> int:
-    """An integral real number (numpy scalars too, booleans not) as int, else ValueError."""
-    if type(value) is int:  # the common case, without the slower ABC check
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -119,10 +103,12 @@ class SimConfig:
     representation: str = "sme"
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
-            raise ValueError(f"t_final must be finite and cover one step, got {self.t_final}")
+        object.__setattr__(self, "dt", as_real(self.dt, "dt"))
+        object.__setattr__(self, "t_final", as_real(self.t_final, "t_final"))
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not self.t_final >= self.dt:
+            raise ValueError(f"t_final must cover one step, got {self.t_final}")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_final must be a whole number of steps, t_final/dt = {steps:.17g}")
@@ -311,19 +297,6 @@ def _below_floor(rho: np.ndarray) -> np.ndarray:
     if low.any():
         low[low] = min_eigenvalue(rho[low]) < EIG_FLOOR
     return low
-
-
-def _density_stack(b: int, n: int) -> np.ndarray:
-    """An empty (b, n, n) density stack in the layout its step kernels run fastest on.
-
-    Up to SUM_MAX_N it is the batch-last view of (n, n, b) memory: entry
-    (i, j) of every row is one contiguous (b,) lane, so each elementwise
-    kernel loops over the batch rather than over N^2 <= 9 entries. Above
-    SUM_MAX_N it is row-major, for the stacked matmul.
-    """
-    if n > SUM_MAX_N:
-        return np.empty((b, n, n), dtype=complex)
-    return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
 
 def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:

@@ -25,9 +25,10 @@ rows of TargetSpec.observables (rho_d, C, C^2, C^3, K_rho_d, K_C, K_C2):
 All seven are diagonal or h_b-weighted in C's eigenbasis, so each is a fixed
 weighting of the populations p_i = rho_ii and the control rates
 r_i = Im (h_b rho)_ii there: <X> = sum_i x_i p_i and <K_X> = 2 sum_i x_i r_i.
-integrate.run_batch builds this table from X = h_b rho, which its control
-term reuses, and hands it to the law; record points store it, and one
-certificates call per run derives every certificate series from them.
+dynamics.moments builds this table. integrate.run_batch hands it
+X = h_b rho, which its control term reuses, and passes the table to the law;
+record points store it, and one certificates call per run derives every
+certificate series from them. generator_v reads L Vt from certificates too.
 
 v1, v2 and v_tilde keep their direct trace forms: the Monte-Carlo arbiter of
 the generator shares no code with the closed form it judges.
@@ -40,16 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
-from .dynamics import ModelSpec, TargetSpec, diffusion_term, mean_level, populations, rates
-from .dynamics import SUM_MAX_N, _left_product, sme_drift, sum_last
+from .dynamics import ModelSpec, TargetSpec, diffusion_term, mean_level, moments, sme_drift
 from .hermitian import expectation, purity, variance
+from .params import as_real
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
 
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Feedback law selector with gain k > 0 and variance weight ell > 0, both finite."""
+    """Feedback law selector with gain k > 0 and variance weight ell > 0.
+
+    Each must be finite with a square in (0, inf), as the laws square both.
+    """
 
     kind: str
     k: float = 1.0
@@ -58,10 +62,11 @@ class ControllerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}, expected one of {KINDS}")
-        if not 0.0 < self.k < np.inf:
-            raise ValueError(f"gain k must be positive and finite, got {self.k}")
-        if not 0.0 < self.ell < np.inf:
-            raise ValueError(f"weight ell must be positive and finite, got {self.ell}")
+        for name, what in (("k", "gain k"), ("ell", "weight ell")):
+            x = as_real(getattr(self, name), what)
+            if not (x > 0.0 and 0.0 < x * x < np.inf):
+                raise ValueError(f"{what} must be positive with a finite nonzero square, got {x}")
+            object.__setattr__(self, name, x)
 
 
 @dataclass(frozen=True)
@@ -92,33 +97,6 @@ def v_tilde(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -
     return v1(rho, target) + v2(rho, model) / ell**2
 
 
-def moments(rho: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -> np.ndarray:
-    """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of rho on a last axis of 7.
-
-    rho is a density (..., N, N) or a ket column (..., N, 1) in C's
-    eigenbasis (model.to_eigenbasis rotates a lab-basis density there), and
-    hx may hand in its product h_b rho (h_b psi), else it is formed here.
-    Rows RHO_D..C3 weight the populations and rows K_RHO_D..K_C2 the control
-    rates. Up to SUM_MAX_N levels this is elementwise products and
-    index-order adds; above it, one stacked matmul of each state's (1, 2N)
-    row [p, r] with target.moment_weights, one small BLAS call of the same
-    shape per row. Either way a state's moments do not depend on the batch
-    around it.
-    """
-    hx = _left_product(target.coupling, rho) if hx is None else hx
-    if rho.shape[-1] == 1:
-        # a ket's populations and rates share one conjugate
-        bra = np.conj(rho[..., 0])
-        p, r = (bra * rho[..., 0]).real, (bra * hx[..., 0]).imag
-    else:
-        p, r = populations(rho), rates(hx)
-    if p.shape[-1] > SUM_MAX_N:
-        pr = np.concatenate([p, r], axis=-1)[..., None, :]
-        return (pr @ target.moment_weights)[..., 0, :]
-    rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
-    return sum_last(target.observables * rows)
-
-
 # Powers are written as products: numpy raises a scalar with pow() but squares
 # an array elementwise, and the two may differ in the last bit, so a state
 # alone would not match its row in a batch.
@@ -143,8 +121,7 @@ def generator_v(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> np.ndarray:
     """Closed-form infinitesimal generator of Vt along the controlled diffusion."""
-    m = moments(model.to_eigenbasis(rho), target)
-    return -np.asarray(u) * _trace_term(m, ell) + _l0(_variance(m), model, ell)
+    return certificates(moments(model.to_eigenbasis(rho), target), model, target, u, ell)["lv"]
 
 
 def certificates(

@@ -36,6 +36,14 @@ def test_iterated_commutators_by_hand():
     )
 
 
+def test_a_negative_depth_is_refused(capsys):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        iterated_commutators(-1j * SZ, SX, -1)
+    path = Path(__file__).resolve().parents[1] / "configs" / "qubit.json"
+    assert main(["rankcheck", "--config", str(path), "--depth", "-1"]) == 2
+    assert capsys.readouterr().err == "error: depth must be nonnegative\n"
+
+
 def test_span_rank_known_families():
     assert span_rank([SX, SY, SZ]) == 3
     assert span_rank([SX, SX, 2.0 * SX]) == 1

@@ -1,4 +1,6 @@
 """Two-level closed forms and the reduced integrator against the full engine."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,24 @@ def test_increment_matches_matrix_fields():
         expected = from_density(model.from_eigenbasis(raw)) - b
         got = bloch_sme_increment(b, omega, u, mu, eta, dt, dw)
         np.testing.assert_allclose(got, expected, atol=1e-13)
+
+
+def test_from_density_refuses_a_matrix_that_is_not_2x2():
+    with pytest.raises(ValueError, match="2x2"):
+        from_density(np.eye(3, dtype=complex) / 3)
+
+
+def test_reduced_integrator_refuses_what_it_cannot_run():
+    ctrl = ControllerSpec(kind="square_of_sum")
+    sim = SimConfig(dt=1e-3, t_final=0.01, seed=1)
+    b0 = np.array([0.3, 0.2, 0.1])
+    with pytest.raises(ValueError, match="density representation only"):
+        integrate_bloch(b0, 1.0, ctrl, 1.0, 1.0, replace(sim, representation="sse"))
+    for bad in (b0[:2], np.stack([b0, b0])):
+        with pytest.raises(ValueError, match="shape \\(3,\\)"):
+            integrate_bloch(bad, 1.0, ctrl, 1.0, 0.5, sim)
+    with pytest.raises(ValueError, match="no trajectory indices"):
+        integrate_bloch(b0, 1.0, ctrl, 1.0, 0.5, sim, indices=[])
 
 
 def test_reduced_integrator_matches_matrix_engine():

@@ -204,6 +204,69 @@ def test_integer_keys_get_one_verdict_through_the_config_and_the_dataclasses(sec
         assert type(getattr(built, key)) is int
 
 
+REAL_KEYS = [("sim", "dt"), ("sim", "t_final"), ("model", "mu"), ("model", "eta"),
+             ("controller", "k"), ("controller", "ell")]
+
+
+@pytest.mark.parametrize("value", [True, "2", float("nan"), float("inf"), "same"], ids=repr)
+@pytest.mark.parametrize("section, key", REAL_KEYS)
+def test_real_keys_get_one_verdict_through_the_config_and_the_dataclasses(section, key, value):
+    # config_from_dict and SimConfig / ModelSpec / ControllerSpec share one
+    # rule for real numbers; "same" is the valid value as a numpy scalar
+    base = config_from_dict(qubit_doc())
+    owner = {"sim": base.sim, "model": base.model, "controller": base.controller}[section]
+    if value == "same":
+        value = np.float64(getattr(owner, key))
+    doc = qubit_doc()
+    doc[section][key] = value
+    try:
+        loaded = getattr(config_from_dict(doc), section)
+    except ConfigError as exc:
+        assert f"{section}.{key} must be a finite number" in str(exc)
+        loaded = None
+    try:
+        built = replace(owner, **{key: value})
+    except ValueError as exc:
+        assert f"{key} must be a finite number" in str(exc)
+        built = None
+    accepted = isinstance(value, np.float64)
+    assert (loaded is not None) == (built is not None) == accepted
+    if accepted:
+        assert type(getattr(loaded, key)) is type(getattr(built, key)) is float
+
+
+@pytest.mark.parametrize("key, what", [("k", "gain k"), ("ell", "weight ell")])
+def test_gains_whose_square_is_not_a_positive_float_are_refused(tmp_path, capsys, key, what):
+    # the laws square k and ell, so 1e200 (square inf) and 1e-200 (square 0)
+    # are refused up front instead of overflowing or dividing by zero mid-run
+    assert getattr(ControllerSpec(kind="linear", **{key: 1e154}), key) == 1e154
+    for value in (1e200, 1e-200, -1.0, 0.0):
+        with pytest.raises(ValueError, match=what):
+            ControllerSpec(kind="square_of_sum", **{key: value})
+        doc = qubit_doc()
+        doc["controller"][key] = value
+        path = write_doc(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {what} must be positive")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, fault", [
+    (json.dumps(qubit_doc()).replace('"h_b": [[[0, 0], [1, 0]]', '"h_b": [5'),
+     "model.h_b[0]: expected a list of [re, im] pairs"),
+    (json.dumps(qubit_doc()).replace('"mu": 1.0, ', ""), "model: missing key 'mu'"),
+    ("[" + json.dumps(qubit_doc()) + "]", "top level must be an object"),
+], ids=["row-not-a-list", "missing-key", "top-level-array"])
+def test_malformed_configs_exit_2_naming_the_fault(tmp_path, capsys, text, fault):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["validate"], ["simulate", *out], ["ensemble", *out], ["rankcheck", *out]):
+        assert main([*argv, "--config", str(path)]) == 2
+        assert fault in capsys.readouterr().err, argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config(tmp_path):
     path = write_doc(tmp_path, qubit_doc())
     cfg = load_config(path)
@@ -372,6 +435,15 @@ def test_cli_levelset(tmp_path):
     )
     assert code == 0
     assert (out_dir / "levelset_k1_ell1.csv").exists()
+
+
+def test_cli_levelset_refuses_a_one_point_grid(tmp_path, capsys):
+    out_dir = tmp_path / "lv"
+    argv = ["levelset", "--k", "1", "--ell", "1", "--mu", "1", "--eta", "0.5",
+            "--resolution", "1", "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: resolution must be at least 2\n"
+    assert not out_dir.exists()
 
 
 def test_cli_rankcheck(tmp_path, capsys):

@@ -166,9 +166,9 @@ def test_target_requires_joint_eigenstate():
 
 
 def test_target_constructor_needs_its_model():
-    # the moment table is derived from the model, so the bare constructor refuses
+    # the moment tables are derived from the model, so the bare constructor refuses
     model, target = qubit()
-    with pytest.raises(TypeError, match="for_model"):
+    with pytest.raises(TypeError, match="'coupling', 'observables', and 'moment_weights'"):
         TargetSpec(rho_d=RHO_D2, antipodal=target.antipodal)
     assert target.observables.shape == (7, model.n)
 
