@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dynamics import ModelSpec
 from .hermitian import EIG_FLOOR
 from .integrate import SimConfig, _brownian_increments, _record_slots
 from .lyapunov import ControllerSpec
@@ -146,10 +147,13 @@ def levelset_table(
 
     Returns flat arrays y, z, lv, physical (1 inside the unit disc). The law
     completes the square, so lv = -(k y (1 + 4 z/ell^2) - (2 sqrt(mu eta)/ell)
-    (1 - z^2))^2 <= 0 everywhere.
+    (1 - z^2))^2 <= 0 everywhere. k and ell are refused as ControllerSpec
+    refuses them, and mu and eta as ModelSpec does for the canonical model.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    ControllerSpec("square_of_sum", k, ell)
+    ModelSpec(h_a=SIGMA_Z, h_b=SIGMA_X, c=SIGMA_Z, mu=mu, eta=eta)
     axis = np.linspace(-1.0, 1.0, resolution)
     yy, zz = np.meshgrid(axis, axis, indexing="ij")
     s = k * yy * (1.0 + 4.0 * zz / ell**2) - (2.0 * np.sqrt(mu * eta) / ell) * (

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import kalman_like_rank, stochastic_jq_commutators, strong_regularity
+from .analysis import kalman_like_rank, strong_regularity
 from .bloch import levelset_table
 from .config import ConfigError, load_config
 from .ensemble import (
@@ -60,10 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--resolution", type=int, default=201)
     q.add_argument("--out", default=None, help="output directory")
 
-    q = sub.add_parser("rankcheck", help="commutator-span rank and regularity report")
+    q = sub.add_parser("rankcheck", help="closed-form commutator rank and regularity report")
     q.add_argument("--config", required=True)
-    q.add_argument("--use", choices=("h_a", "c"), default="h_a")
-    q.add_argument("--depth", type=int, default=None)
     q.add_argument("--out", default=None, help="also write the report to a file")
     return p
 
@@ -150,20 +148,12 @@ def _cmd_levelset(args) -> int:
 def _cmd_rankcheck(args) -> int:
     cfg = load_config(args.config)
     lines = []
-    rep = kalman_like_rank(cfg.model, cfg.target, use=args.use, depth=args.depth)
-    lines.append(f"kalman-like span (A = {args.use}):")
-    lines.append(f"  words tested: {rep.words_tested}")
-    lines.append(
-        f"  achieved rank {rep.achieved_rank} / required {rep.required_rank} "
-        f"(depth {rep.commutator_depth_used}): {'PASSED' if rep.passed else 'FAILED'}"
-    )
-    jq = stochastic_jq_commutators(cfg.model, cfg.target)
-    lines.append("stochastic Jurdjevic-Quinn span:")
-    lines.append(
-        f"  achieved rank {jq.achieved_rank} vs drift-chain rank {jq.required_rank} "
-        f"(words(length<={jq.commutator_depth_used}) x {jq.words_tested}): "
-        f"{'PASSED' if jq.passed else 'FAILED'}"
-    )
+    for use, letter in (("h_a", "-i h_a"), ("c", "c")):
+        rep = kalman_like_rank(cfg.model, cfg.target, use=use)
+        lines.append(
+            f"kalman-like rank, A = {letter + ':':7} achieved {rep.achieved_rank} / required "
+            f"{rep.required_rank}: {'PASSED' if rep.passed else 'FAILED'}"
+        )
     lines.append(f"strong regularity h_a: {strong_regularity(cfg.model.energies)}")
     lines.append(f"strong regularity c:   {strong_regularity(cfg.model.levels)}")
     text = "\n".join(lines)

@@ -2,7 +2,10 @@
 
 Trajectories are integrated in lockstep (see integrate.run_batch) and reduced
 in trajectory-index order, so identical configurations produce byte-identical
-outputs regardless of batch size or host.
+outputs regardless of batch size. Up to N = 3 (dynamics.SUM_MAX_N) the step
+is elementwise arithmetic in index order, so the outputs should not depend on
+the host either; above it the step calls BLAS, whose kernels differ by CPU,
+and that is untested.
 """
 from __future__ import annotations
 

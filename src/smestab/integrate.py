@@ -93,7 +93,9 @@ class IntegrationError(RuntimeError):
 class SimConfig:
     """Step size, horizon, seeding, and recording policy for one integration.
 
-    t_final must be a whole number of steps of dt, to a relative 1e-9.
+    t_final must be a whole number of steps of dt, to a relative 1e-9. From
+    5e8 steps on that tolerance admits half a step, so such horizons are
+    refused rather than rounded.
     """
 
     dt: float
@@ -110,7 +112,10 @@ class SimConfig:
         if not self.t_final >= self.dt:
             raise ValueError(f"t_final must cover one step, got {self.t_final}")
         steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        slack = 1e-9 * steps
+        if not slack < 0.5:
+            raise ValueError(f"t_final must be under 5e8 steps of dt, t_final/dt = {steps:.3g}")
+        if abs(steps - round(steps)) > slack:
             raise ValueError(f"t_final must be a whole number of steps, t_final/dt = {steps:.17g}")
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if not 0 <= self.seed <= 2**64 - 1:

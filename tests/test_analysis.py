@@ -1,11 +1,11 @@
 """Commutator rank certificates and structural predicates."""
-import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import H_A3, H_B3, RHO_D2, SX, SY, SZ, qubit, qutrit, random_model
+from conftest import SX, SY, SZ, H_A3, qubit, qutrit
 from smestab import ModelSpec, TargetSpec
 from smestab.cli import main
 from smestab.analysis import (
@@ -13,15 +13,22 @@ from smestab.analysis import (
     control_direction,
     iterated_commutators,
     kalman_like_rank,
-    span_rank,
-    stochastic_jq_commutators,
     strong_regularity,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-def brute_rank(mats):
+
+def oracle_rank(a, b0, depth):
+    """SVD rank of the iterated commutators, each flattened to 2 N^2 reals at unit norm.
+
+    The threshold is a relative 1e-10; unit rows keep the growth of ad_a's
+    powers from swamping it.
+    """
+    mats = iterated_commutators(a, b0, depth)
     rows = np.stack([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
-    return int(np.linalg.matrix_rank(rows, tol=1e-10 * max(1.0, np.abs(rows).max())))
+    s = np.linalg.svd(rows / np.linalg.norm(rows, axis=1, keepdims=True), compute_uv=False)
+    return int(np.sum(s > 1e-10 * s[0]))
 
 
 def test_iterated_commutators_by_hand():
@@ -36,21 +43,17 @@ def test_iterated_commutators_by_hand():
     )
 
 
-def test_a_negative_depth_is_refused(capsys):
+def test_a_negative_depth_is_refused():
     with pytest.raises(ValueError, match="depth must be nonnegative"):
         iterated_commutators(-1j * SZ, SX, -1)
-    path = Path(__file__).resolve().parents[1] / "configs" / "qubit.json"
-    assert main(["rankcheck", "--config", str(path), "--depth", "-1"]) == 2
-    assert capsys.readouterr().err == "error: depth must be nonnegative\n"
 
 
-def test_span_rank_known_families():
-    assert span_rank([SX, SY, SZ]) == 3
-    assert span_rank([SX, SX, 2.0 * SX]) == 1
-    assert span_rank([np.zeros((2, 2), dtype=complex)]) == 0
-    rng = np.random.default_rng(80)
-    mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(5)]
-    assert span_rank(mats) == brute_rank(mats)
+@pytest.mark.parametrize("flag", ["--depth", "--use"])
+def test_rankcheck_has_no_depth_or_letter_flag(flag):
+    # the closed form needs no depth, and rankcheck prints both letters
+    with pytest.raises(SystemExit) as exc:
+        main(["rankcheck", "--config", str(CONFIGS / "qubit.json"), flag, "1"])
+    assert exc.value.code == 2
 
 
 def test_control_direction_canonical_qubit():
@@ -67,8 +70,7 @@ def test_kalman_rank_canonical_qubit():
     assert rep.required_rank == 2
     assert rep.achieved_rank == 2
     assert rep.passed
-    mats = iterated_commutators(-1j * model.h_a, control_direction(model, target), 1)
-    assert brute_rank(mats) == 2
+    assert oracle_rank(-1j * model.h_a, control_direction(model, target), 1) == 2
 
 
 def test_kalman_rank_use_argument():
@@ -80,25 +82,12 @@ def test_kalman_rank_use_argument():
 
 
 def test_three_level_ranks_are_frozen():
-    # the N = 3 chain stalls at 4 of 6: both Kalman-like reports fail while
-    # the stochastic two-letter span still covers the drift chain
+    # the N = 3 chain stalls at 4 of 6: both Kalman-like reports fail
     model, target = qutrit()
     rep_a = kalman_like_rank(model, target, use="h_a")
     rep_c = kalman_like_rank(model, target, use="c")
     assert (rep_a.achieved_rank, rep_a.required_rank, rep_a.passed) == (4, 6, False)
     assert (rep_c.achieved_rank, rep_c.required_rank, rep_c.passed) == (4, 6, False)
-    jq = stochastic_jq_commutators(model, target)
-    assert jq.achieved_rank == 4
-    assert jq.required_rank == 4
-    assert jq.passed
-
-
-def test_stochastic_span_never_below_drift_chain():
-    model, target = qubit()
-    rep = stochastic_jq_commutators(model, target)
-    assert rep.passed
-    with pytest.raises(ValueError, match="depth"):
-        stochastic_jq_commutators(model, target, depth=0)
 
 
 def test_strong_regularity():
@@ -131,24 +120,6 @@ def gapped_model(rng, n):
     return model, TargetSpec.for_model(model, rotate(np.diag(np.eye(n)[t]).astype(complex)))
 
 
-def all_ranks(model, target):
-    jq = stochastic_jq_commutators(model, target)
-    return [kalman_like_rank(model, target).achieved_rank,
-            kalman_like_rank(model, target, use="c").achieved_rank,
-            jq.achieved_rank, jq.required_rank]
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_random_reports_stay_on_the_target_row_and_column(n):
-    # every letter is a Schur multiplier in C's eigenbasis, so every family
-    # stays on b0's support, the target's row and column: 2 (N - 1) real
-    # dimensions of Hermitian matrices
-    rng = np.random.default_rng(700 + n)
-    for _ in range(6):
-        for model, target in (random_model(rng, n), gapped_model(rng, n)):
-            assert max(all_ranks(model, target)) <= 2 * (n - 1)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_kalman_ranks_reach_the_span_when_the_target_gaps_are_separated(n):
     # distinct nonzero gaps make ad_A a rotation with distinct frequencies on
@@ -161,37 +132,61 @@ def test_kalman_ranks_reach_the_span_when_the_target_gaps_are_separated(n):
             assert kalman_like_rank(model, target, use=use).achieved_rank == 2 * (n - 1), use
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_matches_the_commutator_oracle(n):
+    # the oracle runs one member past the closed-form rank, so it also shows the chain closing
+    rng = np.random.default_rng(900 + n)
+    for _ in range(6):
+        model, target = gapped_model(rng, n)
+        b0 = control_direction(model, target)
+        for use, a in (("h_a", -1j * model.h_a), ("c", model.c)):
+            rank = kalman_like_rank(model, target, use=use).achieved_rank
+            assert rank == oracle_rank(a, b0, 2 * (n - 1)), use
+
+
+def ladder(spacing):
+    """N = 8: h_a = diag(0, 1, 1 + s, ..., 1 + 6 s), C = diag(0, ..., 7), every level coupled, target 0."""
+    omegas = [1 + k * Fraction(spacing) for k in range(7)]
+    model = ModelSpec(h_a=np.diag([0.0] + [float(w) for w in omegas]), h_b=np.ones((8, 8)) - np.eye(8),
+                      c=np.diag(np.arange(8.0)), mu=1.0, eta=1.0)
+    return omegas, model, TargetSpec.for_model(model, np.diag(np.eye(8)[0]).astype(complex))
+
+
+def test_closed_form_keeps_the_rank_the_svd_loses_to_conditioning():
+    # |omega_j| = 1, 1.01, ..., 1.06 are, like |lambda_j| = j, seven pairwise-
+    # distinct nonzero values in exact arithmetic, so each letter has 14
+    # distinct multipliers +-omega_j (+-lambda_j)
+    omegas, model, target = ladder("0.01")
+    assert len(set(omegas)) == 7 and 0 not in omegas
+    for use in ("h_a", "c"):
+        assert kalman_like_rank(model, target, use=use).achieved_rank == 2 * 7
+    # the first 14 members of the h_a chain form a Vandermonde system in the
+    # omegas with sigma_min / sigma_max = 5.5e-12, below the SVD's threshold
+    assert oracle_rank(-1j * model.h_a, control_direction(model, target), 13) == 12
+    # spaced 0.1 apart, the oracle agrees
+    _, model, target = ladder("0.1")
+    assert oracle_rank(-1j * model.h_a, control_direction(model, target), 13) == 14
+    assert kalman_like_rank(model, target).achieved_rank == 14
+
+
 RANKCHECK_LINES = {
-    "qubit.json": ["achieved rank 2 / required 2 (depth 1): PASSED",
-                   "achieved rank 2 vs drift-chain rank 2 (words(length<=2) x #): PASSED"],
-    "spin_2.json": ["achieved rank 1 / required 20 (depth 19): FAILED",
-                    "achieved rank 1 vs drift-chain rank 1 (words(length<=20) x #): PASSED"],
-    "spin_3_2.json": ["achieved rank 1 / required 12 (depth 11): FAILED",
-                      "achieved rank 1 vs drift-chain rank 1 (words(length<=12) x #): PASSED"],
-    "three_level.json": ["achieved rank 4 / required 6 (depth 5): FAILED",
-                         "achieved rank 4 vs drift-chain rank 4 (words(length<=6) x #): PASSED"],
+    "qubit.json": ["achieved 2 / required 2: PASSED", "achieved 2 / required 2: PASSED",
+                   "h_a: True", "c:   True"],
+    "spin_2.json": ["achieved 1 / required 20: FAILED", "achieved 2 / required 20: FAILED",
+                    "h_a: False", "c:   False"],
+    "spin_3_2.json": ["achieved 1 / required 12: FAILED", "achieved 2 / required 12: FAILED",
+                      "h_a: False", "c:   False"],
+    "three_level.json": ["achieved 4 / required 6: FAILED", "achieved 4 / required 6: FAILED",
+                         "h_a: True", "c:   False"],
 }
+LABELS = ["kalman-like rank, A = -i h_a: ", "kalman-like rank, A = c:      ",
+          "strong regularity ", "strong regularity "]
 
 
-def test_rankcheck_prints_the_same_ranks_and_verdicts_on_every_shipped_config(capsys):
-    # the words-tested count depends on the search, not on the span
-    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+def test_rankcheck_prints_both_letters_and_regularity_on_every_shipped_config(capsys):
+    configs = sorted(CONFIGS.glob("*.json"))
     assert sorted(p.name for p in configs) == sorted(RANKCHECK_LINES)
     for path in configs:
         assert main(["rankcheck", "--config", str(path)]) == 0
-        lines = [re.sub(r" x \d+\)", " x #)", line.strip())
-                 for line in capsys.readouterr().out.splitlines() if "achieved rank" in line]
-        assert lines == RANKCHECK_LINES[path.name], path.name
-
-
-def test_rankcheck_prints_the_words_tested_not_one_label_per_power(capsys):
-    # the Kalman search stops at the first level that adds nothing, so a
-    # huge depth tests no more words and prints no longer lines
-    path = Path(__file__).resolve().parents[1] / "configs" / "three_level.json"
-    assert main(["rankcheck", "--config", str(path), "--depth", "1000000"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert max(len(line) for line in out) <= 200
-    lines = [re.sub(r" x \d+\)", " x #)", line.strip()) for line in out if "achieved rank" in line]
-    kalman, stochastic = RANKCHECK_LINES["three_level.json"]
-    assert lines == [kalman.replace("(depth 5)", "(depth 1000000)"), stochastic]
-    assert "  words tested: 5" in out
+        expected = [a + b for a, b in zip(LABELS, RANKCHECK_LINES[path.name])]
+        assert capsys.readouterr().out.splitlines() == expected, path.name

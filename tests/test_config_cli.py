@@ -446,6 +446,22 @@ def test_cli_levelset_refuses_a_one_point_grid(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", "1e200", "gain k must be positive with a finite nonzero square, got 1e+200"),
+    ("--eta", "nan", "eta must be a finite number, got nan"),
+    ("--eta", "1.5", "eta must lie in (0, 1], got 1.5"),
+    ("--mu", "0", "mu must be positive, got 0.0"),
+])
+def test_cli_levelset_refuses_what_the_controller_and_model_refuse(tmp_path, capsys, flag, value,
+                                                                    message):
+    # k = 1e200 used to write -inf entries and eta = nan a NaN table, both with exit 0
+    args = {"--k": "1", "--ell": "1", "--mu": "1", "--eta": "0.5", flag: value}
+    out_dir = tmp_path / "lv"
+    assert main(["levelset", *(x for item in args.items() for x in item), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_cli_rankcheck(tmp_path, capsys):
     path = write_doc(tmp_path, qubit_doc())
     assert main(["rankcheck", "--config", path]) == 0

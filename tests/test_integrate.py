@@ -90,6 +90,12 @@ def test_sim_config_validation():
         with pytest.raises(ValueError, match="whole number of steps"):
             SimConfig(dt=dt, t_final=t_final, seed=1)
     assert SimConfig(dt=0.1, t_final=0.3, seed=1).n_steps == 3
+    # from 5e8 steps the relative tolerance admits half a step: 1e9 + 0.5 steps
+    # would be rounded, and 1e300 steps would overflow the record slots
+    for dt, t_final in ((1.0, 1e9 + 0.5), (1e-300, 1.0)):
+        with pytest.raises(ValueError, match="under 5e8 steps"):
+            SimConfig(dt=dt, t_final=t_final, seed=1)
+    assert SimConfig(dt=1.0, t_final=4e8, seed=1).n_steps == 400_000_000
     # integral floats are stored as int, so the loop can slice and key with them
     sim = SimConfig(dt=0.1, t_final=0.4, seed=2.0, record_stride=2.0)
     assert (sim.seed, sim.record_stride) == (2, 2)
