@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, ensemble, levelset, rankcheck. Exit codes:
-0 success, 2 configuration or validation error, 3 numerical failure (a step
-whose trace is not finite and positive; the message names the step).
+0 success, 2 configuration or validation error, or an output path that
+cannot be created or written (found before any integration, as the output
+directory is created once the inputs are accepted), 3 numerical failure (a
+step whose trace is not finite and positive; the message names the step).
 simulate and ensemble print their positivity clip count, and write one
 warning line to stderr when at least half of the trajectory-steps were
 clipped: such paths are projections, not solutions of the SME.
@@ -24,7 +26,7 @@ from .ensemble import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from .integrate import IntegrationError, simulate
+from .integrate import IntegrationError, _noise_key, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,10 +100,11 @@ def _cmd_validate(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim = cfg.sim if args.seed is None else replace(cfg.sim, seed=args.seed)
+    _noise_key(args.trajectory_index)  # an input too: refused before the directory is made
+    out = _out_dir(args.out, cfg.output_dir)
     traj = simulate(
         cfg.rho0, cfg.model, cfg.target, cfg.controller, sim, trajectory_index=args.trajectory_index
     )
-    out = _out_dir(args.out, cfg.output_dir)
     path = out / f"trajectory_{traj.trajectory_index}.csv"
     write_trajectory_csv(path, traj)
     print(f"wrote {path}")
@@ -117,8 +120,8 @@ def _cmd_ensemble(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
-    stats = run_ensemble(cfg)
     out = _out_dir(args.out, cfg.output_dir)
+    stats = run_ensemble(cfg)
     write_summary_csv(out / "summary.csv", stats)
     write_mean_curves_csv(out / "mean_curves.csv", stats)
     print(f"wrote {out / 'summary.csv'} and {out / 'mean_curves.csv'}")
@@ -147,6 +150,7 @@ def _cmd_levelset(args) -> int:
 
 def _cmd_rankcheck(args) -> int:
     cfg = load_config(args.config)
+    out = None if args.out is None else _out_dir(args.out, cfg.output_dir)
     lines = []
     for use, letter in (("h_a", "-i h_a"), ("c", "c")):
         rep = kalman_like_rank(cfg.model, cfg.target, use=use)
@@ -158,8 +162,7 @@ def _cmd_rankcheck(args) -> int:
     lines.append(f"strong regularity c:   {strong_regularity(cfg.model.levels)}")
     text = "\n".join(lines)
     print(text)
-    if args.out is not None:
-        out = _out_dir(args.out, cfg.output_dir)
+    if out is not None:
         (out / "rank_report.txt").write_text(text + "\n")
         print(f"wrote {out / 'rank_report.txt'}")
     return EXIT_OK
@@ -178,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # its message names the path
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

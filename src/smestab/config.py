@@ -73,12 +73,9 @@ def config_from_dict(doc: dict) -> EnsembleConfig:
     """Build and validate a full run configuration from parsed JSON."""
     msec = _section(doc, "model")
     try:
-        n = as_integer(_get(msec, "n", "model"), "model.n")
         h_a = parse_matrix(_get(msec, "h_a", "model"), "model.h_a")
         h_b = parse_matrix(_get(msec, "h_b", "model"), "model.h_b")
         c = parse_matrix(_get(msec, "c", "model"), "model.c")
-        if h_a.shape != (n, n):
-            raise ConfigError(f"model.n = {n} does not match matrix shape {h_a.shape}")
         model = ModelSpec(
             h_a=h_a,
             h_b=h_b,

@@ -181,10 +181,11 @@ class TargetSpec:
 
     Build it with for_model, which accepts a rank-one rho_d within
     EIGENSTATE_TOL of the projector onto one level in C's eigenbasis and
-    derives the tables below from the model. antipodal[j] projects onto the
+    derives the tables below from c alone. antipodal[j] projects onto the
     j-th other column of model.basis, in ascending eigenvalue order; outcomes
-    refer to antipodal states by that index. coupling is h_b in that basis; a
-    target serves models with the h_b and c it was built for.
+    refer to antipodal states by that index. A target serves every model with
+    the same c, whatever its h_a, h_b, mu and eta: the laws read h_b from the
+    model they are handed.
 
     observables is the (7, N) table of weights that moments reads: rows RHO_D,
     C1, C2, C3 weight the populations p_i by x_i = (rho_d)_ii, c_i, c_i^2,
@@ -196,13 +197,14 @@ class TargetSpec:
 
     rho_d: np.ndarray
     antipodal: list[np.ndarray] = field(repr=False)
-    coupling: np.ndarray = field(repr=False)
     observables: np.ndarray = field(repr=False)
     moment_weights: np.ndarray = field(repr=False)
 
     @classmethod
     def for_model(cls, model: ModelSpec, rho_d: np.ndarray) -> "TargetSpec":
         rho_d = hermitize(np.asarray(rho_d, dtype=complex))
+        if rho_d.shape != (model.n, model.n):
+            raise ValueError(f"rho_d shape {rho_d.shape} does not match model dimension {model.n}")
         validate_density(rho_d, name="rho_d")
         if abs(purity(rho_d) - 1.0) > EIGENSTATE_TOL:
             raise ValueError("rho_d is not rank one")
@@ -221,7 +223,7 @@ class TargetSpec:
         weights = np.zeros((2 * n, 7))
         weights[:n, :K_RHO_D] = observables[:K_RHO_D].T
         weights[n:, K_RHO_D:] = observables[K_RHO_D:].T
-        return cls(rho_d, antipodal, model.coupling, observables, weights)
+        return cls(rho_d, antipodal, observables, weights)
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -267,7 +269,7 @@ def populations(state: np.ndarray) -> np.ndarray:
     return state.diagonal(0, -2, -1).real
 
 
-def moments(state: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None) -> np.ndarray:
+def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None) -> np.ndarray:
     """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of a state on a last axis of 7.
 
     state is a density (..., N, N) or a ket column (..., N, 1) in C's
@@ -279,7 +281,7 @@ def moments(state: np.ndarray, target: TargetSpec, hx: np.ndarray | None = None)
     above it, one stacked matmul of each state's row [p, r] with
     target.moment_weights. Either way no row depends on the batch around it.
     """
-    hx = _left_product(target.coupling, state) if hx is None else hx
+    hx = _left_product(model.coupling, state) if hx is None else hx
     if state.shape[-1] == 1:
         bra = np.conj(state[..., 0])
         p, r = (bra * state[..., 0]).real, (bra * hx[..., 0]).imag

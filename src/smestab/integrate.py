@@ -52,6 +52,7 @@ import numpy as np
 
 from .dynamics import (
     C1,
+    EIGENSTATE_TOL,
     ModelSpec,
     TargetSpec,
     _density_stack,
@@ -254,6 +255,26 @@ def check_representation(model: ModelSpec, rho0: np.ndarray, representation: str
         raise ValueError("the state-vector representation requires a rank-one rho0")
 
 
+def _check_target(model: ModelSpec, target: TargetSpec) -> None:
+    """Refuse a target that TargetSpec.for_model would not build for model's c.
+
+    for_model's checks run on target.rho_d, and the tables and antipodal
+    projectors it builds must match target's to EIGENSTATE_TOL: a target
+    built for another c would steer toward, and report the fidelity of,
+    another level than the one rho_d and the outcome labels name.
+    """
+    built = TargetSpec.for_model(model, target.rho_d)
+    want = [built.observables, built.moment_weights, *built.antipodal]
+    have = [target.observables, target.moment_weights, *target.antipodal]
+    if len(want) != len(have) or any(
+        w.shape != np.shape(h) or np.abs(w - h).max() > EIGENSTATE_TOL for w, h in zip(want, have)
+    ):
+        raise ValueError(
+            "target was built for another c: its tables or antipodal projectors are not "
+            "those of rho_d in this model's eigenbasis of c"
+        )
+
+
 def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
 
@@ -422,7 +443,8 @@ def run_batch(
     whole batch or each trajectory may start from its own. indices selects
     each trajectory's noise (default 0..n_trajectories-1); every recorded scalar
     series has shape (B, n_recorded). The "sse" representation needs eta = 1
-    and a rank-one rho0, and advances the leading eigenvector of rho0.
+    and a rank-one rho0, and advances the leading eigenvector of rho0. A
+    target built for another c is refused (see _check_target).
     """
     if indices is None:
         indices = list(range(n_trajectories))
@@ -432,6 +454,7 @@ def run_batch(
     n = model.n
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density(rho0, name="rho0")
+    _check_target(model, target)
     rho0 = model.to_eigenbasis(rho0)
     check_representation(model, rho0, sim.representation)
     if sim.representation == "sse":
@@ -458,7 +481,7 @@ def run_batch(
         hx = m = None
         if steered or j is not None:
             hx = _left_product(model.coupling, state)
-            m = moments(state, target, hx)
+            m = moments(state, model, target, hx)
         # one source of <C> per law, so the path does not depend on the record points
         mean = m[..., C1] if steered else mean_level(state, model)
         u = feedback(state, model, target, ctrl, m)

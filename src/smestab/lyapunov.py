@@ -114,14 +114,15 @@ def _l0(var: np.ndarray, model: ModelSpec, ell: float) -> np.ndarray:
 
 def trace_term(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -> np.ndarray:
     """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2 of a lab-basis density."""
-    return _trace_term(moments(model.to_eigenbasis(rho), target), ell)
+    return _trace_term(moments(model.to_eigenbasis(rho), model, target), ell)
 
 
 def generator_v(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> np.ndarray:
     """Closed-form infinitesimal generator of Vt along the controlled diffusion."""
-    return certificates(moments(model.to_eigenbasis(rho), target), model, target, u, ell)["lv"]
+    m = moments(model.to_eigenbasis(rho), model, target)
+    return certificates(m, model, target, u, ell)["lv"]
 
 
 def certificates(
@@ -157,7 +158,7 @@ def feedback(
     """Control value of the selected law at a lab-basis density, or at the moments m if given."""
     if ctrl.kind == "open_loop":
         return np.zeros(np.asarray(rho).shape[:-2])
-    m = moments(model.to_eigenbasis(rho), target) if m is None else m
+    m = moments(model.to_eigenbasis(rho), model, target) if m is None else m
     if ctrl.kind == "linear":
         return ctrl.k * m[..., K_RHO_D]
     t = _trace_term(m, ctrl.ell)

@@ -25,7 +25,6 @@ def matrix_to_literal(m):
 def qubit_doc(**overrides):
     doc = {
         "model": {
-            "n": 2,
             "h_a": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
             "h_b": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
             "c": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
@@ -42,11 +41,11 @@ def qubit_doc(**overrides):
     return doc
 
 
-def one_level_doc(n):
-    """A config for a one-level "system": 1x1 matrices, model.n = n."""
+def one_level_doc():
+    """A config for a one-level "system": 1x1 matrices."""
     one = [[[1, 0]]]
     return qubit_doc(
-        model={"n": n, "h_a": one, "h_b": one, "c": one, "mu": 1.0, "eta": 0.5},
+        model={"h_a": one, "h_b": one, "c": one, "mu": 1.0, "eta": 0.5},
         target={"rho_d": one},
         rho0=one,
     )
@@ -126,6 +125,21 @@ def test_config_defaults():
     assert cfg.controller.k == 1.0
 
 
+def test_the_matrices_fix_n_and_a_leftover_n_key_is_not_read(tmp_path, capsys):
+    # N is the size of the matrices: a model.n key is not read, like any other
+    # extra key, whatever it holds
+    for n in (2, 3, True, "2"):
+        doc = qubit_doc()
+        doc["model"]["n"] = n
+        assert config_from_dict(doc).model.n == 2
+    # the benchmark's config still carries it, and loads and runs
+    path = Path(__file__).resolve().parents[1] / "bench" / "configs" / "traj_record.json"
+    assert "n" in json.loads(path.read_text())["model"]
+    assert load_config(path).model.n == 3
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "outcome=" in capsys.readouterr().out
+
+
 def test_config_missing_section_and_wrapped_errors():
     doc = qubit_doc()
     del doc["target"]
@@ -135,12 +149,8 @@ def test_config_missing_section_and_wrapped_errors():
     doc["model"]["mu"] = -1.0
     with pytest.raises(ConfigError, match="mu"):
         config_from_dict(doc)
-    doc = qubit_doc()
-    doc["model"]["n"] = 3
-    with pytest.raises(ConfigError, match="does not match"):
-        config_from_dict(doc)
     with pytest.raises(ConfigError, match="2x2 or more"):
-        config_from_dict(one_level_doc(1))
+        config_from_dict(one_level_doc())
     bad_integers = (
         ("sim", "record_stride", 2.5),
         ("sim", "seed", 7.9),
@@ -148,9 +158,6 @@ def test_config_missing_section_and_wrapped_errors():
         ("sim", "seed", "7"),
         ("ensemble", "n_trajectories", 3.7),
         ("ensemble", "n_trajectories", False),
-        ("model", "n", True),
-        ("model", "n", 2.5),
-        ("model", "n", "2"),
     )
     for section, key, value in bad_integers:
         doc = qubit_doc()
@@ -314,12 +321,11 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 2
     assert "eta" in capsys.readouterr().err
     # a one-level model is refused by every subcommand that reads a config
-    for n, message in ((True, "model.n must be an integer"), (1, "2x2 or more")):
-        path = write_doc(tmp_path, one_level_doc(n))
-        for argv in (["validate"], ["simulate", "--out", str(tmp_path / "s")],
-                     ["ensemble", "--out", str(tmp_path / "e")], ["rankcheck"]):
-            assert main([*argv, "--config", path]) == 2, (n, argv)
-            assert message in capsys.readouterr().err, (n, argv)
+    path = write_doc(tmp_path, one_level_doc())
+    for argv in (["validate"], ["simulate", "--out", str(tmp_path / "s")],
+                 ["ensemble", "--out", str(tmp_path / "e")], ["rankcheck"]):
+        assert main([*argv, "--config", path]) == 2, argv
+        assert "2x2 or more" in capsys.readouterr().err, argv
 
 
 def test_validate_refuses_state_vector_configs_that_no_run_could_start(tmp_path, capsys):
@@ -363,10 +369,12 @@ def test_cli_simulate_writes_trajectory(tmp_path, capsys):
     ) == 0
     assert (out_dir / "trajectory_4.csv").exists()
     capsys.readouterr()
+    refused = tmp_path / "refused"
     for index in ("-1", str(2**64)):
-        argv = ["simulate", "--config", path, "--out", str(out_dir), "--trajectory-index", index]
+        argv = ["simulate", "--config", path, "--out", str(refused), "--trajectory-index", index]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: trajectory index")
+    assert not refused.exists()
 
 
 def test_cli_ensemble_writes_summary(tmp_path, capsys):
@@ -425,6 +433,35 @@ def test_cli_seed_override(tmp_path):
     for command in ("simulate", "ensemble"):
         assert written(command, "7", "a") == written(command, "7", "b"), command
         assert written(command, "8", "c") != written(command, "7", "a"), command
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "levelset", "rankcheck"])
+def test_an_out_that_names_a_file_exits_2_before_any_integration(tmp_path, capsys, monkeypatch,
+                                                                  command):
+    def integrator(*args, **kwargs):
+        raise AssertionError("the integrator ran before the output directory was made")
+
+    monkeypatch.setattr("smestab.cli.simulate", integrator)
+    monkeypatch.setattr("smestab.cli.run_ensemble", integrator)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("kept\n")
+    if command == "levelset":
+        inputs = ["--k", "1", "--ell", "1", "--mu", "1", "--eta", "0.5", "--resolution", "5"]
+    else:
+        inputs = ["--config", write_doc(tmp_path, qubit_doc())]
+    for out in (blocker, blocker / "below"):
+        assert main([command, *inputs, "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err and err.count("\n") == 1, err
+    assert blocker.read_text() == "kept\n"
+
+
+def test_a_file_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
+    path = write_doc(tmp_path, qubit_doc())
+    taken = tmp_path / "out" / "rank_report.txt"
+    taken.mkdir(parents=True)
+    assert main(["rankcheck", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"'{taken}'" in capsys.readouterr().err
 
 
 def test_cli_levelset(tmp_path):

@@ -168,7 +168,7 @@ def test_target_requires_joint_eigenstate():
 def test_target_constructor_needs_its_model():
     # the moment tables are derived from the model, so the bare constructor refuses
     model, target = qubit()
-    with pytest.raises(TypeError, match="'coupling', 'observables', and 'moment_weights'"):
+    with pytest.raises(TypeError, match="'observables' and 'moment_weights'"):
         TargetSpec(rho_d=RHO_D2, antipodal=target.antipodal)
     assert target.observables.shape == (7, model.n)
 
@@ -317,7 +317,7 @@ def test_sse_step_consistent_with_density_step():
     for _ in range(200):
         rho = model.to_eigenbasis(random_pure(rng, 2))[None]
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
-        u = feedback(rho, model, target, ctrl, moments(rho, target))
+        u = feedback(rho, model, target, ctrl, moments(rho, model, target))
         r_next = _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, n_projected)
         psi = np.linalg.eigh(rho)[1][..., :, -1:]
         psi_next = _sse_step(psi, mean_level(psi, model), u, None, dw, model, dt, n_projected)

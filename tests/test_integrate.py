@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    C3,
+    H_A3,
+    H_B3_FIRST_ROW,
     RHO_D2,
     SX,
+    SY,
     SZ,
     dense_diffusion,
     dense_drift,
@@ -120,6 +124,48 @@ def test_run_batch_refuses_an_empty_batch_and_a_state_off_the_cone():
                        (np.stack([half, 2.0 * half]), "trace")):
         with pytest.raises(ValueError, match=word):
             run_batch(rho0, model, target, ctrl, sim, n_trajectories=2)
+
+
+def test_run_batch_refuses_a_target_built_for_another_c():
+    # B measures -sz, so target_a's tables put rho_d = |0><0| on B's other
+    # level: B would steer toward |1> and record its population as fidelity
+    # (0.467 on row 0 here) while rho_d and the outcome labels name |0>
+    a = ModelSpec(h_a=SZ, h_b=SX, c=SZ, mu=1.0, eta=0.5)
+    b = ModelSpec(h_a=SZ, h_b=SX, c=-SZ, mu=1.0, eta=0.5)
+    target_a = TargetSpec.for_model(a, RHO_D2)
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
+    sim = SimConfig(dt=1e-3, t_final=0.5, seed=1)
+    half = np.eye(2, dtype=complex) / 2
+    with pytest.raises(ValueError, match="target was built for another c"):
+        run_batch(half, b, target_a, ctrl, sim)
+    # for_model's own checks: rho_d no eigenstate of c, or of another dimension
+    sx_meter = ModelSpec(h_a=SX, h_b=SZ, c=SX, mu=1.0, eta=0.5)
+    with pytest.raises(ValueError, match="not an eigenstate of c"):
+        run_batch(half, sx_meter, target_a, ctrl, sim)
+    qutrit_model, qutrit_target = qutrit()
+    with pytest.raises(ValueError, match="does not match model dimension"):
+        run_batch(half, a, qutrit_target, ctrl, sim)
+    with pytest.raises(ValueError, match="does not match model dimension"):
+        run_batch(np.eye(3) / 3, qutrit_model, target_a, ctrl, sim)
+
+
+@pytest.mark.parametrize("build, other", [
+    (qubit, ModelSpec(h_a=0.3 * SZ, h_b=SY, c=SZ, mu=2.0, eta=0.9)),
+    (qutrit, ModelSpec(h_a=-H_A3, h_b=H_B3_FIRST_ROW, c=C3, mu=0.7, eta=0.4)),
+], ids=["qubit", "qutrit"])
+def test_a_target_serves_every_model_with_its_c(build, other):
+    # another h_a, h_b, mu and eta, the same c: the target built for the
+    # first model is accepted and runs bit for bit as the one built for other
+    model, target = build()
+    own = TargetSpec.for_model(other, target.rho_d)
+    rho0 = np.eye(model.n, dtype=complex) / model.n
+    sim = SimConfig(dt=1e-3, t_final=0.05, seed=3, record_stride=10)
+    for kind in ("square_of_sum", "open_loop"):
+        ctrl = ControllerSpec(kind=kind, k=1.5, ell=1.2)
+        runs = [run_batch(rho0, other, t, ctrl, sim, n_trajectories=4, record_states=True)
+                for t in (target, own)]
+        for f in fields(BatchResult):
+            assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name)), f.name
 
 
 def test_record_slots_include_endpoint():
@@ -558,7 +604,7 @@ def test_random_models_stay_exactly_hermitian_and_on_the_cone(n, seed, dt, kind)
     solo_counts = [np.zeros(1, dtype=int) for _ in solo_rows]
 
     def step(rho, dw, n_projected):
-        u = feedback(rho, model, target, ctrl, moments(rho, target))
+        u = feedback(rho, model, target, ctrl, moments(rho, model, target))
         return _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, n_projected)
 
     for _ in range(400):
@@ -672,7 +718,7 @@ def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
     rho = hermitize(model.to_eigenbasis(0.5 * ginibre(rng, n, (b,)) + 0.5 * np.eye(n) / n))
     mean = mean_level(rho, model)
     hr = _left_product(model.coupling, rho)
-    for u in (None, feedback(rho, model, target, ctrl, moments(rho, target))):
+    for u in (None, feedback(rho, model, target, ctrl, moments(rho, model, target))):
         g = diffusion_term(rho, mean, model)
         raw = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
         # the increment is traceless: before normalization the trace is 1 to roundoff
@@ -704,7 +750,7 @@ def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
     x = model.levels[:, None] - mean[:, None, None]
     f = x * (np.sqrt(model.mu) * dw[:, None, None] - (0.5 * model.mu * dt) * x)
     f = f + (1.0 - 1j * dt * model.energies[:, None])
-    for u in (None, feedback(psi, model, target, ctrl, moments(psi, target))):
+    for u in (None, feedback(psi, model, target, ctrl, moments(psi, model, target))):
         g = sse_diffusion(psi, mean, model)
         raw = psi + sse_drift(psi, mean, model, u) * dt + g * dw[:, None, None]
         factored = f * psi
@@ -913,7 +959,7 @@ def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
     outputs = []
     for rho in (lanes, row_major):
         hr = _left_product(model.coupling, rho)
-        m = moments(rho, target, hr)
+        m = moments(rho, model, target, hr)
         u = feedback(rho, model, target, ctrl, m)
         n_projected = np.zeros(b, dtype=int)
         mean = m[..., dynamics.C1]

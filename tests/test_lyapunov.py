@@ -1,4 +1,6 @@
 """Lyapunov functions, feedback laws, and the closed-loop generator."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,21 @@ from hypothesis import strategies as st
 from conftest import SX, SY, SZ, ginibre, qubit, qutrit, random_model, random_pure
 from smestab import (
     ControllerSpec,
+    ModelSpec,
     SimConfig,
+    TargetSpec,
     closed_loop_generator,
     feedback,
     generator_v,
     generator_v_montecarlo_check,
+    run_batch,
     simulate,
     trace_term,
     v2,
 )
 from smestab.hermitian import expectation, trace, variance
+from smestab.dynamics import diffusion_term, mean_level, sme_drift
+from smestab.integrate import BatchResult
 from smestab.lyapunov import certificates, moments, v1, v_tilde
 
 
@@ -74,7 +81,7 @@ def test_third_central_moment_direct():
     m2 = expectation(c @ c, rho)
     m3 = expectation(c @ c @ c, rho)
     expected = m3 - 3.0 * m2 * m1 + 2.0 * m1**3
-    m = moments(model.to_eigenbasis(rho), target)
+    m = moments(model.to_eigenbasis(rho), model, target)
     third = certificates(m, model, target, 0.0, 1.0)["third"]
     np.testing.assert_allclose(third, expected, atol=1e-13)
 
@@ -109,8 +116,9 @@ def test_lb_v_tilde_is_minus_trace_term():
     rng = np.random.default_rng(46)
     model, target = qutrit(mu=1.2, eta=0.7)
     rho = ginibre(rng, 3, batch=(6,))
+    m = moments(model.to_eigenbasis(rho), model, target)
     np.testing.assert_allclose(
-        certificates(moments(model.to_eigenbasis(rho), target), model, target, 0.0, 1.3)["lb"],
+        certificates(m, model, target, 0.0, 1.3)["lb"],
         -trace_term(rho, model, target, 1.3),
         atol=1e-13,
     )
@@ -122,7 +130,7 @@ def test_l0_v_tilde_closed_form():
     rho = ginibre(rng, 3, batch=(6,))
     ell = 0.8
     expected = -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / ell**2
-    m = moments(model.to_eigenbasis(rho), target)
+    m = moments(model.to_eigenbasis(rho), model, target)
     l0 = certificates(m, model, target, 0.0, ell)["l0"]
     np.testing.assert_allclose(l0, expected, atol=1e-13)
 
@@ -205,6 +213,28 @@ def test_sum_of_squares_closed_loop():
     assert np.all(gen <= 1e-12)
 
 
+def test_every_law_reads_h_b_from_the_model_it_is_handed():
+    # a target serves every model with its c: on model B (h_b = sy) the target
+    # built for A (h_b = sx) reads what B's own target reads, bit for bit
+    a, b = (ModelSpec(h_a=SZ, h_b=h_b, c=SZ, mu=1.0, eta=0.5) for h_b in (SX, SY))
+    target_a, target_b = (TargetSpec.for_model(m, np.diag([1.0, 0.0])) for m in (a, b))
+    rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
+    laws = {
+        "feedback": (lambda t: feedback(rho, b, t, ctrl), -3.4353),
+        "trace_term": (lambda t: trace_term(rho, b, t, 1.0), -0.72),
+        "generator_v": (lambda t: generator_v(rho, b, t, 0.3, 1.0), -1.6272),
+        "closed_loop_generator": (lambda t: closed_loop_generator(rho, b, t, ctrl), -4.3166),
+    }
+    for name, (law, value) in laws.items():
+        assert np.array_equal(law(target_a), law(target_b)), name
+        assert law(target_b) == pytest.approx(value, abs=1e-4), name
+    sim = SimConfig(dt=1e-3, t_final=0.05, seed=1, record_stride=10)
+    runs = [run_batch(rho, b, t, ctrl, sim, n_trajectories=3) for t in (target_a, target_b)]
+    for f in fields(BatchResult):
+        assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name)), f.name
+
+
 def test_generator_against_monte_carlo():
     # frozen arbiter: a sampled one-step finite difference of v_tilde decides
     # between the closed form and its sign-flipped variant
@@ -233,6 +263,49 @@ def test_montecarlo_check_argument_validation():
         generator_v_montecarlo_check(rho, model, target, 1.0, 1.0, n_samples=10)
     with pytest.raises(ValueError, match="dt"):
         generator_v_montecarlo_check(rho, model, target, 1.0, 1.0, dt=0.1)
+
+
+def antithetic_generator(rho, model, target, u, ell, dw, dt):
+    """Estimate of L Vt and its standard error from (dW, -dW) pairs, per row of rho.
+
+    rho is a (B, N, N) lab-basis stack, u and ell (B,) arrays and dw (B, S)
+    increments of variance dt. Vt is quadratic in rho and one Euler-Maruyama
+    step is linear in dW, so the mean of a pair cancels the O(dW) term that
+    dominates the plain one-step difference: what is left is
+    -(tr C G)^2 (dW^2 / dt - 1), whose SE falls as 1/sqrt(S) with no
+    1/sqrt(dt) factor, and a bias of -(tr C (F + D))^2 dt. The step is linear
+    in dW, so it is rotated to the lab basis once, before the kick is scaled.
+    """
+    frame = model.to_eigenbasis(rho)
+    step = model.from_eigenbasis(frame + sme_drift(frame, model, u) * dt)[:, None]
+    g = model.from_eigenbasis(diffusion_term(frame, mean_level(frame, model), model))
+    kick = g[:, None] * dw[..., None, None]
+
+    def vt(states):
+        return v_tilde(states, model, target, ell[:, None])
+
+    pairs = 0.5 * (vt(step + kick) + vt(step - kick))
+    estimate = (pairs.mean(axis=1) - v_tilde(rho, model, target, ell)) / dt
+    return estimate, pairs.std(axis=1, ddof=1) / np.sqrt(dw.shape[1]) / dt
+
+
+def test_antithetic_arbiter_holds_the_closed_form_at_every_seed():
+    # a second arbiter of criterion 3 beside its scanned seed 131: seeds 0-9
+    # as they come, 50 random states at each, 25 on each model as there.
+    # Over seeds 0-999 (50,000 states) the largest |estimate - closed| / SE
+    # read 4.18
+    dt, n_samples = 1e-6, 2000
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for n, build in ((2, qubit), (3, qutrit)):
+            model, target = build(mu=1.0, eta=0.5)
+            rho = ginibre(rng, n, batch=(25,))
+            u = rng.uniform(-2.0, 2.0, 25)
+            ell = rng.choice([0.7, 1.0, 2.0], 25)
+            dw = rng.normal(0.0, np.sqrt(dt), (25, n_samples))
+            est, se = antithetic_generator(rho, model, target, u, ell, dw, dt)
+            closed = generator_v(rho, model, target, u, ell)
+            assert np.all(np.abs(est - closed) <= 5.0 * se), (seed, n)
 
 
 def test_lyapunov_report_fields():
@@ -327,8 +400,8 @@ def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
               dense_feedback(rho, model, target, ctrl))
     expected = dense_certificates(rho, model, target, u, ell)
     for name, value in expected.items():
-        close(row_local(lambda r, v: certificates(moments(model.to_eigenbasis(r), target), model,
-                                                  target, v, ell)[name]),
+        close(row_local(lambda r, v: certificates(moments(model.to_eigenbasis(r), model, target),
+                                                  model, target, v, ell)[name]),
               value)
 
     # a ket column in C's eigenbasis reads as its density psi psi^dag
@@ -336,12 +409,14 @@ def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
     psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
     pure = psi * np.conj(np.swapaxes(psi, -1, -2))
     lab = model.from_eigenbasis(pure)
-    close(row_local(lambda p, _: moments(p, target), psi), moments(pure, target))
+    close(row_local(lambda p, _: moments(p, model, target), psi), moments(pure, model, target))
     for kind in ("open_loop", "linear", "sum_of_squares", "square_of_sum"):
         ctrl = ControllerSpec(kind=kind, k=k, ell=ell)
-        close(row_local(lambda p, _: feedback(p, model, target, ctrl, moments(p, target)), psi),
+        close(row_local(lambda p, _: feedback(p, model, target, ctrl, moments(p, model, target)),
+                        psi),
               dense_feedback(lab, model, target, ctrl))
     for name, value in dense_certificates(lab, model, target, u, ell).items():
-        close(row_local(lambda p, v: certificates(moments(p, target), model, target, v, ell)[name],
+        close(row_local(lambda p, v: certificates(moments(p, model, target), model, target, v,
+                                                  ell)[name],
                         psi),
               value)
