@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EDGE_TOL, RHO_D, ModelSpec, TargetSpec
+from .dynamics import EDGE_TOL, ModelSpec, TargetSpec
 from .hermitian import commutator
 
 REGULARITY_TOL = 1e-10
@@ -65,7 +65,7 @@ def kalman_like_rank(model: ModelSpec, target: TargetSpec, use: str = "h_a") -> 
     use selects A = -i h_a ("h_a") or A = c ("c"); the rank is the count of
     distinct multipliers in the module docstring.
     """
-    t = int(np.argmax(target.observables[RHO_D]))
+    t = target.level
     coupled = np.abs(model.coupling[:, t]) > EDGE_TOL
     coupled[t] = False
     if use == "h_a":

@@ -43,7 +43,7 @@ and moments read a state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -54,13 +54,13 @@ COMMUTING_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
 SPECTRAL_GAP_TOL = 1e-10
-# Up to this N, h_b @ x is written as N broadcast products and the density
-# stack is held in batch-last lanes (_density_stack); above it the stack is
-# row-major and h_b @ x a stacked matmul. The same bound picks the form of
-# moments (index-order sums up to it, one stacked product per row above) and
-# of ModelSpec.from_eigenbasis (einsum up to it, matmul above). Each is
-# computed row by row, so no row depends on the batch. The kernels read
-# either layout and return arrays in their input's.
+# Up to this N, h_b @ x is N broadcast products, the density stack is held in
+# batch-last lanes (_density_stack), moments sums in index order and
+# ModelSpec.from_eigenbasis is einsum; above it the stack is row-major and each
+# is a stacked matmul. The ket stack is row-major at every N: on lanes with
+# index-order sums at N = 8, sse_n8 (B = 100) jobs took 1.7x as long (2 cores).
+# Each form is computed row by row, so no row depends on the batch. The
+# kernels read either layout and return arrays in their input's.
 SUM_MAX_N = 3
 
 # rows of TargetSpec.observables
@@ -177,53 +177,61 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Rank-one target eigenstate rho_d and the competing eigenprojectors of c.
+    """Rank-one target rho_d, an eigenstate of c, built from its model and rho_d alone.
 
-    Build it with for_model, which accepts a rank-one rho_d within
-    EIGENSTATE_TOL of the projector onto one level in C's eigenbasis and
-    derives the tables below from c alone. antipodal[j] projects onto the
-    j-th other column of model.basis, in ascending eigenvalue order; outcomes
-    refer to antipodal states by that index. A target serves every model with
-    the same c, whatever its h_a, h_b, mu and eta: the laws read h_b from the
-    model they are handed.
-
-    observables is the (7, N) table of weights that moments reads: rows RHO_D,
-    C1, C2, C3 weight the populations p_i by x_i = (rho_d)_ii, c_i, c_i^2,
-    c_i^3, and rows K_RHO_D, K_C, K_C2 the control rates r_i by 2 x_i for
-    X = rho_d, C, C^2, as <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i.
-    moment_weights is the same table in (2N, 7) block form, mapping the row
-    [p, r] to the seven moments.
+    rho_d must lie within EIGENSTATE_TOL of the projector onto column level of
+    model.basis. The rest follows from c, held as the model's own array, so
+    run_batch accepts the target on any model whose c has equal entries.
+    antipodal[j] projects onto the j-th other column in ascending eigenvalue
+    order, the index outcomes name. observables is the (7, N) table moments
+    reads: rows RHO_D, C1, C2, C3 weight the populations p_i by x_i = (rho_d)_ii,
+    c_i, c_i^2, c_i^3, and rows K_RHO_D, K_C, K_C2 the control rates r_i by
+    2 x_i for X = rho_d, C, C^2, as <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i.
+    moment_weights is the same table in (2N, 7) block form, for the row [p, r].
     """
 
+    model: InitVar[ModelSpec]
     rho_d: np.ndarray
-    antipodal: list[np.ndarray] = field(repr=False)
-    observables: np.ndarray = field(repr=False)
-    moment_weights: np.ndarray = field(repr=False)
+    level: int = _derived()
+    c: np.ndarray = _derived()
+    antipodal: list[np.ndarray] = _derived()
+    observables: np.ndarray = _derived()
+    moment_weights: np.ndarray = _derived()
 
-    @classmethod
-    def for_model(cls, model: ModelSpec, rho_d: np.ndarray) -> "TargetSpec":
-        rho_d = hermitize(np.asarray(rho_d, dtype=complex))
-        if rho_d.shape != (model.n, model.n):
-            raise ValueError(f"rho_d shape {rho_d.shape} does not match model dimension {model.n}")
+    def __post_init__(self, model: ModelSpec):
+        rho_d = hermitize(np.asarray(self.rho_d, dtype=complex))
+        n = model.n
+        if rho_d.shape != (n, n):
+            raise ValueError(f"rho_d shape {rho_d.shape} does not match model dimension {n}")
         validate_density(rho_d, name="rho_d")
         if abs(purity(rho_d) - 1.0) > EIGENSTATE_TOL:
             raise ValueError("rho_d is not rank one")
         d = model.to_eigenbasis(rho_d)
-        c = model.levels
+        c, v = model.levels, model.basis
         # diagonals of rho_d, C, C^2, C^3 in C's eigenbasis, taken before the level check edits d
         diagonals = np.stack([np.diagonal(d).real, c, c * c, c * c * c])
         hit = int(np.argmax(diagonals[0]))
         d[hit, hit] -= 1.0
         if np.max(np.abs(d)) > EIGENSTATE_TOL:
             raise ValueError("rho_d is not an eigenstate of c: in c's eigenbasis it is no level")
-        v = model.basis
-        antipodal = [v[:, [j]] @ dag(v[:, [j]]) for j in range(model.n) if j != hit]
         observables = np.concatenate([diagonals, 2.0 * diagonals[:3]])
-        n = model.n
         weights = np.zeros((2 * n, 7))
         weights[:n, :K_RHO_D] = observables[:K_RHO_D].T
         weights[n:, K_RHO_D:] = observables[K_RHO_D:].T
-        return cls(rho_d, antipodal, observables, weights)
+        derived = {
+            "rho_d": rho_d,
+            "level": hit,
+            "c": model.c,
+            "antipodal": [v[:, [j]] @ dag(v[:, [j]]) for j in range(n) if j != hit],
+            "observables": observables,
+            "moment_weights": weights,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def for_model(cls, model: ModelSpec, rho_d: np.ndarray) -> "TargetSpec":
+        return cls(model, rho_d)
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -52,7 +52,6 @@ import numpy as np
 
 from .dynamics import (
     C1,
-    EIGENSTATE_TOL,
     ModelSpec,
     TargetSpec,
     _density_stack,
@@ -256,23 +255,12 @@ def check_representation(model: ModelSpec, rho0: np.ndarray, representation: str
 
 
 def _check_target(model: ModelSpec, target: TargetSpec) -> None:
-    """Refuse a target that TargetSpec.for_model would not build for model's c.
-
-    for_model's checks run on target.rho_d, and the tables and antipodal
-    projectors it builds must match target's to EIGENSTATE_TOL: a target
-    built for another c would steer toward, and report the fidelity of,
-    another level than the one rho_d and the outcome labels name.
-    """
-    built = TargetSpec.for_model(model, target.rho_d)
-    want = [built.observables, built.moment_weights, *built.antipodal]
-    have = [target.observables, target.moment_weights, *target.antipodal]
-    if len(want) != len(have) or any(
-        w.shape != np.shape(h) or np.abs(w - h).max() > EIGENSTATE_TOL for w, h in zip(want, have)
-    ):
-        raise ValueError(
-            "target was built for another c: its tables or antipodal projectors are not "
-            "those of rho_d in this model's eigenbasis of c"
-        )
+    """Refuse a target built for another c, which would steer toward another level."""
+    n = len(target.c)
+    if n != model.n:
+        raise ValueError(f"target of dimension {n} does not match model dimension {model.n}")
+    if not np.array_equal(target.c, model.c):
+        raise ValueError("target was built for another c: its entries differ from this model's c")
 
 
 def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
@@ -444,7 +432,7 @@ def run_batch(
     each trajectory's noise (default 0..n_trajectories-1); every recorded scalar
     series has shape (B, n_recorded). The "sse" representation needs eta = 1
     and a rank-one rho0, and advances the leading eigenvector of rho0. A
-    target built for another c is refused (see _check_target).
+    target whose c has other entries than model.c is refused (see _check_target).
     """
     if indices is None:
         indices = list(range(n_trajectories))

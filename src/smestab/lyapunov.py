@@ -172,8 +172,9 @@ def feedback(
 def closed_loop_generator(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec
 ) -> np.ndarray:
-    """L Vt evaluated at u = feedback(rho)."""
-    return generator_v(rho, model, target, feedback(rho, model, target, ctrl), ctrl.ell)
+    """L Vt evaluated at u = feedback(rho); the law and L Vt read one moment table."""
+    m = moments(model.to_eigenbasis(rho), model, target)
+    return certificates(m, model, target, feedback(rho, model, target, ctrl, m), ctrl.ell)["lv"]
 
 
 def generator_v_montecarlo_check(

@@ -1,4 +1,5 @@
 """Model validation and the Ito vector fields of the conditioned equation."""
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -166,11 +167,22 @@ def test_target_requires_joint_eigenstate():
 
 
 def test_target_constructor_needs_its_model():
-    # the moment tables are derived from the model, so the bare constructor refuses
-    model, target = qubit()
-    with pytest.raises(TypeError, match="'observables' and 'moment_weights'"):
-        TargetSpec(rho_d=RHO_D2, antipodal=target.antipodal)
+    # the model and rho_d are the only inputs: every table, the level and c
+    # are derived from the model, so passing any of them is refused
+    model, target = qutrit()
+    assert list(inspect.signature(TargetSpec).parameters) == ["model", "rho_d"]
+    built = TargetSpec(model, RHO_D3)
+    for name in ("rho_d", "observables", "moment_weights"):
+        assert np.array_equal(getattr(built, name), getattr(target, name)), name
+    assert all(np.array_equal(a, b) for a, b in zip(built.antipodal, target.antipodal, strict=True))
+    assert built.level == target.level == 2  # c = 1, the last of the ascending levels
+    assert built.c is target.c is model.c
     assert target.observables.shape == (7, model.n)
+    for name in ("antipodal", "observables", "moment_weights", "level", "c"):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            TargetSpec(model, RHO_D3, **{name: getattr(target, name)})
+    with pytest.raises(TypeError, match="'model'"):
+        TargetSpec(rho_d=RHO_D3)
 
 
 def test_target_antipodal_order_and_content():

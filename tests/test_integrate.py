@@ -138,9 +138,9 @@ def test_run_batch_refuses_a_target_built_for_another_c():
     half = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValueError, match="target was built for another c"):
         run_batch(half, b, target_a, ctrl, sim)
-    # for_model's own checks: rho_d no eigenstate of c, or of another dimension
+    # rho_d no eigenstate of this c, or a target of another dimension
     sx_meter = ModelSpec(h_a=SX, h_b=SZ, c=SX, mu=1.0, eta=0.5)
-    with pytest.raises(ValueError, match="not an eigenstate of c"):
+    with pytest.raises(ValueError, match="target was built for another c"):
         run_batch(half, sx_meter, target_a, ctrl, sim)
     qutrit_model, qutrit_target = qutrit()
     with pytest.raises(ValueError, match="does not match model dimension"):
@@ -166,6 +166,48 @@ def test_a_target_serves_every_model_with_its_c(build, other):
                 for t in (target, own)]
         for f in fields(BatchResult):
             assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name)), f.name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_a_target_is_accepted_on_equal_entries_of_c_and_refused_on_any_other(n):
+    # run_batch compares c entry for entry: another h_a, h_b, mu and eta, or
+    # an equal-valued copy of c, run bit for bit as the model's own target
+    rng = np.random.default_rng(2300 + n)
+    model, target = random_model(rng, n)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v = model.basis
+    others = (
+        replace(model, h_a=(v * rng.uniform(-1.0, 1.0, n)) @ v.conj().T,
+                h_b=hermitize(g), mu=rng.uniform(0.2, 2.0), eta=rng.uniform(0.1, 1.0)),
+        replace(model, c=model.c.copy()),
+    )
+    rho0 = ginibre(rng, n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=1.5, ell=1.2)
+    sim = SimConfig(dt=1e-3, t_final=0.02, seed=5, record_stride=5)
+    for other in others:
+        runs = [run_batch(rho0, other, t, ctrl, sim, n_trajectories=3, record_states=True)
+                for t in (target, TargetSpec.for_model(other, target.rho_d))]
+        for f in fields(BatchResult):
+            assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name)), f.name
+    # -c puts rho_d on another level; c one part in 2^52 off is refused as well
+    for c in (-model.c, model.c * (1.0 + 2.0**-52)):
+        with pytest.raises(ValueError, match="target was built for another c"):
+            run_batch(rho0, replace(model, c=c), target, ctrl, sim)
+
+
+def test_run_batch_builds_no_target(monkeypatch):
+    model, target = qutrit(eta=0.5)
+
+    def refuse(self, model):
+        raise AssertionError("a target was built")
+
+    monkeypatch.setattr(TargetSpec, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="a target was built"):
+        TargetSpec.for_model(model, target.rho_d)
+    for kind in ("square_of_sum", "open_loop"):
+        res = run_batch(np.eye(3) / 3, model, target, ControllerSpec(kind=kind),
+                        SimConfig(dt=1e-3, t_final=0.01, seed=2), n_trajectories=2)
+        assert res.final_states.shape == (2, 3, 3)
 
 
 def test_record_slots_include_endpoint():

@@ -24,7 +24,8 @@ from smestab import (
 from smestab.hermitian import expectation, trace, variance
 from smestab.dynamics import diffusion_term, mean_level, sme_drift
 from smestab.integrate import BatchResult
-from smestab.lyapunov import certificates, moments, v1, v_tilde
+import smestab.lyapunov as lyapunov
+from smestab.lyapunov import KINDS, certificates, moments, v1, v_tilde
 
 
 def bloch(x, y, z):
@@ -233,6 +234,25 @@ def test_every_law_reads_h_b_from_the_model_it_is_handed():
     runs = [run_batch(rho, b, t, ctrl, sim, n_trajectories=3) for t in (target_a, target_b)]
     for f in fields(BatchResult):
         assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name)), f.name
+
+
+def test_closed_loop_generator_builds_one_moment_table(monkeypatch):
+    # the law and L Vt read the same table, so it is built once per call
+    rng = np.random.default_rng(23)
+    model, target = qutrit(mu=0.8, eta=0.6)
+    rho = ginibre(rng, 3, batch=(5,))
+    ctrls = [ControllerSpec(kind=kind, k=1.3, ell=0.9) for kind in KINDS]
+    want = [generator_v(rho, model, target, feedback(rho, model, target, c), c.ell) for c in ctrls]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return moments(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "moments", counted)
+    for ctrl, expected in zip(ctrls, want):
+        assert np.array_equal(closed_loop_generator(rho, model, target, ctrl), expected)
+    assert len(calls) == len(ctrls)
 
 
 def test_generator_against_monte_carlo():
