@@ -3,8 +3,9 @@
 Subcommands: validate, simulate, ensemble, levelset, rankcheck. Exit codes:
 0 success, 2 configuration or validation error, or an output path that
 cannot be created or written (found before any integration, as the output
-directory is created once the inputs are accepted), 3 numerical failure (a
-step whose trace is not finite and positive; the message names the step).
+directory is created once the inputs are accepted), or inputs too large to
+allocate (MemoryError), 3 numerical failure (a step whose trace is not
+finite and positive; the message names the step).
 simulate and ensemble print their positivity clip count, and write one
 warning line to stderr when at least half of the trajectory-steps were
 clipped: such paths are projections, not solutions of the SME.
@@ -179,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:  # numpy's names the array's shape
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # its message names the path

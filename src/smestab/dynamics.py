@@ -37,8 +37,8 @@ optionally X = h_b state, which the control rates and the control term share
 (integrate.run_batch forms it once per step). ModelSpec holds the basis and
 the tables; run_batch rotates into the basis once per call and back only for
 the states it returns. The stepped state is laid out and read here alone:
-_density_stack gives the density stack's layout, and populations, mean_level
-and moments read a state.
+_density_stack gives the density stack's layout, batch-last lanes at every N,
+and populations, mean_level and moments read a state.
 """
 from __future__ import annotations
 
@@ -54,13 +54,11 @@ COMMUTING_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
 SPECTRAL_GAP_TOL = 1e-10
-# Up to this N, h_b @ x is N broadcast products, the density stack is held in
-# batch-last lanes (_density_stack), moments sums in index order and
-# ModelSpec.from_eigenbasis is einsum; above it the stack is row-major and each
-# is a stacked matmul. The ket stack is row-major at every N: on lanes with
-# index-order sums at N = 8, sse_n8 (B = 100) jobs took 1.7x as long (2 cores).
-# Each form is computed row by row, so no row depends on the batch. The
-# kernels read either layout and return arrays in their input's.
+# Kets only: up to this N, h_b @ psi is N broadcast products and moments sums
+# in index order, as for a density at every N; above it each is a stacked
+# matmul on the row-major ket stack. On batch-last lanes with index-order sums
+# at N = 8, sse_n8 (B = 100) jobs took 1.7x as long (2 cores). Each form is
+# computed row by row, so no row depends on the batch.
 SUM_MAX_N = 3
 
 # rows of TargetSpec.observables
@@ -68,7 +66,7 @@ RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2 = range(7)
 
 
 def _derived():
-    return field(init=False, repr=False, compare=False)
+    return field(init=False, repr=False)
 
 
 def _connected(coupling: np.ndarray) -> bool:
@@ -80,7 +78,7 @@ def _connected(coupling: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Free Hamiltonian h_a, control Hamiltonian h_b, measured observable c.
 
@@ -165,17 +163,14 @@ class ModelSpec:
     def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         """V m V^dag: stacked (..., N, N) matrices back in the lab basis.
 
-        Up to SUM_MAX_N it is two einsum calls on a row-major copy of m,
-        whose summation order then does not depend on the batch; above it,
-        two stacked matmuls. Either way each row is rotated alone.
+        Two einsum calls on a row-major copy of m, whose summation order then
+        does not depend on the batch, so each row is rotated alone.
         """
-        if self.n > SUM_MAX_N:
-            return self.basis @ m @ dag(self.basis)
         vm = np.einsum("ij,...jk->...ik", self.basis, np.ascontiguousarray(m))
         return np.einsum("...ij,kj->...ik", vm, self.basis.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpec:
     """Rank-one target rho_d, an eigenstate of c, built from its model and rho_d alone.
 
@@ -187,7 +182,7 @@ class TargetSpec:
     reads: rows RHO_D, C1, C2, C3 weight the populations p_i by x_i = (rho_d)_ii,
     c_i, c_i^2, c_i^3, and rows K_RHO_D, K_C, K_C2 the control rates r_i by
     2 x_i for X = rho_d, C, C^2, as <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i.
-    moment_weights is the same table in (2N, 7) block form, for the row [p, r].
+    moment_weights is that table in (2N, 7) block form, for a ket's [p, r] above SUM_MAX_N.
     """
 
     model: InitVar[ModelSpec]
@@ -235,9 +230,10 @@ class TargetSpec:
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """h @ x for a constant (N, N) h and stacked (..., N, M) x."""
+    """h @ x for a constant (N, N) h and stacked (..., N, M) x, as adds in index
+    order, or as one stacked matmul for a ket column above SUM_MAX_N levels."""
     n = h.shape[0]
-    if n > SUM_MAX_N:
+    if x.shape[-1] == 1 and n > SUM_MAX_N:
         return h @ x
     out = h[:, :1] * x[..., :1, :]
     for k in range(1, n):
@@ -285,47 +281,45 @@ def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None) ->
     table weights the populations p_i and the control rates
     r_i = Im (h_b rho)_ii (Im conj(psi_i) (h_b psi)_i for a ket) by
     target.observables; under -i u [h_b, rho] population i moves at 2 u r_i.
-    Up to SUM_MAX_N levels that is elementwise products and index-order adds;
-    above it, one stacked matmul of each state's row [p, r] with
+    That is elementwise products and index-order adds, except for a ket above
+    SUM_MAX_N levels: one stacked matmul of each ket's row [p, r] with
     target.moment_weights. Either way no row depends on the batch around it.
     """
     hx = _left_product(model.coupling, state) if hx is None else hx
     if state.shape[-1] == 1:
         bra = np.conj(state[..., 0])
         p, r = (bra * state[..., 0]).real, (bra * hx[..., 0]).imag
+        if p.shape[-1] > SUM_MAX_N:
+            pr = np.concatenate([p, r], axis=-1)[..., None, :]
+            return (pr @ target.moment_weights)[..., 0, :]
     else:
         p, r = populations(state), hx.diagonal(0, -2, -1).imag
-    if p.shape[-1] > SUM_MAX_N:
-        pr = np.concatenate([p, r], axis=-1)[..., None, :]
-        return (pr @ target.moment_weights)[..., 0, :]
     rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
     return sum_last(target.observables * rows)
 
 
 def _density_stack(b: int, n: int) -> np.ndarray:
-    """An empty (b, n, n) density stack in the layout the step kernels run fastest on.
+    """An empty (b, n, n) density stack in batch-last lanes, at every n.
 
-    Up to SUM_MAX_N it is the batch-last view of (n, n, b) memory: entry
-    (i, j) of every row is one contiguous (b,) lane, so each elementwise
-    kernel loops over the batch rather than over N^2 <= 9 entries, and every
+    It is the batch-last view of (n, n, b) memory: entry (i, j) of every row
+    is one contiguous (b,) lane, so each elementwise kernel loops over the
+    batch rather than over the N^2 entries of one matrix, and every
     elementwise temporary takes that layout too. No einsum, np.sum, norm,
     matmul or LAPACK call may read the lane stack, as their summation order
-    follows the strides: the level-axis sums are index-order adds (sum_last),
-    and the purity at a record point, eigvalsh on the rows the floor screen
-    leaves and the rotation back to the lab basis run on row-major copies.
-    Above SUM_MAX_N the stack is row-major, for the stacked matmul, as is the
-    ket stack at every N. A single row is both.
+    follows the strides: h_b rho and the level-axis sums are index-order adds
+    (_left_product, sum_last), and the purity at a record point, eigvalsh on
+    the rows the floor screen leaves and the rotation back to the lab basis
+    run on row-major copies. The ket stack is row-major (see SUM_MAX_N). A
+    single row is both.
     """
-    if n > SUM_MAX_N:
-        return np.empty((b, n, n), dtype=complex)
     return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
 
 def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
     """<C> = sum_i c_i p_i as adds in index order.
 
-    Up to SUM_MAX_N this is bit for bit the C1 row of moments; above
-    it moments takes a BLAS product, which may differ in the last bit.
+    Bit for bit the C1 row of moments, but for a ket above SUM_MAX_N levels,
+    whose table is a BLAS product that may differ in the last bit.
     """
     return sum_last(populations(state) * model.levels)
 

@@ -2,10 +2,11 @@
 
 Trajectories are integrated in lockstep (see integrate.run_batch) and reduced
 in trajectory-index order, so identical configurations produce byte-identical
-outputs regardless of batch size. Up to N = 3 (dynamics.SUM_MAX_N) the step
-is elementwise arithmetic in index order, so the outputs should not depend on
-the host either; above it the step calls BLAS, whose kernels differ by CPU,
-and that is untested.
+outputs regardless of batch size. A density step is elementwise arithmetic in
+index order at every N, so density outputs should not depend on the host
+either, unless a row nears the positivity floor, where LAPACK decides the
+clip; a ket step above N = 3 (dynamics.SUM_MAX_N) calls BLAS, whose kernels
+differ by CPU. Neither host claim is tested.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class EnsembleError(RuntimeError):
     """Raised by nothing (a bad step raises IntegrationError); bench/run.py imports it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleConfig:
     """Everything needed to reproduce one ensemble run."""
 

@@ -2,9 +2,9 @@
 
 Every function accepts stacked operands of shape (..., N, N) and broadcasts
 over the leading axes; a single matrix is the degenerate stack. The stacks
-may be row-major or batch-last (the integrator's lanes, see
-dynamics._density_stack): min_eigenvalue and clear_of_floor give the same
-rows in either layout.
+may be row-major or batch-last (the lanes every integrated density stack
+takes, see dynamics._density_stack): min_eigenvalue and clear_of_floor give
+the same rows in either layout.
 
 The density-cone check asks whether the smallest eigenvalue lies below a
 floor. min_eigenvalue answers it exactly (a radical at N = 2, eigvalsh above).
@@ -22,10 +22,11 @@ EIG_FLOOR = -1e-9
 # eigvalsh on matrices of order-one norm, such as densities.
 SCREEN_TOL = 1e-12
 # From this many rows up, clear_of_floor plus eigvalsh on the rows it leaves
-# beats eigvalsh on every row at N = 3 to 5 (about 20 rows at N = 3 on a
-# 2-core Xeon, numpy 2.4); at N = 6 to 8 the two are about even at 32 rows
-# and the screen is 2-3 times faster from 100. It sets speed only: the rows
-# found below the floor are the same.
+# beats eigvalsh on every row at N = 3 to 5. On batch-last lane stacks (2-core
+# Xeon, numpy 2.4, one BLAS thread) the two are even near 17 rows at N = 3, 22
+# at N = 4, 27 at N = 5, 30-32 at N = 6 and 36-48 at N = 7 and 8; from 64 rows
+# the screen is 1.7-3 times faster at every N to 8, and 2-6 times at 128. It
+# sets speed only: the rows found below the floor are the same.
 SCREEN_MIN_ROWS = 32
 
 

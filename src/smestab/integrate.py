@@ -10,8 +10,9 @@ _brownian_increments). A path still depends only on (master_seed, i), so it
 is bit-identical whether it runs alone or inside any batch, and reruns
 reproduce it exactly.
 
-The density stack takes the layout dynamics._density_stack gives it, which
-also states the rule that keeps each row independent of the batch.
+The density stack takes the layout dynamics._density_stack gives it,
+batch-last lanes at every N, which also states the rule that keeps each row
+independent of the batch; the ket stack is row-major.
 
 States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
 initial state in once, feedback, the detector record and the certificates
@@ -22,10 +23,10 @@ Per step the pre-step state is read once. On a steered step or a record
 point, X = h_b state and the moment table built from it (dynamics.moments)
 serve the law, the record point and the control term. A steered step takes
 <C> from the table's C1 row; an open-loop step takes it from mean_level at
-every step, record point or not, as above three levels the two may differ in
-the last bit (see dynamics.mean_level). Open-loop steps get u = None and
-skip the zero control term (see dynamics.sme_drift). A density stays
-Hermitian by construction (see dynamics) and is trace-renormalized, and
+every step, record point or not, as for a ket above three levels the two
+may differ in the last bit (see dynamics.mean_level). Open-loop steps get
+u = None and skip the zero control term (see dynamics.sme_drift). A density
+stays Hermitian by construction (see dynamics) and is trace-renormalized, and
 hermitian.project_to_density clips it only when its smallest eigenvalue
 drops below the validity floor; a state vector is renormalized. _sme_step
 assembles the step in place in the arrays the dynamics kernels return;
@@ -492,7 +493,7 @@ def run_batch(
         # integers, as _brownian_increments has checked
         indices=[int(i) for i in indices],
         times=slots * sim.dt,
-        final_states=model.from_eigenbasis(np.ascontiguousarray(density(state))),
+        final_states=model.from_eigenbasis(density(state)),
         n_steps=n_steps,
         n_projected=n_projected,
         states=None if states is None else model.from_eigenbasis(states),

@@ -274,6 +274,15 @@ def test_malformed_configs_exit_2_naming_the_fault(tmp_path, capsys, text, fault
     assert not (tmp_path / "out").exists()
 
 
+def test_configs_models_and_targets_compare_and_hash_by_identity(tmp_path):
+    # each holds arrays, so a field-by-field == would ask an array for its truth value
+    path = write_doc(tmp_path, qubit_doc())
+    a, b = load_config(path), load_config(path)
+    for x, y in ((a, b), (a.model, b.model), (a.target, b.target)):
+        assert (x == x) is True and (x == y) is False and (x != y) is True
+        assert {x: "x", y: "y"}[x] == "x" and hash(x) == hash(x)
+
+
 def test_load_config(tmp_path):
     path = write_doc(tmp_path, qubit_doc())
     cfg = load_config(path)
@@ -462,6 +471,26 @@ def test_a_file_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
     taken.mkdir(parents=True)
     assert main(["rankcheck", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"'{taken}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["levelset", "ensemble"])
+def test_inputs_too_large_to_allocate_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                                  command):
+    # numpy raises a MemoryError naming the shape it could not allocate; the
+    # stand-ins raise one without allocating anything
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("smestab.cli.levelset_table", too_large)
+    monkeypatch.setattr("smestab.cli.run_ensemble", too_large)
+    if command == "levelset":
+        inputs = ["--k", "1", "--ell", "1", "--mu", "1", "--eta", "0.5", "--resolution", "100000"]
+    else:
+        inputs = ["--config", write_doc(tmp_path, qubit_doc())]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_levelset(tmp_path):

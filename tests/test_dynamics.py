@@ -246,7 +246,7 @@ def test_diffusion_term_traceless_and_zero_on_eigenstates():
 
 def test_sme_drift_splits_into_parts():
     # the elementwise drift equals the dense -i[H, rho] + mu D[c] rho, on the
-    # qutrit (broadcast sums) and on random bases up to N = 5 (stacked matmul)
+    # qutrit and on random bases up to N = 5
     rng = np.random.default_rng(23)
     model, _ = qutrit(mu=1.3, eta=0.8)
     rho = ginibre(rng, 3)

@@ -492,9 +492,10 @@ def dense_sse_step(psi, model, u, dt, dw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
-    # N = 2..8 runs both the broadcast-sum and the matmul side of the
-    # eigenbasis kernels, up to the N = 8 of the state-vector benchmark; the
-    # reference is the dense lab-basis scheme
+    # N = 2..8 runs the density kernels' broadcast sums and both sides of the
+    # ket kernels (broadcast sums up to N = 3, a stacked matmul above), up to
+    # the N = 8 of the state-vector benchmark; the reference is the dense
+    # lab-basis scheme
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
@@ -873,9 +874,9 @@ def test_each_step_reads_its_state_once(monkeypatch, representation):
 
 @pytest.mark.parametrize("n, representation", [(4, "sme"), (5, "sme"), (6, "sme"), (5, "sse")])
 def test_open_loop_paths_do_not_depend_on_the_record_stride(n, representation):
-    # above SUM_MAX_N the moment table's <C> may differ from mean_level's in
-    # the last bit; an open-loop step reads mean_level at every step, so a
-    # record point does not move the path
+    # for a ket above SUM_MAX_N the moment table's <C> may differ from
+    # mean_level's in the last bit; an open-loop step reads mean_level at every
+    # step, so a record point does not move the path
     rng = np.random.default_rng(40 + n)
     model, target = random_model(rng, n)
     if representation == "sse":
@@ -902,8 +903,8 @@ def test_random_steered_runs_are_row_local_and_keep_the_rates(n, seed, represent
     # a steered run on a random N = 2..8 model shares one h_b state product
     # between the rates and the control term: rows run alone equal their rows
     # in the batch bit for bit; the density rates taken from that product are
-    # the elementwise sum they replace, exactly up to N = 3 (broadcast adds in
-    # the same order) and within 1e-15 above it (a stacked matmul)
+    # the elementwise sum they replace, exactly at every N (broadcast adds in
+    # the same order)
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, n)
     if representation == "sse":
@@ -925,17 +926,15 @@ def test_random_steered_runs_are_row_local_and_keep_the_rates(n, seed, represent
     frame = hermitize(model.to_eigenbasis(res.states))
     shared = _left_product(model.coupling, frame).diagonal(0, -2, -1).imag
     summed = dynamics.sum_last((model.coupling * frame.swapaxes(-1, -2)).imag)
-    if n <= dynamics.SUM_MAX_N:
-        assert np.array_equal(shared, summed)
-    else:
-        np.testing.assert_allclose(shared, summed, rtol=0.0, atol=1e-15)
+    assert np.array_equal(shared, summed)
 
 
 def _position_cases():
-    """(name, model, target, ctrl, sim): densities steered at N = 2, open-loop and
-    steered at N = 3; kets steered at N = 8 and open-loop at N = 3."""
+    """(name, model, target, ctrl, sim): densities steered at N = 2, 3 and 5 and
+    open-loop at N = 3; kets steered at N = 8 and open-loop at N = 3."""
     model2, target2 = qubit(mu=1.0, eta=0.5)
     model3, target3 = qutrit(mu=6.0, eta=0.5)
+    model5, target5 = random_model(np.random.default_rng(5), 5)
     model8, target8 = random_model(np.random.default_rng(8), 8)
     steered = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     return (
@@ -949,10 +948,12 @@ def _position_cases():
          SimConfig(dt=0.01, t_final=3.0, seed=24, record_stride=7, representation="sse")),
         ("ket3_open", replace(model3, eta=1.0), target3, ControllerSpec(kind="open_loop"),
          SimConfig(dt=0.02, t_final=2.0, seed=25, record_stride=7, representation="sse")),
+        ("density5_steered", model5, target5, steered,
+         SimConfig(dt=0.2, t_final=6.0, seed=26, record_stride=7)),
     )
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(6))
 def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
     # B = 1003 is no multiple of a SIMD width, so the first, a middle and the
     # last lane each sit at a different offset in their vector; coarse density
@@ -984,7 +985,7 @@ def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
         assert np.array_equal(getattr(row_major, f.name), getattr(res, f.name)), (name, f.name)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
     # the kernels that read the lane stack, fed its row-major copy, agree bit
     # for bit and hand back arrays in their input's layout
@@ -1015,12 +1016,11 @@ def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_density_steps_run_on_batch_last_lanes_up_to_sum_max_n(monkeypatch, n):
-    # every step of a batch with N <= SUM_MAX_N reads and returns a stack
-    # whose batch axis has the smallest stride; above, the stack stays
-    # row-major for the stacked matmul. Without this check a fall back to the
-    # slow layout would keep every output, and every other test, unchanged
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_density_steps_run_on_batch_last_lanes_at_every_n(monkeypatch, n):
+    # every step of a density batch reads and returns a stack whose batch axis
+    # has the smallest stride, at every N. Without this check a fall back to
+    # a row-major stack would keep every output, and every other test, unchanged
     rng = np.random.default_rng(50 + n)
     model, target = random_model(rng, n)
     real = integrate._sme_step
@@ -1040,7 +1040,4 @@ def test_density_steps_run_on_batch_last_lanes_up_to_sum_max_n(monkeypatch, n):
                       n_trajectories=b)
             assert len(seen) == 2 * sim.n_steps
             for state in seen:
-                if n <= dynamics.SUM_MAX_N:
-                    assert state.strides[0] < min(state.strides[1:]), (kind, b, state.strides)
-                else:
-                    assert state.flags.c_contiguous, (kind, b, state.strides)
+                assert state.strides[0] < min(state.strides[1:]), (kind, b, state.strides)
