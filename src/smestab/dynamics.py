@@ -54,12 +54,6 @@ COMMUTING_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
 EDGE_TOL = 1e-12
 SPECTRAL_GAP_TOL = 1e-10
-# Kets only: up to this N, h_b @ psi is N broadcast products and moments sums
-# in index order, as for a density at every N; above it each is a stacked
-# matmul on the row-major ket stack. On batch-last lanes with index-order sums
-# at N = 8, sse_n8 (B = 100) jobs took 1.7x as long (2 cores). Each form is
-# computed row by row, so no row depends on the batch.
-SUM_MAX_N = 3
 
 # rows of TargetSpec.observables
 RHO_D, C1, C2, C3, K_RHO_D, K_C, K_C2 = range(7)
@@ -182,7 +176,7 @@ class TargetSpec:
     reads: rows RHO_D, C1, C2, C3 weight the populations p_i by x_i = (rho_d)_ii,
     c_i, c_i^2, c_i^3, and rows K_RHO_D, K_C, K_C2 the control rates r_i by
     2 x_i for X = rho_d, C, C^2, as <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i.
-    moment_weights is that table in (2N, 7) block form, for a ket's [p, r] above SUM_MAX_N.
+    moment_weights is that table in (2N, 7) block form, the weights of a ket's row [p, r].
     """
 
     model: InitVar[ModelSpec]
@@ -230,13 +224,12 @@ class TargetSpec:
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """h @ x for a constant (N, N) h and stacked (..., N, M) x, as adds in index
-    order, or as one stacked matmul for a ket column above SUM_MAX_N levels."""
-    n = h.shape[0]
-    if x.shape[-1] == 1 and n > SUM_MAX_N:
+    """h @ x for a constant (N, N) h and stacked (..., N, M) x: one stacked
+    matmul for ket columns, adds in index order for densities (see _density_stack)."""
+    if x.shape[-1] == 1:
         return h @ x
     out = h[:, :1] * x[..., :1, :]
-    for k in range(1, n):
+    for k in range(1, h.shape[0]):
         out += h[:, k : k + 1] * x[..., k : k + 1, :]
     return out
 
@@ -281,19 +274,19 @@ def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None) ->
     table weights the populations p_i and the control rates
     r_i = Im (h_b rho)_ii (Im conj(psi_i) (h_b psi)_i for a ket) by
     target.observables; under -i u [h_b, rho] population i moves at 2 u r_i.
-    That is elementwise products and index-order adds, except for a ket above
-    SUM_MAX_N levels: one stacked matmul of each ket's row [p, r] with
-    target.moment_weights. Either way no row depends on the batch around it.
+    For a density that is elementwise products and index-order adds; for a
+    ket it is one stacked matmul of each ket's row [p, r] with
+    target.moment_weights, since kets on batch-last lanes with index-order
+    sums ran sse_n8 (N = 8, B = 100) 1.7x slower (2 cores). Either way no row
+    depends on the batch around it.
     """
     hx = _left_product(model.coupling, state) if hx is None else hx
     if state.shape[-1] == 1:
         bra = np.conj(state[..., 0])
         p, r = (bra * state[..., 0]).real, (bra * hx[..., 0]).imag
-        if p.shape[-1] > SUM_MAX_N:
-            pr = np.concatenate([p, r], axis=-1)[..., None, :]
-            return (pr @ target.moment_weights)[..., 0, :]
-    else:
-        p, r = populations(state), hx.diagonal(0, -2, -1).imag
+        pr = np.concatenate([p, r], axis=-1)[..., None, :]
+        return (pr @ target.moment_weights)[..., 0, :]
+    p, r = populations(state), hx.diagonal(0, -2, -1).imag
     rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
     return sum_last(target.observables * rows)
 
@@ -309,8 +302,8 @@ def _density_stack(b: int, n: int) -> np.ndarray:
     follows the strides: h_b rho and the level-axis sums are index-order adds
     (_left_product, sum_last), and the purity at a record point, eigvalsh on
     the rows the floor screen leaves and the rotation back to the lab basis
-    run on row-major copies. The ket stack is row-major (see SUM_MAX_N). A
-    single row is both.
+    run on row-major copies. The ket stack is row-major, and its h_b psi and
+    moment table are stacked matmuls (see moments). A single row is both.
     """
     return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
@@ -318,8 +311,8 @@ def _density_stack(b: int, n: int) -> np.ndarray:
 def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
     """<C> = sum_i c_i p_i as adds in index order.
 
-    Bit for bit the C1 row of moments, but for a ket above SUM_MAX_N levels,
-    whose table is a BLAS product that may differ in the last bit.
+    Bit for bit the C1 row of moments for a density; a ket's table is a BLAS
+    product, whose C1 row may differ from this in the last bit.
     """
     return sum_last(populations(state) * model.levels)
 

@@ -5,8 +5,8 @@ in trajectory-index order, so identical configurations produce byte-identical
 outputs regardless of batch size. A density step is elementwise arithmetic in
 index order at every N, so density outputs should not depend on the host
 either, unless a row nears the positivity floor, where LAPACK decides the
-clip; a ket step above N = 3 (dynamics.SUM_MAX_N) calls BLAS, whose kernels
-differ by CPU. Neither host claim is tested.
+clip; a ket step calls BLAS at every N, whose kernels differ by CPU. Neither
+host claim is tested.
 """
 from __future__ import annotations
 

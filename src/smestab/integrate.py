@@ -12,7 +12,7 @@ reproduce it exactly.
 
 The density stack takes the layout dynamics._density_stack gives it,
 batch-last lanes at every N, which also states the rule that keeps each row
-independent of the batch; the ket stack is row-major.
+independent of the batch; the ket stack is row-major at every N.
 
 States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
 initial state in once, feedback, the detector record and the certificates
@@ -23,9 +23,9 @@ Per step the pre-step state is read once. On a steered step or a record
 point, X = h_b state and the moment table built from it (dynamics.moments)
 serve the law, the record point and the control term. A steered step takes
 <C> from the table's C1 row; an open-loop step takes it from mean_level at
-every step, record point or not, as for a ket above three levels the two
-may differ in the last bit (see dynamics.mean_level). Open-loop steps get
-u = None and skip the zero control term (see dynamics.sme_drift). A density
+every step, record point or not, as for a ket the two may differ in the last
+bit (see dynamics.mean_level). Open-loop steps get u = None and skip the
+zero control term (see dynamics.sme_drift). A density
 stays Hermitian by construction (see dynamics) and is trace-renormalized, and
 hermitian.project_to_density clips it only when its smallest eigenvalue
 drops below the validity floor; a state vector is renormalized. _sme_step
@@ -134,10 +134,13 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """One recorded path with its certificate series and final classification."""
+    """One recorded path with its certificate series and final classification.
+
+    states holds the recorded lab-basis densities as one (n_rec, N, N) array.
+    """
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     controls: np.ndarray
     records: np.ndarray
     lyapunov: list[LyapunovReport]
@@ -518,7 +521,7 @@ def simulate(
     rows = np.stack([c[0] for c in series], axis=1).tolist()
     return Trajectory(
         times=res.times,
-        states=list(res.states[0]),
+        states=res.states[0],
         controls=res.controls[0],
         records=res.records[0],
         lyapunov=[LyapunovReport(*row) for row in rows],

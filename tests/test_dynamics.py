@@ -26,9 +26,11 @@ from conftest import (
 from smestab.dynamics import (
     ModelSpec,
     TargetSpec,
+    _left_product,
     diffusion_term,
     mean_level,
     measurement_increment,
+    moments,
     sme_drift,
     sse_diffusion,
     sse_drift,
@@ -366,3 +368,22 @@ def test_open_loop_drift_skips_the_control_term_and_equals_the_drift_at_zeros(n,
     mean = mean_level(psi, model)
     zeros = sse_drift(psi, mean, model, np.zeros(batch))
     assert np.array_equal(sse_drift(psi, mean, model, None), zeros)
+
+
+def test_a_ket_takes_one_form_at_every_n():
+    # at every N a ket column's h_b psi is the stacked matmul coupling @ psi
+    # and its moment table the stacked product [p, r] @ moment_weights, bit
+    # for bit; three random models at each N = 2..8, 128 kets on each
+    rng = np.random.default_rng(61)
+    for n in range(2, 9):
+        for _ in range(3):
+            model, target = random_model(rng, n)
+            psi = rng.normal(size=(128, n, 1)) + 1j * rng.normal(size=(128, n, 1))
+            psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
+            hpsi = model.coupling @ psi
+            assert np.array_equal(_left_product(model.coupling, psi), hpsi), n
+            bra = np.conj(psi[..., 0])
+            pr = np.concatenate([(bra * psi[..., 0]).real, (bra * hpsi[..., 0]).imag], axis=-1)
+            table = (pr[:, None, :] @ target.moment_weights)[:, 0, :]
+            assert np.array_equal(moments(psi, model, target), table), n
+            assert np.array_equal(moments(psi, model, target, hpsi), table), n

@@ -492,10 +492,9 @@ def dense_sse_step(psi, model, u, dt, dw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
-    # N = 2..8 runs the density kernels' broadcast sums and both sides of the
-    # ket kernels (broadcast sums up to N = 3, a stacked matmul above), up to
-    # the N = 8 of the state-vector benchmark; the reference is the dense
-    # lab-basis scheme
+    # N = 2..8 runs the density kernels' broadcast sums and the ket kernels'
+    # stacked matmuls up to the N = 8 of the state-vector benchmark; the
+    # reference is the dense lab-basis scheme
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
@@ -872,11 +871,12 @@ def test_each_step_reads_its_state_once(monkeypatch, representation):
                       "feedback": n + 1}
 
 
-@pytest.mark.parametrize("n, representation", [(4, "sme"), (5, "sme"), (6, "sme"), (5, "sse")])
+@pytest.mark.parametrize("n, representation",
+                         [(4, "sme"), (5, "sme"), (6, "sme"), (2, "sse"), (3, "sse"), (5, "sse")])
 def test_open_loop_paths_do_not_depend_on_the_record_stride(n, representation):
-    # for a ket above SUM_MAX_N the moment table's <C> may differ from
-    # mean_level's in the last bit; an open-loop step reads mean_level at every
-    # step, so a record point does not move the path
+    # for a ket at every N the moment table's <C> may differ from mean_level's
+    # in the last bit; an open-loop step reads mean_level at every step, so a
+    # record point does not move the path
     rng = np.random.default_rng(40 + n)
     model, target = random_model(rng, n)
     if representation == "sse":
