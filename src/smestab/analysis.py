@@ -59,6 +59,26 @@ def _distinct(values) -> int:
     return int(x.size and 1 + np.count_nonzero(np.diff(x) > REGULARITY_TOL))
 
 
+def _joined(model: ModelSpec, t: int) -> np.ndarray:
+    """Mask of the levels j != t that h_b joins to level t: |coupling[j, t]| > EDGE_TOL."""
+    joined = np.abs(model.coupling[:, t]) > EDGE_TOL
+    joined[t] = False
+    return joined
+
+
+def unjoined_levels(model: ModelSpec, target: TargetSpec) -> list[int]:
+    """The levels j != t that h_b does not join to the target level t, ascending.
+
+    Linearised at eigenstate j, the completed-square laws (square_of_sum and
+    tuned) feed back only terms that damp j's coherences when h_jt = 0, so
+    such a level attracts locally at every gain.
+    """
+    t = target.level
+    unjoined = ~_joined(model, t)
+    unjoined[t] = False
+    return np.flatnonzero(unjoined).tolist()
+
+
 def kalman_like_rank(model: ModelSpec, target: TargetSpec, use: str = "h_a") -> RankReport:
     """Rank of the iterated commutator family against the N^2 - N requirement.
 
@@ -66,8 +86,7 @@ def kalman_like_rank(model: ModelSpec, target: TargetSpec, use: str = "h_a") -> 
     distinct multipliers in the module docstring.
     """
     t = target.level
-    coupled = np.abs(model.coupling[:, t]) > EDGE_TOL
-    coupled[t] = False
+    coupled = _joined(model, t)
     if use == "h_a":
         w = np.abs(model.energies[t] - model.energies[coupled])
         zero = w <= REGULARITY_TOL

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import kalman_like_rank, strong_regularity
+from .analysis import kalman_like_rank, strong_regularity, unjoined_levels
 from .bloch import levelset_table
 from .config import ConfigError, load_config
 from .ensemble import (
@@ -84,6 +84,16 @@ def _warn_if_mostly_clipped(clips: int, traj_steps: int) -> None:
         )
 
 
+def _unjoined_line(cfg) -> str:
+    """One line naming the levels that h_b does not join to the target (see unjoined_levels)."""
+    levels = unjoined_levels(cfg.model, cfg.target)
+    head = f"levels not joined to the target (level {cfg.target.level}) by h_b: "
+    if not levels:
+        return head + "none"
+    return (head + ", ".join(map(str, levels))
+            + "; each attracts locally under square_of_sum and tuned at every gain")
+
+
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     m = cfg.model
@@ -94,6 +104,7 @@ def _cmd_validate(args) -> int:
         f"representation={cfg.sim.representation}"
     )
     print(f"ensemble: n_trajectories={cfg.n_trajectories}")
+    print(_unjoined_line(cfg))
     print("configuration valid")
     return EXIT_OK
 
@@ -161,6 +172,7 @@ def _cmd_rankcheck(args) -> int:
         )
     lines.append(f"strong regularity h_a: {strong_regularity(cfg.model.energies)}")
     lines.append(f"strong regularity c:   {strong_regularity(cfg.model.levels)}")
+    lines.append(_unjoined_line(cfg))
     text = "\n".join(lines)
     print(text)
     if out is not None:

@@ -317,26 +317,43 @@ def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
     return sum_last(populations(state) * model.levels)
 
 
-def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None) -> np.ndarray:
-    """F + D with H = h_a + u h_b: drift_table * rho - i u [h_b, rho].
+def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None,
+              dt=1.0) -> np.ndarray:
+    """(F + D) dt with H = h_a + u h_b: (drift_table dt) * rho - i u dt [h_b, rho].
 
-    hr is h_b rho when the caller holds it, else it is formed here. u = None
-    stands for the open-loop law, u = 0 on every row: the control term is not
-    evaluated and the drift is drift_table * rho, equal to the result at zeros.
+    dt scales the (N, N) table and the per-row scalar -i u dt, never the
+    stack, and at the default dt = 1.0 both are exact, so the result is F + D
+    bit for bit. hr is h_b rho when the caller holds it, else it is formed
+    here. u = None stands for the open-loop law, u = 0 on every row: the
+    control term is not evaluated and the result is (drift_table dt) * rho,
+    equal to the result at zeros. The result is a new array in rho's layout.
     """
+    out = (model.drift_table * dt) * rho
     if u is None:
-        return model.drift_table * rho
+        return out
     hr = _left_product(model.coupling, rho) if hr is None else hr
-    return model.drift_table * rho + (-1j * np.asarray(u))[..., None, None] * (hr - dag(hr))
+    control = hr - dag(hr)
+    # u dt as an array even for a scalar u, so -1j times it is a numpy value
+    control *= (-1j * np.asarray(dt * np.asarray(u)))[..., None, None]
+    out += control
+    return out
 
 
-def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """G = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with mean = <C>; traceless and Hermitian."""
+def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec, dw=1.0) -> np.ndarray:
+    """G dW = sqrt(mu eta) dW (c_i + c_j - 2 <C>) rho_ij with mean = <C>; Hermitian.
+
+    It is traceless when mean is <C> / tr(rho), at any trace of rho, so
+    integrate._sme_step hands it that. dw is a scalar or one increment per
+    row. sqrt(mu eta) dW scales the real table c_i + c_j - 2 <C> before its
+    one product with rho, and at the default dw = 1.0 the result is G bit for
+    bit.
+    """
     # formed in rho's layout: broadcast from (N, N) and (..., 1, 1) alone it comes out row-major
     centered = np.subtract(
         model.level_sums, 2.0 * mean[..., None, None], out=np.empty_like(rho, dtype=float)
     )
-    return math.sqrt(model.mu * model.eta) * centered * rho
+    centered *= (math.sqrt(model.mu * model.eta) * np.asarray(dw))[..., None, None]
+    return centered * rho
 
 
 def measurement_increment(mean: np.ndarray, model: ModelSpec, dt: float, dW) -> np.ndarray:

@@ -3,10 +3,14 @@
 Trajectories are integrated in lockstep (see integrate.run_batch) and reduced
 in trajectory-index order, so identical configurations produce byte-identical
 outputs regardless of batch size. A density step is elementwise arithmetic in
-index order at every N, so density outputs should not depend on the host
-either, unless a row nears the positivity floor, where LAPACK decides the
-clip; a ket step calls BLAS at every N, whose kernels differ by CPU. Neither
-host claim is tested.
+index order at every N and calls no BLAS, so density outputs do not depend
+on the host either, unless a row nears the positivity floor, where LAPACK
+decides the clip; a ket step calls BLAS at every N, whose kernels differ by
+CPU. tests/test_host_independence.py runs a steered qubit, an open-loop
+three-level and a steered spin-3/2 density batch from the shipped configs,
+none of which clips, under every OpenBLAS core type the CPU supports (of
+Nehalem, Haswell and SkylakeX) and demands bit-identical final states and
+controls; clipping rows and kets are not tested.
 """
 from __future__ import annotations
 

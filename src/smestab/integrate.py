@@ -25,13 +25,15 @@ serve the law, the record point and the control term. A steered step takes
 <C> from the table's C1 row; an open-loop step takes it from mean_level at
 every step, record point or not, as for a ket the two may differ in the last
 bit (see dynamics.mean_level). Open-loop steps get u = None and skip the
-zero control term (see dynamics.sme_drift). A density
-stays Hermitian by construction (see dynamics) and is trace-renormalized, and
-hermitian.project_to_density clips it only when its smallest eigenvalue
-drops below the validity floor; a state vector is renormalized. _sme_step
-assembles the step in place in the arrays the dynamics kernels return;
-_sse_step multiplies the ket by one diagonal factor and adds the control
-term (see dynamics). Both leave their input alone and check the trace (the
+zero control term (see dynamics.sme_drift). A density stays Hermitian by
+construction (see dynamics), its trace is kept by the traceless increment,
+to roundoff and with no rescaling, and hermitian.project_to_density clips it
+only when its smallest eigenvalue drops below the validity floor; a state
+vector is renormalized, as Euler-Maruyama does not keep its norm. _sme_step
+adds rho and dW times the diffusion term to dt times the drift in place, dt
+and dW scaling the kernels' (N, N) tables rather than the stack; _sse_step
+multiplies the ket by one diagonal factor and adds the control term (see
+dynamics). Both leave their input alone and check the trace (the
 ket norm) with one min/max pair. One certificates call derives every
 certificate series from the recorded tables after the loop. On stacks of
 N >= 3 and at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
@@ -270,30 +272,34 @@ def _check_target(model: ModelSpec, target: TargetSpec) -> None:
 def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
     """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
 
-    mean is <C> and hr is h_b rho or None. The increment is Hermitian term by
-    term, so Hermitian rows stay exactly Hermitian; the result is
-    trace-normalized. It is assembled in place in the arrays the kernels
-    return, in the order of rho + drift dt + g dW, and rho is left
-    unmodified; u = None is the open-loop law (see sme_drift). rho may be
-    row-major or a batch-last lanes view (see _density_stack): every
-    temporary, and the result, takes rho's layout, and the trace is an
-    index-order sum, so each row's result is the same in either. A trace that
-    is not finite and positive raises IntegrationError; a row whose smallest
-    eigenvalue drops below EIG_FLOOR is projected onto the density cone and
-    counts in n_projected, which updates in place.
+    mean is <C> = sum_i c_i rho_ii and hr is h_b rho or None. The step is one
+    pass per term, assembled in place in the array sme_drift returns in the
+    order (F + D) dt + rho + G dW; dt and dW scale the kernels' tables, not
+    the stack, and rho is left unmodified; u = None is the open-loop law (see
+    sme_drift). The increment is Hermitian and traceless at any trace, so
+    Hermitian rows stay exactly Hermitian and the trace is kept to roundoff
+    with no rescaling. That needs the noise term to read <C> / tr(rho): with
+    <C> its trace is -2 sqrt(mu eta) <C> (tr(rho) - 1) dW, a geometric
+    Brownian factor on each roundoff error of the trace, whose supremum
+    exceeds x with probability 1/x, so the largest error grows with the
+    trajectory-steps run (1.3e-11 against 2.7e-14 on 200 paths of 20,000
+    steps of configs/spin_2.json). rho may be row-major or a batch-last lanes
+    view (see _density_stack): every temporary, and the result, takes rho's
+    layout, and both traces are index-order sums, so each row's result is the
+    same in either. A trace that is not finite and
+    positive raises IntegrationError; a row whose smallest eigenvalue drops
+    below EIG_FLOOR is projected onto the density cone, which renormalizes
+    it, and counts in n_projected, which updates in place.
     """
-    nxt = sme_drift(rho, model, u, hr)
-    nxt *= dt
+    normalized = mean / sum_last(rho.diagonal(0, -2, -1).real)
+    # kernels called positionally, so wrappers that take *args see every input
+    nxt = sme_drift(rho, model, u, hr, dt)
     nxt += rho
-    g = diffusion_term(rho, mean, model)
-    g *= dw[:, None, None]
-    nxt += g
+    nxt += diffusion_term(rho, normalized, model, dw)
     tr = sum_last(nxt.diagonal(0, -2, -1).real)
     # a nan fails both comparisons
     if not (tr.min() > 0.0 and tr.max() < np.inf):
         raise IntegrationError("trace not finite and positive")
-    # a complex divided by a real t is multiplied by 1 / t, so this is bit for bit the division
-    nxt *= (1.0 / tr)[:, None, None]
     low = _below_floor(nxt)
     if low.any():
         n_projected[low] += 1
@@ -344,7 +350,7 @@ def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:
     # a nan fails both comparisons
     if not (norm.min() > 0.0 and norm.max() < np.inf):
         raise IntegrationError("degenerate state-vector norm")
-    # bit for bit the division, as in _sme_step
+    # a complex divided by a real t is multiplied by 1 / t, so this is bit for bit the division
     nxt *= (1.0 / norm)[:, None, None]
     return nxt
 

@@ -169,18 +169,19 @@ def test_closed_form_keeps_the_rank_the_svd_loses_to_conditioning():
     assert kalman_like_rank(model, target).achieved_rank == 14
 
 
+ATTRACTS = "; each attracts locally under square_of_sum and tuned at every gain"
 RANKCHECK_LINES = {
     "qubit.json": ["achieved 2 / required 2: PASSED", "achieved 2 / required 2: PASSED",
-                   "h_a: True", "c:   True"],
+                   "h_a: True", "c:   True", "(level 1) by h_b: none"],
     "spin_2.json": ["achieved 1 / required 20: FAILED", "achieved 2 / required 20: FAILED",
-                    "h_a: False", "c:   False"],
+                    "h_a: False", "c:   False", "(level 4) by h_b: 0, 1, 2" + ATTRACTS],
     "spin_3_2.json": ["achieved 1 / required 12: FAILED", "achieved 2 / required 12: FAILED",
-                      "h_a: False", "c:   False"],
+                      "h_a: False", "c:   False", "(level 3) by h_b: 0, 1" + ATTRACTS],
     "three_level.json": ["achieved 4 / required 6: FAILED", "achieved 4 / required 6: FAILED",
-                         "h_a: True", "c:   False"],
+                         "h_a: True", "c:   False", "(level 2) by h_b: none"],
 }
 LABELS = ["kalman-like rank, A = -i h_a: ", "kalman-like rank, A = c:      ",
-          "strong regularity ", "strong regularity "]
+          "strong regularity ", "strong regularity ", "levels not joined to the target "]
 
 
 def test_rankcheck_prints_both_letters_and_regularity_on_every_shipped_config(capsys):
@@ -190,3 +191,12 @@ def test_rankcheck_prints_both_letters_and_regularity_on_every_shipped_config(ca
         assert main(["rankcheck", "--config", str(path)]) == 0
         expected = [a + b for a, b in zip(LABELS, RANKCHECK_LINES[path.name])]
         assert capsys.readouterr().out.splitlines() == expected, path.name
+
+
+def test_validate_names_the_levels_h_b_does_not_join_to_the_target(capsys):
+    # the rankcheck line, printed by validate too, just before its verdict
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert main(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [LABELS[-1] + RANKCHECK_LINES[path.name][-1],
+                              "configuration valid"], path.name

@@ -1,5 +1,6 @@
 """Model validation and the Ito vector fields of the conditioned equation."""
 import inspect
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from conftest import (
 from smestab.dynamics import (
     ModelSpec,
     TargetSpec,
+    _density_stack,
     _left_product,
     diffusion_term,
     mean_level,
@@ -387,3 +389,45 @@ def test_a_ket_takes_one_form_at_every_n():
             table = (pr[:, None, :] @ target.moment_weights)[:, 0, :]
             assert np.array_equal(moments(psi, model, target), table), n
             assert np.array_equal(moments(psi, model, target, hpsi), table), n
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_density_kernels_fold_dt_and_dw_into_their_tables(n):
+    # sme_drift(..., dt) is dt times the drift and diffusion_term(..., dw) is
+    # dW times the noise coefficient, to a few ulps of the terms summed, on
+    # batch-last lanes and on a row-major copy alike; at the defaults both are
+    # the unscaled formulas bit for bit
+    rng = np.random.default_rng(110 + n)
+    model, _ = random_model(rng, n)
+    b = 33
+    row_major = model.to_eigenbasis(ginibre(rng, n, (b,)))
+    lanes = _density_stack(b, n)
+    lanes[...] = row_major
+    u = rng.uniform(-3.0, 3.0, b)
+    dt = rng.uniform(1e-4, 0.1)
+    dw = rng.normal(0.0, np.sqrt(dt), b)
+    eps = np.finfo(float).eps
+    for rho in (lanes, row_major):
+        hr = _left_product(model.coupling, rho)
+        mean = mean_level(rho, model)
+        # the unscaled forms, written out as the kernels stood before the fold
+        control = (-1j * u)[:, None, None] * (hr - dag(hr))
+        drift = model.drift_table * rho + control
+        centered = model.level_sums - 2.0 * mean[:, None, None]
+        noise = math.sqrt(model.mu * model.eta) * centered * rho
+        for hx in (None, hr):
+            assert np.array_equal(sme_drift(rho, model, u, hx), drift)
+            assert np.array_equal(sme_drift(rho, model, u, hx, 1.0), drift)
+        assert np.array_equal(sme_drift(rho, model, None), model.drift_table * rho)
+        assert np.array_equal(diffusion_term(rho, mean, model), noise)
+        assert np.array_equal(diffusion_term(rho, mean, model, 1.0), noise)
+        # the errors of a product and of a two-term sum, per entry
+        drift_scale = np.abs(model.drift_table * rho) + np.abs(control)
+        got = sme_drift(rho, model, u, hr, dt)
+        assert np.all(np.abs(got - dt * drift) <= 8.0 * eps * dt * drift_scale)
+        got = sme_drift(rho, model, None, None, dt)
+        assert np.all(np.abs(got - dt * (model.drift_table * rho)) <= 4.0 * eps * dt * drift_scale)
+        got = diffusion_term(rho, mean, model, dw)
+        want = dw[:, None, None] * noise
+        assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want))
+        assert got.strides == rho.strides

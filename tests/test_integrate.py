@@ -43,6 +43,7 @@ from smestab.dynamics import (
     sme_drift,
     sse_diffusion,
     sse_drift,
+    sum_last,
 )
 from smestab.hermitian import (
     EIG_FLOOR,
@@ -219,8 +220,8 @@ def test_record_slots_include_endpoint():
 
 def test_em_step_matches_raw_increment():
     # the density kernel on a one-row stack in C's eigenbasis is the dense
-    # lab-basis increment, hermitized and trace-normalized, while the state
-    # stays interior
+    # lab-basis increment, hermitized and not rescaled, while the state stays
+    # interior
     rng = np.random.default_rng(60)
     model, target = qubit(mu=1.0, eta=0.5)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
@@ -237,7 +238,6 @@ def test_em_step_matches_raw_increment():
         )
         raw = rho + dense_drift(rho, model, u) * dt + dense_diffusion(rho, model) * dw[0]
         raw = hermitize(raw)
-        raw = raw / trace(raw).real
         # interior state, small step: the eigenvalue clip never engages here
         np.testing.assert_allclose(rho_next, raw, atol=1e-14)
         validate_density(rho_next)
@@ -748,9 +748,12 @@ def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monke
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
-    # the step is assembled in place in the kernels' own arrays: the input
-    # stack is untouched and the result is the plain expression bit for bit,
-    # whether the step forms h_b rho itself or is handed the loop's product
+    # the step is assembled in place in the kernels' own arrays, dt and dW
+    # scaling their tables: the input stack is untouched and the result is
+    # the plain expression bit for bit, with no rescaling, whether the step
+    # forms h_b rho itself or is handed the loop's product. The noise term
+    # reads <C> / tr(rho), so the increment is traceless at any trace: a
+    # stack scaled by 1.25 keeps its trace to roundoff
     rng = np.random.default_rng(70 + n)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.3, ell=0.7)
@@ -760,17 +763,42 @@ def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
     rho = hermitize(model.to_eigenbasis(0.5 * ginibre(rng, n, (b,)) + 0.5 * np.eye(n) / n))
     mean = mean_level(rho, model)
     hr = _left_product(model.coupling, rho)
+    normalized = mean / sum_last(rho.diagonal(0, -2, -1).real)
     for u in (None, feedback(rho, model, target, ctrl, moments(rho, model, target))):
-        g = diffusion_term(rho, mean, model)
-        raw = rho + sme_drift(rho, model, u) * dt + g * dw[:, None, None]
-        # the increment is traceless: before normalization the trace is 1 to roundoff
-        assert np.max(np.abs(trace(raw).real - 1.0)) < 1e-12
+        want = (rho + sme_drift(rho, model, u, None, dt)
+                + diffusion_term(rho, normalized, model, dw))
+        # the increment is traceless: the trace stays 1 to roundoff
+        assert np.max(np.abs(trace(want).real - 1.0)) < 1e-12
         for shared in (None, hr):
             before = rho.copy()
             got = _sme_step(rho, mean, u, shared, dw, model, dt, n_projected)
             assert np.array_equal(rho, before)
-            assert np.array_equal(got, raw / trace(raw).real[:, None, None])
+            assert np.array_equal(got, want)
+        scaled = _sme_step(1.25 * rho, 1.25 * mean, u, 1.25 * hr, dw, model, dt, n_projected)
+        assert np.max(np.abs(trace(scaled).real - 1.25)) < 1e-12
     assert not n_projected.any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_steered_runs_keep_the_trace_without_rescaling_and_rows_equal_solo_runs(n):
+    # no step rescales the trace, so it is kept by the traceless increment
+    # alone: over 2,500 steered steps of a random model it stays within
+    # trace_drift of 1 (at most 3.9e-15 is read here, and 200 paths of 20,000
+    # steps of each shipped config read at most 4.5e-14), and a row run alone
+    # is its row of the batch bit for bit
+    trace_drift = 1e-11
+    rng = np.random.default_rng(200 + n)
+    model, target = random_model(rng, n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    sim = SimConfig(dt=2e-3, t_final=5.0, seed=n, record_stride=50)
+    rho0 = ginibre(rng, n, (4,))
+    batch = run_batch(rho0, model, target, ctrl, sim, n_trajectories=4, record_states=True)
+    assert np.max(np.abs(trace(batch.states).real - 1.0)) < trace_drift
+    assert np.max(np.abs(trace(batch.final_states).real - 1.0)) < trace_drift
+    solo = run_batch(rho0[2], model, target, ctrl, sim, indices=[2], record_states=True)
+    for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity", "final_states",
+                 "states", "n_projected"):
+        assert np.array_equal(getattr(solo, name)[0], getattr(batch, name)[2]), name
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
