@@ -89,9 +89,12 @@ def test_criterion_02_structural_invariants():
 
 
 def test_criterion_03_generator_oracle():
-    # the sampled one-step difference has a heavy-tailed dW^2 component, so a
-    # 3 SE band over 50 draws trips on a sizable fraction of seeds; this draw
-    # seed was scanned to keep every pair comfortably inside the pinned band
+    # the arbiter averages Vt over (dW, -dW) pairs of one-step updates, which
+    # cancel the O(dW) term exactly, so its deviation over SE depends, to
+    # leading order, on the draw seeds 13100-13149 alone: the largest |z|
+    # reads 2.45 at every state seed, and state seeds 0-99 all pass. It puts
+    # generator_v outside the band on 45 of these 50 states with the drift
+    # zeroed, and on all 50 with the noise scaled by 1.05
     rng = np.random.default_rng(131)
     ells = (0.7, 1.0, 2.0)
     worst = -np.inf

@@ -22,7 +22,7 @@ from smestab import (
     v2,
 )
 from smestab.hermitian import expectation, trace, variance
-from smestab.dynamics import diffusion_term, mean_level, sme_drift
+from smestab.dynamics import diffusion_term, sme_drift
 from smestab.integrate import BatchResult
 import smestab.lyapunov as lyapunov
 from smestab.lyapunov import KINDS, certificates, moments, v1, v_tilde
@@ -256,16 +256,16 @@ def test_closed_loop_generator_builds_one_moment_table(monkeypatch):
 
 
 def test_generator_against_monte_carlo():
-    # frozen arbiter: a sampled one-step finite difference of v_tilde decides
-    # between the closed form and its sign-flipped variant
+    # the arbiter's (dW, -dW) pair estimate decides between the closed form
+    # and its sign-flipped variant, which lies about 1,400 SE away
     model, target = qubit(mu=1.0, eta=0.5)
     rho = bloch(0.3, 0.5, -0.4)
     u, ell = 1.7, 1.0
     est, se = generator_v_montecarlo_check(
         rho, model, target, u, ell, n_samples=1_000_000, dt=1e-6, seed=314
     )
-    assert est == pytest.approx(-1.2701, abs=2e-3)
-    assert se == pytest.approx(0.3561, abs=2e-3)
+    assert est == pytest.approx(-0.8988, abs=1e-4)
+    assert se == pytest.approx(0.00199, abs=1e-5)
     closed = float(generator_v(rho, model, target, u, ell))
     # rival closed form with the opposite relative sign inside the trace term,
     # written out in Bloch coordinates for the state above (y = 0.5, z = -0.4)
@@ -279,41 +279,29 @@ def test_generator_against_monte_carlo():
 def test_montecarlo_check_argument_validation():
     model, target = qubit()
     rho = bloch(0.1, 0.2, 0.3)
-    with pytest.raises(ValueError, match="n_samples"):
-        generator_v_montecarlo_check(rho, model, target, 1.0, 1.0, n_samples=10)
-    with pytest.raises(ValueError, match="dt"):
-        generator_v_montecarlo_check(rho, model, target, 1.0, 1.0, dt=0.1)
 
+    def check(**kwargs):
+        return generator_v_montecarlo_check(rho, model, target, 1.0, 1.0, **kwargs)
 
-def antithetic_generator(rho, model, target, u, ell, dw, dt):
-    """Estimate of L Vt and its standard error from (dW, -dW) pairs, per row of rho.
-
-    rho is a (B, N, N) lab-basis stack, u and ell (B,) arrays and dw (B, S)
-    increments of variance dt. Vt is quadratic in rho and one Euler-Maruyama
-    step is linear in dW, so the mean of a pair cancels the O(dW) term that
-    dominates the plain one-step difference: what is left is
-    -(tr C G)^2 (dW^2 / dt - 1), whose SE falls as 1/sqrt(S) with no
-    1/sqrt(dt) factor, and a bias of -(tr C (F + D))^2 dt. The step is linear
-    in dW, so it is rotated to the lab basis once, before the kick is scaled.
-    """
-    frame = model.to_eigenbasis(rho)
-    step = model.from_eigenbasis(frame + sme_drift(frame, model, u) * dt)[:, None]
-    g = model.from_eigenbasis(diffusion_term(frame, mean_level(frame, model), model))
-    kick = g[:, None] * dw[..., None, None]
-
-    def vt(states):
-        return v_tilde(states, model, target, ell[:, None])
-
-    pairs = 0.5 * (vt(step + kick) + vt(step - kick))
-    estimate = (pairs.mean(axis=1) - v_tilde(rho, model, target, ell)) / dt
-    return estimate, pairs.std(axis=1, ddof=1) / np.sqrt(dw.shape[1]) / dt
+    for bad in (10, 2000.5, True, "2000"):
+        with pytest.raises(ValueError, match="n_samples"):
+            check(n_samples=bad)
+    for bad in (0.1, 0.0, -1e-5, np.nan, np.inf, "1e-5"):
+        with pytest.raises(ValueError, match="dt"):
+            check(dt=bad)
+    for bad in (-1, 2**64, 1.5, None):
+        with pytest.raises(ValueError, match="seed"):
+            check(seed=bad)
+    # an integral float or numpy scalar is a count, as in SimConfig, and both
+    # seed bounds are keys
+    assert check(n_samples=2000.0) == check(n_samples=np.int64(2000))
+    assert check(seed=2**64 - 1) != check(seed=0)
 
 
 def test_antithetic_arbiter_holds_the_closed_form_at_every_seed():
-    # a second arbiter of criterion 3 beside its scanned seed 131: seeds 0-9
-    # as they come, 50 random states at each, 25 on each model as there.
-    # Over seeds 0-999 (50,000 states) the largest |estimate - closed| / SE
-    # read 4.18
+    # criterion 3's arbiter at seeds 0-9 as they come: 50 random states at
+    # each, 25 on each model as there, each with its own draw seed. Over
+    # seeds 0-999 (50,000 states) the largest |estimate - closed| / SE read 4.59
     dt, n_samples = 1e-6, 2000
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -322,10 +310,41 @@ def test_antithetic_arbiter_holds_the_closed_form_at_every_seed():
             rho = ginibre(rng, n, batch=(25,))
             u = rng.uniform(-2.0, 2.0, 25)
             ell = rng.choice([0.7, 1.0, 2.0], 25)
-            dw = rng.normal(0.0, np.sqrt(dt), (25, n_samples))
-            est, se = antithetic_generator(rho, model, target, u, ell, dw, dt)
-            closed = generator_v(rho, model, target, u, ell)
-            assert np.all(np.abs(est - closed) <= 5.0 * se), (seed, n)
+            for i in range(25):
+                est, se = generator_v_montecarlo_check(
+                    rho[i], model, target, u[i], ell[i],
+                    n_samples=n_samples, dt=dt, seed=50 * seed + 25 * (n - 2) + i,
+                )
+                closed = float(generator_v(rho[i], model, target, u[i], ell[i]))
+                assert abs(est - closed) <= 5.0 * se, (seed, n, i)
+
+
+def test_arbiter_sees_a_missing_drift_and_a_mis_scaled_noise(monkeypatch):
+    # 20 random qubit and 20 qutrit states at the arbiter's defaults. Unmutated,
+    # generator_v lies within 5 SE on every state (largest |z| 2.02). With the
+    # drift zeroed it lies outside on 34 of 40, and with the noise scaled by
+    # 1.05 on 38 of 40 (z 4.98-8.44, as the pair's deviation over its SE
+    # depends, to leading order, on the draws alone)
+    def outside():
+        rng = np.random.default_rng(27)
+        count = 0
+        for n, build in ((2, qubit), (3, qutrit)):
+            model, target = build(mu=1.0, eta=0.5)
+            for i in range(20):
+                rho, u, ell = ginibre(rng, n), rng.uniform(-2.0, 2.0), (0.7, 1.0, 2.0)[i % 3]
+                est, se = generator_v_montecarlo_check(
+                    rho, model, target, u, ell, seed=20 * (n - 2) + i
+                )
+                count += abs(float(generator_v(rho, model, target, u, ell)) - est) > 5.0 * se
+        return count
+
+    assert outside() == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(lyapunov, "sme_drift", lambda *a: 0.0 * sme_drift(*a))
+        assert outside() >= 30
+    with monkeypatch.context() as patch:
+        patch.setattr(lyapunov, "diffusion_term", lambda *a: 1.05 * diffusion_term(*a))
+        assert outside() >= 34
 
 
 def test_lyapunov_report_fields():
