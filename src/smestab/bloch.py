@@ -8,15 +8,17 @@ z = +1 pole diag(1, 0). The conditioned master equation reduces to
     dz =  2 u y dt + 2 sqrt(mu eta) (1 - z^2) dW
 
 with V1 = (1 - z)/2, V2 = 1 - z^2, and the trace term T_ell = y (1 + 4 z/ell^2).
-These forms exist to cross-check the general engine coordinate-free path; the
-matrix engine is normative and the equivalence is pinned to 1e-9 by tests.
+integrate_bloch steps it by bloch_split_step, the matrix engine's exact QND
+split written in closed form, so a vector stays in the unit ball without
+repair. These forms exist to cross-check the general engine coordinate-free
+path; the matrix engine is normative and the equivalence is pinned to 1e-9
+by tests.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .dynamics import ModelSpec
-from .hermitian import EIG_FLOOR
 from .integrate import SimConfig, _brownian_increments, _record_slots
 from .lyapunov import ControllerSpec
 
@@ -75,19 +77,33 @@ def bloch_feedback(b: np.ndarray, ctrl: ControllerSpec, mu: float, eta: float) -
     return ctrl.k**2 * t - gain * bloch_v2(b)
 
 
-def bloch_sme_increment(
-    b: np.ndarray, omega: float, u, mu: float, eta: float, dt: float, dW
-) -> np.ndarray:
-    """One Euler-Maruyama increment (dx, dy, dz) of the conditioned equation."""
+def bloch_split_step(b: np.ndarray, omega: float, u, mu: float, eta: float, dt: float,
+                     dW) -> np.ndarray:
+    """One step of the exact split that integrate._sme_step takes, in closed form.
+
+    With r = sqrt(mu eta), e = u dt and the record dY = 2 r z dt + dW, the
+    control congruence K rho K^dag, K = I - i e sigma_x, maps the trace and
+    Bloch vector (1, x, y, z) to the unnormalised (t, x~, y~, z~) =
+    (1 + e^2, (1 + e^2) x, (1 - e^2) y - 2 e z, (1 - e^2) z + 2 e y). The
+    split then weighs the poles by p = (t + z~) exp(2 r dY) and
+    q = (t - z~) exp(-2 r dY), and turns the coherence by 2 omega dt and damps
+    it by exp(-2 mu (1 - eta) dt):
+
+        z' = (p - q) / (p + q)
+        x' + i y' = 2 exp(-2 mu (1 - eta) dt) exp(2 i omega dt) (x~ + i y~) / (p + q)
+    """
     b = np.asarray(b, dtype=float)
-    u = np.asarray(u)
-    dW = np.asarray(dW)
     x, y, z = b[..., 0], b[..., 1], b[..., 2]
+    e = np.asarray(u) * dt
     root = 2.0 * np.sqrt(mu * eta)
-    dx = (-2.0 * omega * y - 2.0 * mu * x) * dt - root * x * z * dW
-    dy = (2.0 * omega * x - 2.0 * u * z - 2.0 * mu * y) * dt - root * y * z * dW
-    dz = 2.0 * u * y * dt + root * (1.0 - z**2) * dW
-    return np.stack([dx, dy, dz], axis=-1)
+    dy = z * (root * dt) + dW
+    t, shrink = 1.0 + e * e, 1.0 - e * e
+    x, y, z = t * x, shrink * y - 2.0 * e * z, shrink * z + 2.0 * e * y
+    p = (t + z) * np.exp(root * dy)
+    q = (t - z) * np.exp(-root * dy)
+    g = 2.0 * np.exp(-2.0 * mu * (1.0 - eta) * dt) / (p + q)
+    cos, sin = np.cos(2.0 * omega * dt), np.sin(2.0 * omega * dt)
+    return np.stack([g * (cos * x - sin * y), g * (sin * x + cos * y), (p - q) / (p + q)], axis=-1)
 
 
 def integrate_bloch(
@@ -106,10 +122,9 @@ def integrate_bloch(
     Philox stream keyed (seed, i // NOISE_BLOCK) (see
     integrate._brownian_increments).
 
-    Returns (times, paths) with paths of shape (B, n_recorded, 3). The post-step
-    maintenance mirrors the matrix engine: when the implied minimum eigenvalue
-    (1 - r)/2 falls below the validity floor the vector is rescaled onto the
-    unit sphere, which is what the eigenvalue clip does to a qubit state.
+    Returns (times, paths) with paths of shape (B, n_recorded, 3). Each step is
+    bloch_split_step, the matrix engine's step in closed form, so every
+    vector stays in the unit ball by construction.
     """
     if indices is None:
         indices = list(range(n_trajectories))
@@ -132,11 +147,7 @@ def integrate_bloch(
             break
         dw = next(noise)
         u = bloch_feedback(b, ctrl, mu, eta)
-        b = b + bloch_sme_increment(b, omega, u, mu, eta, sim.dt, dw)
-        r = np.sqrt(np.sum(b**2, axis=-1))
-        hot = 0.5 * (1.0 - r) < EIG_FLOOR
-        if np.any(hot):
-            b[hot] = b[hot] / r[hot, None]
+        b = bloch_split_step(b, omega, u, mu, eta, sim.dt, dw)
     return slots * sim.dt, paths
 
 

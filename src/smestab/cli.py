@@ -5,10 +5,10 @@ Subcommands: validate, simulate, ensemble, levelset, rankcheck. Exit codes:
 cannot be created or written (found before any integration, as the output
 directory is created once the inputs are accepted), or inputs too large to
 allocate (MemoryError), 3 numerical failure (a step whose trace is not
-finite and positive; the message names the step).
-simulate and ensemble print their positivity clip count, and write one
-warning line to stderr when at least half of the trajectory-steps were
-clipped: such paths are projections, not solutions of the SME.
+finite and positive, which takes a non-finite control or a dt beyond the
+floating-point range of the step; the message names the step). simulate and
+ensemble print their positivity clip count, which is always 0: the density
+step stays on the cone by construction.
 """
 from __future__ import annotations
 
@@ -75,15 +75,6 @@ def _out_dir(arg: str | None, cfg_dir: str | None) -> Path:
     return out
 
 
-def _warn_if_mostly_clipped(clips: int, traj_steps: int) -> None:
-    if 2 * clips >= traj_steps:
-        print(
-            f"warning: {clips} of {traj_steps} trajectory-steps were clipped onto the density "
-            "cone, so the paths are projections, not solutions of the SME; reduce dt or the gains",
-            file=sys.stderr,
-        )
-
-
 def _unjoined_line(cfg) -> str:
     """One line naming the levels that h_b does not join to the target (see unjoined_levels)."""
     levels = unjoined_levels(cfg.model, cfg.target)
@@ -124,7 +115,6 @@ def _cmd_simulate(args) -> int:
         f"outcome={traj.outcome} final_fidelity={traj.fidelity_target[-1]:.6f} "
         f"steps={traj.n_steps} projected={traj.n_projected}"
     )
-    _warn_if_mostly_clipped(traj.n_projected, traj.n_steps)
     return EXIT_OK
 
 
@@ -137,15 +127,13 @@ def _cmd_ensemble(args) -> int:
     write_summary_csv(out / "summary.csv", stats)
     write_mean_curves_csv(out / "mean_curves.csv", stats)
     print(f"wrote {out / 'summary.csv'} and {out / 'mean_curves.csv'}")
-    traj_steps = stats.n_trajectories * stats.n_steps
     print(
         f"trajectories={stats.n_trajectories} "
         f"target_frequency={stats.target_frequency:.4f} "
         f"(stderr {stats.target_frequency_stderr:.4f}) "
         f"supermartingale_violations={stats.supermartingale_violations} "
-        f"projected={stats.n_projected}/{traj_steps}"
+        f"projected={stats.n_projected}/{stats.n_trajectories * stats.n_steps}"
     )
-    _warn_if_mostly_clipped(stats.n_projected, traj_steps)
     return EXIT_OK
 
 

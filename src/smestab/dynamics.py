@@ -21,10 +21,11 @@ C = diag(c). There the drift is the elementwise product
 
 with a constant table, the noise coefficient is
 G_ij = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with <C> = sum_i c_i rho_ii, and
-only the control term multiplies matrices. The drift table is conjugate
-symmetric, the control term is -i u (X - X^dag) with X = h_b rho, and
-c_i + c_j - 2 <C> is real and symmetric, so a Hermitian rho steps to an
-exactly Hermitian one. For a ket the drift is
+only the control term multiplies matrices. sme_drift and diffusion_term are
+the one definition of these coefficients: criterion 3's arbiter reads them,
+and integrate._split reads their tables off the all-ones matrix to build the
+exact density step, so a mis-scaled kernel mis-scales the simulated physics.
+For a ket the drift is
 (-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i, its diagonal read
 from the constant (N, 1) column -i a, and the noise coefficient
 sqrt(mu) (c_i - <C>) psi_i. sse_drift and sse_diffusion form these
@@ -299,11 +300,12 @@ def _density_stack(b: int, n: int) -> np.ndarray:
     batch rather than over the N^2 entries of one matrix, and every
     elementwise temporary takes that layout too. No einsum, np.sum, norm,
     matmul or LAPACK call may read the lane stack, as their summation order
-    follows the strides: h_b rho and the level-axis sums are index-order adds
-    (_left_product, sum_last), and the purity at a record point, eigvalsh on
-    the rows the floor screen leaves and the rotation back to the lab basis
-    run on row-major copies. The ket stack is row-major, and its h_b psi and
-    moment table are stacked matmuls (see moments). A single row is both.
+    follows the strides: h_b rho, the step's products and the level-axis
+    sums are index-order adds (_left_product, integrate._sme_step, sum_last),
+    and the purity at a record point and the rotation back to the lab basis
+    run on row-major copies. No density row is decided by an eigenvalue. The
+    ket stack is row-major, and its h_b psi and moment table are stacked
+    matmuls (see moments). A single row is both.
     """
     return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
@@ -342,11 +344,12 @@ def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None
 def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec, dw=1.0) -> np.ndarray:
     """G dW = sqrt(mu eta) dW (c_i + c_j - 2 <C>) rho_ij with mean = <C>; Hermitian.
 
-    It is traceless when mean is <C> / tr(rho), at any trace of rho, so
-    integrate._sme_step hands it that. dw is a scalar or one increment per
-    row. sqrt(mu eta) dW scales the real table c_i + c_j - 2 <C> before its
-    one product with rho, and at the default dw = 1.0 the result is G bit for
-    bit.
+    It is traceless when mean is <C> / tr(rho), at any trace of rho; at
+    mean = 0 on the all-ones matrix it is the Zakai noise table
+    sqrt(mu eta) (c_i + c_j) that integrate._split reads. dw is a scalar or
+    one increment per row. sqrt(mu eta) dW scales the real table
+    c_i + c_j - 2 <C> before its one product with rho, and at the default
+    dw = 1.0 the result is G bit for bit.
     """
     # formed in rho's layout: broadcast from (N, N) and (..., 1, 1) alone it comes out row-major
     centered = np.subtract(

@@ -1,14 +1,14 @@
-"""Euler-Maruyama integration of the conditioned dynamics, one or many paths.
+"""Integration of the conditioned dynamics, one or many paths.
 
 One step loop, run_batch, advances trajectories in lockstep. The
 representation picks its step kernel once per call: _sme_step advances a
-(B, N, N) density stack, _sse_step a (B, N, 1) stack of ket columns (eta = 1
-only). Trajectory index i draws its Brownian increments from column
-i % NOISE_BLOCK of a counter-based substream keyed (master_seed,
-i // NOISE_BLOCK), one per block of NOISE_BLOCK consecutive indices (see
-_brownian_increments). A path still depends only on (master_seed, i), so it
-is bit-identical whether it runs alone or inside any batch, and reruns
-reproduce it exactly.
+(B, N, N) density stack by the exact QND split, _sse_step a (B, N, 1) stack
+of ket columns (eta = 1 only) by Euler-Maruyama. Trajectory index i draws
+its Brownian increments from column i % NOISE_BLOCK of a counter-based
+substream keyed (master_seed, i // NOISE_BLOCK), one per block of
+NOISE_BLOCK consecutive indices (see _brownian_increments). A path still
+depends only on (master_seed, i), so it is bit-identical whether it runs
+alone or inside any batch, and reruns reproduce it exactly.
 
 The density stack takes the layout dynamics._density_stack gives it,
 batch-last lanes at every N, which also states the rule that keeps each row
@@ -25,26 +25,25 @@ serve the law, the record point and the control term. A steered step takes
 <C> from the table's C1 row; an open-loop step takes it from mean_level at
 every step, record point or not, as for a ket the two may differ in the last
 bit (see dynamics.mean_level). Open-loop steps get u = None and skip the
-zero control term (see dynamics.sme_drift). A density stays Hermitian by
-construction (see dynamics), its trace is kept by the traceless increment,
-to roundoff and with no rescaling, and hermitian.project_to_density clips it
-only when its smallest eigenvalue drops below the validity floor; a state
-vector is renormalized, as Euler-Maruyama does not keep its norm. _sme_step
-adds rho and dW times the diffusion term to dt times the drift in place, dt
-and dW scaling the kernels' (N, N) tables rather than the stack; _sse_step
-multiplies the ket by one diagonal factor and adds the control term (see
-dynamics). Both leave their input alone and check the trace (the
-ket norm) with one min/max pair. One certificates call derives every
-certificate series from the recorded tables after the loop. On stacks of
-N >= 3 and at least hermitian.SCREEN_MIN_ROWS rows, hermitian.clear_of_floor
-first clears the rows it proves above the floor and min_eigenvalue decides
-only the rest, so the clipped rows are exactly those min_eigenvalue alone
-would pick.
+control term. In C's eigenbasis both SME kernels, dynamics.sme_drift and
+dynamics.diffusion_term, are Schur multipliers, so run_batch reads their
+tables once per call (_split) and the density step is the split of Rouchon
+and Ralph (PRA 91, 012118, 2015): the control as a congruence K rho K^dag,
+then one Schur product with a constant table and one with the rank-one
+table s s^T of the record, renormalised. Both tables are positive
+semidefinite, so every row stays Hermitian, of unit trace and on the density
+cone by construction: no eigenvalue is computed and no row is clipped, and
+BatchResult.n_projected is always zero. A state vector is renormalized, as
+Euler-Maruyama does not keep its norm; _sse_step multiplies the ket by one
+diagonal factor and adds the control term (see dynamics). Both steps leave
+their input alone and check the trace (the ket norm) with one min/max pair.
+One certificates call derives every certificate series from the recorded
+tables after the loop.
 
 One failure rule covers a bad step: a trace (or ket norm) that is not finite
-and positive raises IntegrationError naming the step. The density increment
-is traceless, so this happens only when |u| dt is so large that roundoff
-swamps the unit trace; a smaller dt is the remedy.
+and positive raises IntegrationError naming the step. For a density this
+takes a non-finite control (a gain whose law overflows), or a dt so large
+that the step's exponentials leave the floating-point range.
 """
 from __future__ import annotations
 
@@ -71,12 +70,8 @@ from .dynamics import (
     sum_last,
 )
 from .hermitian import (
-    EIG_FLOOR,
-    SCREEN_MIN_ROWS,
-    clear_of_floor,
     hermitize,
-    min_eigenvalue,
-    project_to_density,
+    min_eigenvalue,  # not called here, but bench/tracing.py looks it up here
     purity,
     validate_density,
 )
@@ -269,61 +264,92 @@ def _check_target(model: ModelSpec, target: TargetSpec) -> None:
         raise ValueError("target was built for another c: its entries differ from this model's c")
 
 
-def _sme_step(rho, mean, u, hr, dw, model, dt, n_projected) -> np.ndarray:
-    """One Euler-Maruyama step of the density SME on a (B, N, N) stack.
+def _split(model: ModelSpec, dt: float) -> tuple:
+    """The constant tables of the exact density step at step size dt.
 
-    mean is <C> = sum_i c_i rho_ii and hr is h_b rho or None. The step is one
-    pass per term, assembled in place in the array sme_drift returns in the
-    order (F + D) dt + rho + G dW; dt and dW scale the kernels' tables, not
-    the stack, and rho is left unmodified; u = None is the open-loop law (see
-    sme_drift). The increment is Hermitian and traceless at any trace, so
-    Hermitian rows stay exactly Hermitian and the trace is kept to roundoff
-    with no rescaling. That needs the noise term to read <C> / tr(rho): with
-    <C> its trace is -2 sqrt(mu eta) <C> (tr(rho) - 1) dW, a geometric
-    Brownian factor on each roundoff error of the trace, whose supremum
-    exceeds x with probability 1/x, so the largest error grows with the
-    trajectory-steps run (1.3e-11 against 2.7e-14 on 200 paths of 20,000
-    steps of configs/spin_2.json). rho may be row-major or a batch-last lanes
-    view (see _density_stack): every temporary, and the result, takes rho's
-    layout, and both traces are index-order sums, so each row's result is the
-    same in either. A trace that is not finite and
-    positive raises IntegrationError; a row whose smallest eigenvalue drops
-    below EIG_FLOOR is projected onto the density cone, which renormalizes
-    it, and counts in n_projected, which updates in place.
+    In C's eigenbasis both SME kernels are Schur multipliers, so their tables
+    are read off the all-ones matrix J: sme_drift(J) is the drift table
+    T_ij = -i (a_i - a_j) - mu (c_i - c_j)^2 / 2 and diffusion_term(J) at
+    <C> = 0 the Zakai noise table S_ij = sqrt(mu eta) (c_i + c_j). Returns
+    phi = exp((T - S S / 2) dt), made exactly conjugate symmetric, its real
+    diagonal, the column h_i = S_ii / 2 = sqrt(mu eta) c_i, the record gain
+    2 sqrt(mu eta) dt, the coupling and dt (see _sme_step).
     """
-    normalized = mean / sum_last(rho.diagonal(0, -2, -1).real)
+    ones = np.ones((model.n, model.n), dtype=complex)
     # kernels called positionally, so wrappers that take *args see every input
-    nxt = sme_drift(rho, model, u, hr, dt)
-    nxt += rho
-    nxt += diffusion_term(rho, normalized, model, dw)
-    tr = sum_last(nxt.diagonal(0, -2, -1).real)
+    drift = sme_drift(ones, model, None)
+    noise = diffusion_term(ones, np.zeros(()), model).real
+    phi = np.exp((drift - 0.5 * noise * noise) * dt)
+    # mirrored, so the table is conjugate symmetric whatever exp does with conjugate arguments
+    phi = np.triu(phi) + np.triu(phi, 1).conj().T
+    h = 0.5 * np.diagonal(noise)[:, None]
+    gain = 2.0 * math.sqrt(model.mu * model.eta) * dt
+    return phi[..., None], phi.diagonal().real[:, None], h, gain, model.coupling, dt
+
+
+def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
+    """One exact QND split step of the density SME on a (B, N, N) stack.
+
+    mean is <C> = sum_i c_i rho_ii, u is None (the open-loop law) or one
+    control per row, hr is h_b rho or None, and split holds the tables of
+    _split. Given the record increment dY = 2 sqrt(mu eta) <C> / tr(rho) dt
+    + dW of sqrt(mu) C, the linear SME is a geometric Brownian motion per
+    entry in C's eigenbasis, so with s_i = exp(h_i dY) the open-loop step
+    rho' = phi * rho * (s s^T) / tr is exact. A steered step first applies
+    the control as the congruence K rho K^dag, K = I - i u dt h_b, formed as
+    rho + (Q + Q^dag) with Q = X G, X = h_b rho and the per-row table
+    G = (u dt)^2 h_b / 2 - i u dt I. K rho K^dag, phi and s s^T are positive
+    semidefinite, so by the Schur product theorem every row stays on the
+    density cone, and every sum and product rounds entries (i, j) and (j, i)
+    alike, so a Hermitian row stays exactly Hermitian. The new trace
+    sum_i phi_ii rho_ii s_i^2 is read off the diagonal lanes alone and
+    1 / sqrt(trace) folded into s, so the result has unit trace to roundoff
+    at any input trace. The step runs on (N, N, B) views, so on batch-last
+    lanes (see _density_stack) every temporary of the stack's size and the
+    result are lanes too; a row-major stack gives the same values, as every
+    operation is elementwise and every sum index-order. rho is left
+    unmodified. A trace that is not finite and positive raises
+    IntegrationError.
+    """
+    phi, phi_ii, h, gain, coupling, dt = split
+    if u is not None and hr is None:
+        hr = _left_product(coupling, rho)
+    # (N, N, B) views, in whose C order the batch axis is innermost
+    rho = rho.transpose(1, 2, 0)
+    dy = mean / sum_last(rho.diagonal(0, 0, 1).real)
+    dy *= gain
+    dy += dw
+    if u is not None:
+        x = hr.transpose(1, 2, 0)
+        eps = dt * u
+        # K rho K^dag = rho + (Q + Q^dag) with Q = X G, G = (u dt)^2 h_b / 2 - i u dt I
+        g = np.multiply.outer(coupling, 0.5 * eps * eps)
+        # the diagonal lanes of the contiguous (N, N, B) table, as a view
+        g.reshape(len(g) ** 2, -1)[:: len(g) + 1] -= 1j * eps
+        q = x[:, :1] * g[:1]
+        term = np.empty_like(q)
+        for k in range(1, len(g)):
+            q += np.multiply(x[:, k : k + 1], g[k : k + 1], out=term)
+        q += np.conjugate(q.transpose(1, 0, 2), out=term)
+        q += rho
+        rho = q
+    # s_i of every row, level i one contiguous (B,) lane
+    s = np.exp(h * dy)
+    w = s * s
+    w *= rho.diagonal(0, 0, 1).real.T
+    w *= phi_ii
+    tr = sum_last(w.T)
     # a nan fails both comparisons
     if not (tr.min() > 0.0 and tr.max() < np.inf):
         raise IntegrationError("trace not finite and positive")
-    low = _below_floor(nxt)
-    if low.any():
-        n_projected[low] += 1
-        nxt[low] = project_to_density(nxt[low])
-    return nxt
+    s *= 1.0 / np.sqrt(tr)
+    # a steered step owns the congruence it formed, so it scales that in place
+    nxt = rho * phi if u is None else np.multiply(rho, phi, out=rho)
+    nxt *= s[:, None] * s[None]
+    return nxt.transpose(2, 0, 1)
 
 
-def _below_floor(rho: np.ndarray) -> np.ndarray:
-    """Rows of a (B, N, N) stack whose smallest eigenvalue is below EIG_FLOOR.
-
-    The mask is min_eigenvalue's on every row. On stacks of N >= 3 and at
-    least SCREEN_MIN_ROWS rows, clear_of_floor clears most rows first and
-    min_eigenvalue runs only on those it leaves (a row-major copy of them).
-    """
-    b, n = rho.shape[:2]
-    if n < 3 or b < SCREEN_MIN_ROWS:
-        return min_eigenvalue(rho) < EIG_FLOOR
-    low = ~clear_of_floor(rho, EIG_FLOOR)
-    if low.any():
-        low[low] = min_eigenvalue(rho[low]) < EIG_FLOOR
-    return low
-
-
-def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:
+def _sse_step(psi, mean, u, hpsi, dw, model, dt) -> np.ndarray:
     """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
 
     mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. In C's
@@ -333,9 +359,9 @@ def _sse_step(psi, mean, u, hpsi, dw, model, dt, n_projected) -> np.ndarray:
     x = c - <C>, formed in real arithmetic and the constant column added
     last; u = None skips the control term. psi is left unmodified. The
     result is divided by its norm, sqrt(sum_i populations), a sum along each
-    row's own level axis of the row-major stack, so it stays pure, no row
-    depends on the batch and n_projected never moves. A norm that is not
-    finite and positive raises IntegrationError.
+    row's own level axis of the row-major stack, so it stays pure and no row
+    depends on the batch. A norm that is not finite and positive raises
+    IntegrationError.
     """
     x = model.levels[:, None] - mean[:, None, None]
     f = (0.5 * model.mu * dt) * x
@@ -457,11 +483,11 @@ def run_batch(
     check_representation(model, rho0, sim.representation)
     if sim.representation == "sse":
         state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1:], (b, n, 1)).copy()
-        step = _sse_step
+        step, consts = _sse_step, (model, sim.dt)
     else:
         state = _density_stack(b, n)
         state[...] = hermitize(rho0)
-        step = _sme_step
+        step, consts = _sme_step, (_split(model, sim.dt),)
     # the open-loop law's zeros are recorded, but the step skips its control term
     steered = ctrl.kind != "open_loop"
 
@@ -470,7 +496,6 @@ def run_batch(
     slot_of = {int(k): j for j, k in enumerate(slots)}
     out = _alloc(b, len(slots))
     states = np.zeros((b, len(slots), n, n), dtype=complex) if record_states else None
-    n_projected = np.zeros(b, dtype=int)
     window_dy = np.zeros(b)
     noise = _brownian_increments(sim.seed, indices, sim.dt, n_steps)
 
@@ -493,7 +518,7 @@ def run_batch(
         dw = next(noise)
         window_dy += measurement_increment(mean, model, sim.dt, dw)
         try:
-            state = step(state, mean, u if steered else None, hx, dw, model, sim.dt, n_projected)
+            state = step(state, mean, u if steered else None, hx, dw, *consts)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}; reduce dt") from None
 
@@ -504,7 +529,8 @@ def run_batch(
         times=slots * sim.dt,
         final_states=model.from_eigenbasis(density(state)),
         n_steps=n_steps,
-        n_projected=n_projected,
+        # no step clips: the field stays for the callers that report it
+        n_projected=np.zeros(b, dtype=int),
         states=None if states is None else model.from_eigenbasis(states),
         **out,
     )

@@ -46,10 +46,29 @@ import numpy as np
 
 from .dynamics import C1, C2, C3, K_C, K_C2, K_RHO_D, RHO_D  # rows of TargetSpec.observables
 from .dynamics import ModelSpec, TargetSpec, diffusion_term, mean_level, moments, sme_drift
-from .hermitian import expectation, purity, variance
+from .hermitian import expectation, purity, validate_density, variance
 from .params import as_integer, as_real
 
 KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
+
+
+def _squared_gain(value, what: str) -> float:
+    """A gain the laws may square: finite and positive with a square in (0, inf), else ValueError."""
+    x = as_real(value, what)
+    if not (x > 0.0 and 0.0 < x * x < np.inf):
+        raise ValueError(f"{what} must be positive with a finite nonzero square, got {x}")
+    return x
+
+
+def _certificate_inputs(rho, u, ell) -> float:
+    """Refuse what no certificate is defined at: rho off the cone, a non-finite u, a bad ell.
+
+    Returns ell as ControllerSpec accepts it.
+    """
+    validate_density(rho, name="rho")
+    if u is not None and not np.all(np.isfinite(np.asarray(u, dtype=float))):
+        raise ValueError(f"u must be finite, got {u!r}")
+    return _squared_gain(ell, "weight ell")
 
 
 @dataclass(frozen=True)
@@ -66,11 +85,8 @@ class ControllerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}, expected one of {KINDS}")
-        for name, what in (("k", "gain k"), ("ell", "weight ell")):
-            x = as_real(getattr(self, name), what)
-            if not (x > 0.0 and 0.0 < x * x < np.inf):
-                raise ValueError(f"{what} must be positive with a finite nonzero square, got {x}")
-            object.__setattr__(self, name, x)
+        object.__setattr__(self, "k", _squared_gain(self.k, "gain k"))
+        object.__setattr__(self, "ell", _squared_gain(self.ell, "weight ell"))
 
 
 @dataclass(frozen=True)
@@ -117,14 +133,23 @@ def _l0(var: np.ndarray, model: ModelSpec, ell: float) -> np.ndarray:
 
 
 def trace_term(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -> np.ndarray:
-    """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2 of a lab-basis density."""
+    """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2 of a lab-basis density.
+
+    A rho off the cone or an ell that ControllerSpec refuses raises ValueError.
+    """
+    ell = _certificate_inputs(rho, None, ell)
     return _trace_term(moments(model.to_eigenbasis(rho), model, target), ell)
 
 
 def generator_v(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> np.ndarray:
-    """Closed-form infinitesimal generator of Vt along the controlled diffusion."""
+    """Closed-form infinitesimal generator of Vt along the controlled diffusion.
+
+    A rho off the cone, a non-finite u or an ell that ControllerSpec refuses
+    raises ValueError.
+    """
+    ell = _certificate_inputs(rho, u, ell)
     m = moments(model.to_eigenbasis(rho), model, target)
     return certificates(m, model, target, u, ell)["lv"]
 
@@ -176,7 +201,11 @@ def feedback(
 def closed_loop_generator(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec
 ) -> np.ndarray:
-    """L Vt evaluated at u = feedback(rho); the law and L Vt read one moment table."""
+    """L Vt evaluated at u = feedback(rho); the law and L Vt read one moment table.
+
+    A rho off the cone raises ValueError.
+    """
+    validate_density(rho, name="rho")
     m = moments(model.to_eigenbasis(rho), model, target)
     return certificates(m, model, target, feedback(rho, model, target, ctrl, m), ctrl.ell)["lv"]
 
@@ -201,8 +230,11 @@ def generator_v_montecarlo_check(
     left of the pair's deviation is -(tr C G)^2 (dW^2 / dt - 1) / ell^2, with
     no 1/sqrt(dt) factor, and the estimate carries the plain estimator's bias
     -(tr C (F + D))^2 dt / ell^2. The step is linear in dW, so the kick G is
-    rotated to the lab basis once, before it is scaled.
+    rotated to the lab basis once, before it is scaled. A rho off the cone, a
+    non-finite u or an ell that ControllerSpec refuses raises ValueError.
     """
+    u = as_real(u, "u")
+    ell = _certificate_inputs(rho, u, ell)
     n_samples = as_integer(n_samples, "n_samples")
     if n_samples < 1_000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")

@@ -3,7 +3,7 @@ and the dense lab-basis forms of the conditioned equation used as oracles."""
 import numpy as np
 
 from smestab import ModelSpec, TargetSpec
-from smestab.hermitian import dag, hermitize
+from smestab.hermitian import dag
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -45,13 +45,6 @@ def random_pure(rng, n, batch=()):
     return np.einsum("...i,...j->...ij", psi, np.conj(psi))
 
 
-def with_spectrum(rng, spectrum):
-    """Hermitian (B, N, N) stacks with the given (B, N) eigenvalues in random bases."""
-    b, n = spectrum.shape
-    u, _ = np.linalg.qr(rng.normal(size=(b, n, n)) + 1j * rng.normal(size=(b, n, n)))
-    return hermitize((u * spectrum[:, None, :]) @ dag(u))
-
-
 def random_model(rng, n):
     """Diagonal C and h_a, dense h_b, all rotated by one Haar-ish unitary."""
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -84,3 +77,29 @@ def dense_diffusion(rho, model):
     c = model.c
     ex = np.einsum("ij,...ji->...", c, rho).real[..., None, None]
     return np.sqrt(model.mu * model.eta) * (c @ rho + rho @ c - 2.0 * ex * rho)
+
+
+def dense_split_step(rho, model, u, dt, dw):
+    """One exact QND split step of lab-basis densities, from the definitions.
+
+    In C's eigenbasis V: dY = 2 sqrt(mu eta) <c> dt + dW, the control
+    congruence K rho K^dag with K = I - i u dt V^dag h_b V (u = None skips
+    it), then phi * R * (s s^T) normalised to unit trace, with
+    phi_ij = exp((-i (a_i - a_j) - mu (c_i - c_j)^2 / 2 - mu eta (c_i + c_j)^2 / 2) dt)
+    and s_i = exp(sqrt(mu eta) c_i dY). Dense matmuls throughout.
+    """
+    v, a, c = model.basis, model.energies, model.levels
+    root = np.sqrt(model.mu * model.eta)
+    frame = dag(v) @ rho @ v
+    mean = np.einsum("ij,...ji->...", model.c, rho).real
+    dy = 2.0 * root * mean * dt + dw
+    if u is not None:
+        k = np.eye(model.n) - 1j * (np.asarray(u) * dt)[..., None, None] * (dag(v) @ model.h_b @ v)
+        frame = k @ frame @ dag(k)
+    diff, total = c[:, None] - c[None, :], c[:, None] + c[None, :]
+    phi = np.exp((-1j * (a[:, None] - a[None, :]) - 0.5 * model.mu * diff**2
+                  - 0.5 * model.mu * model.eta * total**2) * dt)
+    s = np.exp(root * c * np.asarray(dy)[..., None])
+    out = phi * frame * (s[..., :, None] * s[..., None, :])
+    out = out / np.einsum("...ii", out).real[..., None, None]
+    return v @ out @ dag(v)

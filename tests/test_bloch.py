@@ -19,13 +19,14 @@ from smestab import (
 )
 from smestab.bloch import (
     bloch_feedback,
-    bloch_sme_increment,
+    bloch_split_step,
     bloch_trace_term,
     bloch_v2,
     from_density,
     to_density,
 )
-from smestab.dynamics import diffusion_term, mean_level, sme_drift
+from smestab.dynamics import mean_level
+from smestab.integrate import _sme_step, _split
 from smestab.lyapunov import v1
 
 
@@ -97,21 +98,24 @@ def test_feedback_and_generator_match_general_forms():
     )
 
 
-def test_increment_matches_matrix_fields():
+def test_split_step_matches_the_matrix_step():
+    # the closed form is the matrix engine's step, open loop and steered, at
+    # fine and coarse steps
     rng = np.random.default_rng(73)
     omega, mu, eta = 1.0, 1.0, 0.5
     model, _ = qubit(mu=mu, eta=eta, omega=omega)
-    dt = 1e-4
-    for _ in range(40):
-        b = random_bloch(rng)
-        u = rng.uniform(-2, 2)
-        dw = rng.normal(0.0, np.sqrt(dt))
-        rho = model.to_eigenbasis(to_density(b))
-        g = diffusion_term(rho, mean_level(rho, model), model)
-        raw = rho + sme_drift(rho, model, u) * dt + g * dw
-        expected = from_density(model.from_eigenbasis(raw)) - b
-        got = bloch_sme_increment(b, omega, u, mu, eta, dt, dw)
-        np.testing.assert_allclose(got, expected, atol=1e-13)
+    for dt in (1e-4, 0.2):
+        split = _split(model, dt)
+        for _ in range(40):
+            b = random_bloch(rng)
+            u = rng.uniform(-2, 2)
+            dw = rng.normal(0.0, np.sqrt(dt))
+            rho = model.to_eigenbasis(to_density(b))[None]
+            for law in (None, np.array([u])):
+                step = _sme_step(rho, mean_level(rho, model), law, None, np.array([dw]), split)
+                want = from_density(model.from_eigenbasis(step[0]))
+                got = bloch_split_step(b, omega, 0.0 if law is None else u, mu, eta, dt, dw)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 def test_from_density_refuses_a_matrix_that_is_not_2x2():
@@ -150,9 +154,10 @@ def test_reduced_integrator_matches_matrix_engine():
         assert np.max(np.linalg.norm(paths, axis=-1)) <= 1.0 + 2e-9
 
 
-def test_reduced_integrator_mirrors_the_eigenvalue_clip_on_coarse_steps():
-    # at dt = 0.05 the step overshoots the Bloch ball: the matrix engine clips
-    # those rows onto the cone and integrate_bloch rescales onto the sphere
+def test_reduced_integrator_stays_in_the_ball_on_coarse_steps():
+    # at dt = 0.05, where Euler-Maruyama overshot the Bloch ball and was
+    # clipped, neither engine clips: every Bloch vector stays in the unit
+    # ball, the matrix states stay exactly Hermitian, and the two agree
     omega, mu, eta = 1.0, 1.0, 1.0
     model, target = qubit(mu=mu, eta=eta, omega=omega)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
@@ -162,8 +167,9 @@ def test_reduced_integrator_mirrors_the_eigenvalue_clip_on_coarse_steps():
     res = run_batch(
         to_density(b0), model, target, ctrl, sim, n_trajectories=20, record_states=True
     )
-    assert res.n_projected.sum() > 0
-    assert np.any(np.abs(np.linalg.norm(paths, axis=-1) - 1.0) < 1e-12)
+    assert not res.n_projected.any()
+    assert np.array_equal(res.states, np.conj(np.swapaxes(res.states, -1, -2)))
+    assert np.max(np.linalg.norm(paths, axis=-1)) <= 1.0 + 1e-15
     np.testing.assert_array_equal(times, res.times)
     gap = np.max(np.abs(paths - from_density(res.states)))
     assert gap < 1e-9, f"bloch/matrix divergence {gap:.2e}"

@@ -321,25 +321,25 @@ def test_sse_step_consistent_with_density_step():
     # one step of each kernel from the same pure state, control and noise, in
     # C's eigenbasis; the schemes differ at O(dt) through the dW^2 terms
     from smestab import ControllerSpec, feedback
-    from smestab.integrate import _sme_step, _sse_step
+    from smestab.integrate import _sme_step, _split, _sse_step
     from smestab.lyapunov import moments
 
     rng = np.random.default_rng(28)
     model, target = qubit(mu=1.0, eta=1.0)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     dt = 1e-4
-    n_projected = np.zeros(1, dtype=int)
+    split = _split(model, dt)
     worst = 0.0
     for _ in range(200):
         rho = model.to_eigenbasis(random_pure(rng, 2))[None]
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
         u = feedback(rho, model, target, ctrl, moments(rho, model, target))
-        r_next = _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, n_projected)
+        r_next = _sme_step(rho, mean_level(rho, model), u, None, dw, split)
         psi = np.linalg.eigh(rho)[1][..., :, -1:]
-        psi_next = _sse_step(psi, mean_level(psi, model), u, None, dw, model, dt, n_projected)
+        psi_next = _sse_step(psi, mean_level(psi, model), u, None, dw, model, dt)
         gap = np.linalg.norm(r_next[0] - psi_next[0] @ psi_next[0].conj().T)
         worst = max(worst, float(gap))
-    assert worst < 5.0 * dt  # measured 1.4 dt over this seed set
+    assert worst < 5.0 * dt  # measured 4.4 dt over this seed set
 
 
 def test_sse_fields_are_batch_aware():

@@ -3,12 +3,15 @@
 numpy's OpenBLAS is built with DYNAMIC_ARCH and picks its kernels by CPU, or
 by OPENBLAS_CORETYPE when that is set, so one machine can run the kernels of
 several CPUs. A density step is elementwise arithmetic in index order and
-calls no BLAS (see dynamics._density_stack), so a steered qubit batch, an
-open-loop three-level batch and a steered spin-3/2 batch, built from the
-shipped configs and kept off the positivity floor, must give bit-identical
-final states and controls under every core type the CPU supports. A ket step
-calls BLAS, so a spin-3/2 state-vector batch is held to KET_TOL instead, with
-the same outcomes; a clipping row is decided by LAPACK and is not tested.
+calls no BLAS or LAPACK (see dynamics._density_stack and
+integrate._sme_step), so a steered qubit batch, an open-loop three-level
+batch, a steered spin-3/2 batch and a steered three-level batch started next
+to the positivity floor, built from the shipped configs, must clip nothing
+and give bit-identical final states and controls under every core type the
+CPU supports. The step calls numpy's exp, which OPENBLAS_CORETYPE does not
+vary, so its identity across CPUs is not tested here. A ket step calls BLAS,
+so a spin-3/2 state-vector batch is held to KET_TOL instead, with the same
+outcomes.
 """
 import json
 import os
@@ -32,14 +35,19 @@ CORE_TYPES = (
     ("SkylakeX", {"avx512f", "avx512bw", "avx512vl", "avx512dq", "avx512cd"}),
 )
 
-# (name, shipped config, controller kind or None for the config's own, batch size).
-# The qubit and three-level models have integer levels and couplings, so a BLAS
-# product of either with a state is exact under every kernel; spin-3/2 has
-# couplings of sqrt(3)/2, so a BLAS call in its step would round by core type
+# (name, shipped config, controller kind or None for the config's own, batch size,
+# diagonal start or None for the config's rho0, t_final). The qubit and
+# three-level models have integer levels and couplings, so a BLAS product of
+# either with a state is exact under every kernel; spin-3/2 has couplings of
+# sqrt(3)/2, so a BLAS call in its step would round by core type. The last run
+# starts at 0.99 on the level next to the target (k = ell = 3): under the
+# Euler-Maruyama step with its LAPACK-decided clip, these 32 paths clipped
+# 2,759 times and gave 3 distinct results under the 3 core types
 RUNS = (
-    ("qubit_steered", "qubit", None, 16),
-    ("three_level_open", "three_level", "open_loop", 40),
-    ("spin_3_2_steered", "spin_3_2", None, 16),
+    ("qubit_steered", "qubit", None, 16, None, 0.6),
+    ("three_level_open", "three_level", "open_loop", 40, None, 0.6),
+    ("spin_3_2_steered", "spin_3_2", None, 16, None, 0.6),
+    ("three_level_near_floor", "three_level", None, 32, [0.005, 0.99, 0.005], 4.0),
 )
 
 # (name, shipped config, batch size) of a steered state-vector run at eta = 1
@@ -71,11 +79,12 @@ for lib in glob.glob(np.__path__[0] + ".libs/*openblas*"):
 
 out = {"core": core}
 root, RUNS, KET_RUN = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
-for name, config, kind, b in RUNS:
+for name, config, kind, b, start, t_final in RUNS:
     cfg = load_config(f"{root}/configs/{config}.json")
     ctrl = cfg.controller if kind is None else ControllerSpec(kind=kind)
-    sim = replace(cfg.sim, t_final=0.6, record_stride=100)
-    res = run_batch(cfg.rho0, cfg.model, cfg.target, ctrl, sim, n_trajectories=b)
+    rho0 = cfg.rho0 if start is None else np.diag(start).astype(complex)
+    sim = replace(cfg.sim, t_final=t_final, record_stride=100)
+    res = run_batch(rho0, cfg.model, cfg.target, ctrl, sim, n_trajectories=b)
     digest = hashlib.sha256(res.final_states.tobytes() + res.controls.tobytes()).hexdigest()
     out[name] = {"sha256": digest, "clips": int(res.n_projected.sum())}
 name, config, b = KET_RUN

@@ -1,4 +1,4 @@
-"""Euler-Maruyama engine: stepping, noise streams, recording, classification."""
+"""The integrator: the density split, the ket step, noise streams, recording, classification."""
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,12 +16,12 @@ from conftest import (
     SZ,
     dense_diffusion,
     dense_drift,
+    dense_split_step,
     ginibre,
     qubit,
     qutrit,
     random_model,
     random_pure,
-    with_spectrum,
 )
 from smestab import (
     ControllerSpec,
@@ -43,14 +43,10 @@ from smestab.dynamics import (
     sme_drift,
     sse_diffusion,
     sse_drift,
-    sum_last,
 )
 from smestab.hermitian import (
-    EIG_FLOOR,
-    SCREEN_MIN_ROWS,
     hermitize,
     min_eigenvalue,
-    project_to_density,
     trace,
     validate_density,
 )
@@ -62,8 +58,20 @@ from smestab.integrate import (
     _brownian_increments,
     _record_slots,
     _sme_step,
+    _split,
     _sse_step,
 )
+
+# batch size of the random-model density tests
+ROWS = 40
+
+
+def on_the_cone(states, floor=-1e-14):
+    """Assert a stack of densities is exactly Hermitian, of unit trace and above floor."""
+    assert np.array_equal(states, np.conj(np.swapaxes(states, -1, -2)))
+    assert np.max(np.abs(trace(states).real - 1.0)) < 1e-12
+    lowest = float(np.min(np.linalg.eigvalsh(np.ascontiguousarray(states))))
+    assert lowest >= floor, lowest
 
 
 def test_sim_config_validation():
@@ -218,31 +226,29 @@ def test_record_slots_include_endpoint():
     np.testing.assert_array_equal(slots, [0, 5, 10])
 
 
-def test_em_step_matches_raw_increment():
-    # the density kernel on a one-row stack in C's eigenbasis is the dense
-    # lab-basis increment, hermitized and not rescaled, while the state stays
-    # interior
+def test_split_step_agrees_with_the_euler_maruyama_increment_to_first_order():
+    # the split solves the same SME: from an interior state, one small step
+    # differs from the dense lab-basis Euler-Maruyama increment by O(dt), the
+    # dW^2 - dt terms the increment drops, and lands on the cone
     rng = np.random.default_rng(60)
     model, target = qubit(mu=1.0, eta=0.5)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
     dt = 1e-4
+    split = _split(model, dt)
     rho = 0.5 * (np.eye(2, dtype=complex) + 0.2 * SX + 0.3 * SZ)
-    n_projected = np.zeros(1, dtype=int)
+    worst = 0.0
     for _ in range(50):
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
         u = feedback(rho, model, target, ctrl)
         frame = model.to_eigenbasis(rho)[None]
         rho_next = model.from_eigenbasis(
-            _sme_step(frame, mean_level(frame, model), np.atleast_1d(u), None, dw, model, dt,
-                      n_projected)[0]
+            _sme_step(frame, mean_level(frame, model), np.atleast_1d(u), None, dw, split)[0]
         )
         raw = rho + dense_drift(rho, model, u) * dt + dense_diffusion(rho, model) * dw[0]
-        raw = hermitize(raw)
-        # interior state, small step: the eigenvalue clip never engages here
-        np.testing.assert_allclose(rho_next, raw, atol=1e-14)
+        worst = max(worst, float(np.max(np.abs(rho_next - raw))))
         validate_density(rho_next)
         rho = rho_next
-    assert n_projected[0] == 0
+    assert worst < 5.0 * dt, worst  # measured 0.93 dt
 
 
 @pytest.mark.parametrize("n_steps", [7, 2 * NOISE_WINDOW + 5])
@@ -340,14 +346,23 @@ def test_run_batch_refuses_indices_outside_the_substream_keys():
 
 @pytest.mark.parametrize("make", [qubit, qutrit])
 def test_a_step_whose_trace_is_not_positive_raises_at_its_step(make):
-    # at k = 1e10 and dt = 1e-3, |u| dt swamps the unit trace with roundoff
-    # within a few steps; run_batch stops there and names the step
+    # the split keeps every row on the cone, so a huge finite gain steps fine:
+    # at k = 1e10 and dt = 1e-3 the congruence is dominated by its u^2 term,
+    # and every row stays a density. At k = 1.3e154 (k^2 = 1.69e308) from
+    # random pure starts the law k^2 T_ell overflows to inf on some row, the
+    # trace is not finite, and run_batch stops at step 0 and names it
     model, target = make()
     n = model.n
+    rho0 = random_pure(np.random.default_rng(7), n, (50,))
     sim = SimConfig(dt=1e-3, t_final=0.05, seed=7)
-    law = ControllerSpec(kind="square_of_sum", k=1e10)
-    with pytest.raises(IntegrationError, match=r"not finite and positive at step \d+; reduce dt"):
-        run_batch(np.eye(n) / n, model, target, law, sim, n_trajectories=50)
+    res = run_batch(rho0, model, target, ControllerSpec(kind="square_of_sum", k=1e10), sim,
+                    n_trajectories=50)
+    assert np.all(np.isfinite(res.controls)) and not res.n_projected.any()
+    on_the_cone(model.to_eigenbasis(res.final_states), floor=-1e-12)
+    law = ControllerSpec(kind="square_of_sum", k=1.3e154)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match=r"not finite and positive at step 0; reduce dt"):
+            run_batch(rho0, model, target, law, sim, n_trajectories=50)
 
 
 @pytest.mark.parametrize("make", [qubit, qutrit])
@@ -363,9 +378,9 @@ def test_a_ket_step_whose_norm_overflows_raises_at_step_0(make):
             run_batch(psi0, model, target, law, sim, n_trajectories=5)
 
 
-def test_eigenvalue_clip_engages_on_coarse_steps():
-    # a deliberately coarse step pushes the spectrum below the floor; the
-    # maintenance projection must fire and still hand back valid densities
+def test_coarse_steps_never_clip_and_stay_on_the_cone():
+    # a coarse step from a coherent start, which pushed Euler-Maruyama rows
+    # below the floor: every recorded state is a density, exactly Hermitian
     h_b = np.array([[0, -1j], [1j, 0]], dtype=complex)
     model = ModelSpec(h_a=SZ, h_b=h_b, c=SZ, mu=4.0, eta=1.0)
     target = TargetSpec.for_model(model, RHO_D2)
@@ -375,10 +390,9 @@ def test_eigenvalue_clip_engages_on_coarse_steps():
         plus, model, target, ControllerSpec(kind="open_loop"), sim,
         n_trajectories=20, record_states=True,
     )
-    assert res.n_projected.sum() > 0
-    for i in range(20):
-        for j in range(res.states.shape[1]):
-            validate_density(res.states[i, j])
+    assert not res.n_projected.any()
+    on_the_cone(model.to_eigenbasis(res.states))
+    validate_density(res.states)
 
 
 def test_classification_labels():
@@ -492,9 +506,9 @@ def dense_sse_step(psi, model, u, dt, dw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
-    # N = 2..8 runs the density kernels' broadcast sums and the ket kernels'
-    # stacked matmuls up to the N = 8 of the state-vector benchmark; the
-    # reference is the dense lab-basis scheme
+    # N = 2..8 runs the density split's index-order sums and the ket
+    # kernels' stacked matmuls up to the N = 8 of the state-vector benchmark;
+    # the references are the dense lab-basis schemes
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
@@ -514,9 +528,7 @@ def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
         u = res.controls[:, 0]
         close(u, feedback(rho0, m, target, ctrl))
         if rep == "sme":
-            ref = rho0 + dense_drift(rho0, m, u) * dt + dense_diffusion(rho0, m) * dw[:, None, None]
-            ref = hermitize(ref)
-            ref = ref / trace(ref).real[:, None, None]
+            ref = dense_split_step(rho0, m, u, dt, dw)
         else:
             psi = dense_sse_step(np.linalg.eigh(rho0)[1][..., -1], m, u, dt, dw)
             ref = np.einsum("bi,bj->bij", psi, psi.conj())
@@ -532,60 +544,10 @@ def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
             assert np.array_equal(solo.final_states[0], final[i]), rep
 
 
-def test_below_floor_is_min_eigenvalues_mask_next_to_the_floor():
-    # smallest eigenvalues planted on, just around and within the screen's
-    # margin above EIG_FLOOR: rows the screen cannot clear are decided by
-    # min_eigenvalue, so the mask is min_eigenvalue's on every row and N
-    rng = np.random.default_rng(45)
-    smallest = EIG_FLOOR + np.array([-1e-12, -1e-15, 0.0, 1e-15, 1e-13, 5e-13, 2e-12, 1e-9])
-    b = 8 * SCREEN_MIN_ROWS
-    for n in range(2, 9):
-        lam = rng.choice(smallest, b)
-        others = rng.uniform(0.0, 1.0, (b, n - 1))
-        rho = with_spectrum(rng, np.column_stack([lam, others]))
-        below = integrate._below_floor(rho)
-        assert np.array_equal(below, min_eigenvalue(rho) < EIG_FLOOR), n
-        assert 0 < below.sum() < b, n
-
-
-def test_screened_clip_decisions_match_eigvalsh_on_every_row(monkeypatch):
-    # coarse regimes that clip often, on batches large enough for the floor
-    # screen at N >= 3: every clip and every state equal the step that asks
-    # eigvalsh about every row; the fixed qutrit from a shared start, and
-    # random N = 4 and N = 6 models from mixed and pure starts
-    b = 40
-    assert b >= SCREEN_MIN_ROWS
-    rng = np.random.default_rng(44)
-    qutrit_model, qutrit_target = qutrit(mu=6.0, eta=0.5)
-    cases = [(qutrit_model, qutrit_target, np.full((3, 3), 1.0 / 3.0, dtype=complex))]
-    for n in (4, 6):
-        model, target = random_model(rng, n)
-        starts = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
-        cases.append((model, target, starts))
-    ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=1.0)
-    sim = SimConfig(dt=0.3, t_final=9.0, seed=5, record_stride=3)
-
-    def eigvalsh_mask(rho):
-        return np.linalg.eigvalsh(rho)[:, 0] < EIG_FLOOR
-
-    for model, target, rho0 in cases:
-        screened = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b,
-                             record_states=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(integrate, "_below_floor", eigvalsh_mask)
-            reference = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b,
-                                  record_states=True)
-        assert screened.n_projected.sum() > 100, model.n
-        for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity",
-                     "final_states", "states", "n_projected", "n_rejected"):
-            assert np.array_equal(getattr(screened, name), getattr(reference, name)), (
-                model.n, name)
-
-
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_interior_stacks_above_three_levels_ask_min_eigenvalue_about_no_row(monkeypatch, n):
-    # the screen clears every row of an interior stack of N > 3, and of a
-    # fine-step run from the maximally mixed state, so eigvalsh sees none
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_density_runs_ask_min_eigenvalue_about_no_row(monkeypatch, n):
+    # no eigenvalue decides any density row: a coarse steered run of a random
+    # model from mixed and pure starts never asks min_eigenvalue, and clips none
     asked = []
 
     def counted(rho):
@@ -594,13 +556,11 @@ def test_interior_stacks_above_three_levels_ask_min_eigenvalue_about_no_row(monk
 
     monkeypatch.setattr(integrate, "min_eigenvalue", counted)
     rng = np.random.default_rng(n)
-    for b in (SCREEN_MIN_ROWS, 5 * SCREEN_MIN_ROWS):
-        rho = with_spectrum(rng, rng.uniform(0.02, 1.0, (b, n)))
-        assert not integrate._below_floor(rho).any()
     model, target = random_model(rng, n)
-    sim = SimConfig(dt=1e-3, t_final=0.2, seed=n)
+    rho0 = np.concatenate([ginibre(rng, n, (ROWS // 2,)), random_pure(rng, n, (ROWS // 2,))])
+    sim = SimConfig(dt=0.2, t_final=4.0, seed=n)
     ctrl = ControllerSpec(kind="square_of_sum", k=3.0, ell=3.0)
-    res = run_batch(np.eye(n) / n, model, target, ctrl, sim, n_trajectories=SCREEN_MIN_ROWS)
+    res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=ROWS)
     assert res.n_projected.sum() == 0
     assert asked == []
 
@@ -609,19 +569,19 @@ def test_interior_stacks_above_three_levels_ask_min_eigenvalue_about_no_row(monk
 @given(seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([0.02, 0.1, 0.3]),
        kind=st.sampled_from(["open_loop", "square_of_sum", "sum_of_squares"]))
 def test_random_qutrits_stay_on_the_cone_over_many_coarse_steps(seed, dt, kind):
-    # the screened batch path against solo runs, which ask eigvalsh about
-    # their single row, over 60 coarse steps of random N = 3 models
+    # the batch path against solo runs over 60 coarse steps of random N = 3
+    # models: no row clips, and each row is its solo run
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, 3)
     ctrl = ControllerSpec(kind=kind, k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
     sim = SimConfig(dt=dt, t_final=60 * dt, seed=int(rng.integers(2**32)), record_stride=20)
-    b = SCREEN_MIN_ROWS + 8
+    b = ROWS
     rho0 = np.concatenate([ginibre(rng, 3, (b // 2,)), random_pure(rng, 3, (b - b // 2,))])
     res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b)
     validate_density(res.final_states)
+    assert not res.n_projected.any()
     for i in rng.choice(b, 4, replace=False):
         solo = run_batch(rho0[i], model, target, ctrl, sim, indices=[int(i)])
-        assert np.array_equal(solo.n_projected[0], res.n_projected[i])
         assert np.array_equal(solo.final_states[0], res.final_states[i])
         assert np.array_equal(solo.controls[0], res.controls[i])
 
@@ -630,48 +590,48 @@ def test_random_qutrits_stay_on_the_cone_over_many_coarse_steps(seed, dt, kind):
 @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([0.05, 0.2]),
        kind=st.sampled_from(["open_loop", "square_of_sum", "sum_of_squares"]))
 def test_random_models_stay_exactly_hermitian_and_on_the_cone(n, seed, dt, kind):
-    # 400 coarse density steps on a random N = 2..6 model, with many clips:
-    # no step repairs Hermiticity, so every state must be Hermitian bit for
-    # bit; every final state is on the cone, and rows stepped alone equal
-    # their rows in the batch (for N = 3 the batch is large enough to screen)
+    # 400 coarse density steps on a random N = 2..6 model: no step repairs
+    # Hermiticity or positivity, so every state must be Hermitian bit for bit
+    # and on the cone, and rows stepped alone equal their rows in the batch
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind=kind, k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
-    b = SCREEN_MIN_ROWS + 8
+    b = ROWS
     lab = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
     batch = hermitize(model.to_eigenbasis(lab))
     solo_rows = [int(i) for i in rng.choice(b, 3, replace=False)]
     solos = [batch[[i]] for i in solo_rows]
-    counts = np.zeros(b, dtype=int)
-    solo_counts = [np.zeros(1, dtype=int) for _ in solo_rows]
+    split = _split(model, dt)
 
-    def step(rho, dw, n_projected):
+    def step(rho, dw):
         u = feedback(rho, model, target, ctrl, moments(rho, model, target))
-        return _sme_step(rho, mean_level(rho, model), u, None, dw, model, dt, n_projected)
+        return _sme_step(rho, mean_level(rho, model), u, None, dw, split)
 
     for _ in range(400):
         dw = rng.normal(0.0, np.sqrt(dt), b)
-        batch = step(batch, dw, counts)
+        batch = step(batch, dw)
         assert np.array_equal(batch, np.conj(np.swapaxes(batch, -1, -2)))
-        solos = [step(r, dw[[i]], c) for r, i, c in zip(solos, solo_rows, solo_counts)]
-    validate_density(model.from_eigenbasis(batch))
-    for r, i, c in zip(solos, solo_rows, solo_counts):
+        solos = [step(r, dw[[i]]) for r, i in zip(solos, solo_rows)]
+    on_the_cone(batch)
+    for r, i in zip(solos, solo_rows):
         assert np.array_equal(r[0], batch[i])
-        assert c[0] == counts[i]
 
 
-def repaired_sme_step(rho, mean, u, hr, dw, model, dt, n_projected):
-    """The density step with the increment hermitized before it is normalized.
+def repaired_sme_step(rho, mean, u, hr, dw, split):
+    """The split step in dense algebra, hermitized after every step.
 
-    It forms its own h_b rho and ignores the hr the loop hands it.
+    It forms its own products from the split's tables with matmul, and
+    ignores the hr the loop hands it.
     """
-    nxt = rho + sme_drift(rho, model, u) * dt + diffusion_term(rho, mean, model) * dw[:, None, None]
+    phi, _, h, gain, coupling, dt = split
+    dy = gain * mean / trace(rho).real + dw
+    if u is not None:
+        k = np.eye(len(coupling)) - 1j * (dt * u)[:, None, None] * coupling
+        rho = k @ rho @ np.conj(np.swapaxes(k, -1, -2))
+    s = np.exp(h[:, 0] * dy[:, None])
+    nxt = phi[..., 0] * rho * (s[:, :, None] * s[:, None, :])
     nxt = hermitize(nxt)
-    nxt = nxt / trace(nxt).real[:, None, None]
-    low = np.linalg.eigvalsh(nxt)[:, 0] < EIG_FLOOR
-    n_projected[low] += 1
-    nxt[low] = project_to_density(nxt[low])
-    return nxt
+    return nxt / trace(nxt).real[:, None, None]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -680,20 +640,19 @@ def test_run_batch_agrees_with_a_step_that_hermitizes_every_step(monkeypatch, n)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
     sim = SimConfig(dt=0.01, t_final=2.0, seed=n, record_stride=20)
-    b = SCREEN_MIN_ROWS + 8
+    b = ROWS
     rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
     got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
     monkeypatch.setattr(integrate, "_sme_step", repaired_sme_step)
     want = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-    assert got.n_projected.sum() > 0
-    assert np.array_equal(got.n_projected, want.n_projected)
+    assert not got.n_projected.any()
     for name in ("controls", "records", "v_tilde", "lv", "fidelity", "purity", "final_states",
                  "states"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12)
 
 
 def _open_loop_cases(b):
-    """(name, model, target, rho0, sim) for b rows: SME at N = 2, N = 3 (coarse, clipping), SSE."""
+    """(name, model, target, rho0, sim) for b rows: SME at N = 2, N = 3 (coarse), SSE."""
     model2, target2 = qubit(mu=1.0, eta=0.5)
     model3, target3 = qutrit(mu=6.0, eta=0.5)
     plus3 = np.full((3, 3), 1.0 / 3.0, dtype=complex)
@@ -712,8 +671,9 @@ def _open_loop_cases(b):
 @pytest.mark.parametrize("case", range(3))
 def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monkeypatch, case):
     # run_batch hands the open-loop step u = None; the same run with the step
-    # given explicit zeros agrees on every BatchResult field, bit for bit
-    b = SCREEN_MIN_ROWS + 8
+    # given explicit zeros, whose congruence is the identity, agrees on every
+    # BatchResult field, bit for bit
+    b = ROWS
     name, model, target, rho0, sim = _open_loop_cases(b)[case]
     ctrl = ControllerSpec(kind="open_loop")
     kernel = "_sse_step" if sim.representation == "sse" else "_sme_step"
@@ -733,8 +693,6 @@ def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monke
     assert len(seen) == sim.n_steps and all(u is None for u in seen)
     monkeypatch.setattr(integrate, kernel, given_zeros)
     want = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-    if name == "sme3_coarse":
-        assert got.n_projected.sum() > 100
     for f in fields(BatchResult):
         assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (name, f.name)
     assert not got.controls.any()
@@ -747,45 +705,87 @@ def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monke
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_density_step_leaves_its_input_and_matches_the_plain_expression(n):
-    # the step is assembled in place in the kernels' own arrays, dt and dW
-    # scaling their tables: the input stack is untouched and the result is
-    # the plain expression bit for bit, with no rescaling, whether the step
-    # forms h_b rho itself or is handed the loop's product. The noise term
-    # reads <C> / tr(rho), so the increment is traceless at any trace: a
-    # stack scaled by 1.25 keeps its trace to roundoff
+def test_density_step_leaves_its_input_and_matches_the_dense_split(n):
+    # the step leaves its input untouched and is the dense split to roundoff,
+    # bit for bit the same whether it forms h_b rho itself or is handed the
+    # loop's product. It reads <C> / tr(rho) and renormalises, so a stack
+    # scaled by 1.25 steps to the same unit-trace states to roundoff
     rng = np.random.default_rng(70 + n)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.3, ell=0.7)
-    b, dt = 40, 1e-3
+    b, dt = ROWS, 1e-2
     dw = rng.normal(0.0, np.sqrt(dt), b)
-    n_projected = np.zeros(b, dtype=int)
+    split = _split(model, dt)
     rho = hermitize(model.to_eigenbasis(0.5 * ginibre(rng, n, (b,)) + 0.5 * np.eye(n) / n))
     mean = mean_level(rho, model)
     hr = _left_product(model.coupling, rho)
-    normalized = mean / sum_last(rho.diagonal(0, -2, -1).real)
     for u in (None, feedback(rho, model, target, ctrl, moments(rho, model, target))):
-        want = (rho + sme_drift(rho, model, u, None, dt)
-                + diffusion_term(rho, normalized, model, dw))
-        # the increment is traceless: the trace stays 1 to roundoff
-        assert np.max(np.abs(trace(want).real - 1.0)) < 1e-12
+        want = model.to_eigenbasis(dense_split_step(model.from_eigenbasis(rho), model, u, dt, dw))
+        got = []
         for shared in (None, hr):
             before = rho.copy()
-            got = _sme_step(rho, mean, u, shared, dw, model, dt, n_projected)
+            got.append(_sme_step(rho, mean, u, shared, dw, split))
             assert np.array_equal(rho, before)
-            assert np.array_equal(got, want)
-        scaled = _sme_step(1.25 * rho, 1.25 * mean, u, 1.25 * hr, dw, model, dt, n_projected)
-        assert np.max(np.abs(trace(scaled).real - 1.25)) < 1e-12
-    assert not n_projected.any()
+        assert np.array_equal(got[0], got[1])
+        np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-14)
+        scaled = _sme_step(1.25 * rho, 1.25 * mean, u, 1.25 * hr, dw, split)
+        np.testing.assert_allclose(scaled, got[0], rtol=0.0, atol=1e-14)
+        assert np.max(np.abs(trace(scaled).real - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_open_loop_split_steps_compose_into_one_exact_step(n):
+    # open loop the split is the exact solution of the QND filter, not a
+    # scheme with a step error: m steps of dt give the states that one step
+    # of m dt gives on the summed record Y = sum dY, to roundoff
+    rng = np.random.default_rng(90 + n)
+    model, _ = random_model(rng, n)
+    b, dt, m = ROWS, 0.05, 8
+    rho0 = hermitize(model.to_eigenbasis(0.5 * ginibre(rng, n, (b,)) + 0.5 * np.eye(n) / n))
+    gain = 2.0 * np.sqrt(model.mu * model.eta)
+    split = _split(model, dt)
+    rho, record = rho0, np.zeros(b)
+    for _ in range(m):
+        dw = rng.normal(0.0, np.sqrt(dt), b)
+        mean = mean_level(rho, model)
+        record += gain * mean / trace(rho).real * dt + dw
+        rho = _sme_step(rho, mean, None, None, dw, split)
+    mean0 = mean_level(rho0, model)
+    once = _sme_step(rho0, mean0, None, None, record - gain * mean0 * (m * dt),
+                     _split(model, m * dt))
+    np.testing.assert_allclose(rho, once, rtol=0.0, atol=1e-13)
+    # a scheme with a step error would miss: one Euler-Maruyama step of m dt
+    euler = rho0 + dense_drift(rho0, model, 0.0) * (m * dt)
+    assert np.max(np.abs(euler - once)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unit_efficiency_keeps_a_pure_state_pure(n):
+    # at eta = 1 the SME keeps a pure state pure, and so does the split: phi
+    # is then the rank-one table f f^dag with f_i = exp(-i a_i dt - mu c_i^2 dt),
+    # and the congruence maps a rank-one row to a rank-one row. Steered
+    # coarse steps keep every purity at 1 to roundoff; at eta < 1 they drop
+    rng = np.random.default_rng(300 + n)
+    model, target = random_model(rng, n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    sim = SimConfig(dt=0.1, t_final=5.0, seed=n, record_stride=1)
+    rho0 = random_pure(rng, n, (8,))
+    for eta in (1.0, 0.5):
+        batch = run_batch(rho0, replace(model, eta=eta), target, ctrl, sim, n_trajectories=8,
+                          record_states=True)
+        assert not batch.n_projected.any()
+        gap = np.max(np.abs(batch.purity - 1.0))
+        if eta == 1.0:
+            assert gap < 1e-13, gap
+        else:
+            assert gap > 1e-2, gap
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_random_steered_runs_keep_the_trace_without_rescaling_and_rows_equal_solo_runs(n):
-    # no step rescales the trace, so it is kept by the traceless increment
-    # alone: over 2,500 steered steps of a random model it stays within
-    # trace_drift of 1 (at most 3.9e-15 is read here, and 200 paths of 20,000
-    # steps of each shipped config read at most 4.5e-14), and a row run alone
-    # is its row of the batch bit for bit
+def test_random_steered_runs_keep_unit_trace_and_rows_equal_solo_runs(n):
+    # each step renormalises its trace, so over 2,500 steered steps of a
+    # random model it stays within trace_drift of 1 with no drift, and a row
+    # run alone is its row of the batch bit for bit
     trace_drift = 1e-11
     rng = np.random.default_rng(200 + n)
     model, target = random_model(rng, n)
@@ -812,7 +812,6 @@ def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
     ctrl = ControllerSpec(kind="square_of_sum", k=1.3, ell=0.7)
     b, dt = 40, 1e-3
     dw = rng.normal(0.0, np.sqrt(dt), b)
-    n_projected = np.zeros(b, dtype=int)
     psi = rng.normal(size=(b, n, 1)) + 1j * rng.normal(size=(b, n, 1))
     psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
     mean = mean_level(psi, model)
@@ -829,29 +828,26 @@ def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
         want = factored / np.sqrt(populations(factored).sum(-1))[:, None, None]
         for shared in (None, hpsi):
             before = psi.copy()
-            got = _sse_step(psi, mean, u, shared, dw, model, dt, n_projected)
+            got = _sse_step(psi, mean, u, shared, dw, model, dt)
             assert np.array_equal(psi, before)
             assert np.array_equal(got, want)
             np.testing.assert_allclose(
                 got, raw / np.linalg.norm(raw, axis=-2, keepdims=True), rtol=0.0, atol=1e-15
             )
-    assert not n_projected.any()
 
 
-def test_coarse_steps_that_clip_leave_their_input_unmodified():
+def test_coarse_density_steps_leave_their_input_unmodified():
     model, target = qutrit(mu=6.0, eta=0.5)
     rng = np.random.default_rng(12)
-    b = SCREEN_MIN_ROWS + 8
-    rho = hermitize(model.to_eigenbasis(random_pure(rng, 3, (b,))))
-    n_projected = np.zeros(b, dtype=int)
-    for u in (None, rng.normal(size=b)):
+    rho = hermitize(model.to_eigenbasis(random_pure(rng, 3, (ROWS,))))
+    split = _split(model, 0.3)
+    for u in (None, rng.normal(size=ROWS)):
         for _ in range(20):
             before = rho.copy()
-            nxt = _sme_step(rho, mean_level(rho, model), u, None, rng.normal(0.0, 0.5, b), model,
-                            0.3, n_projected)
+            nxt = _sme_step(rho, mean_level(rho, model), u, None, rng.normal(0.0, 0.5, ROWS), split)
             assert np.array_equal(rho, before)
             rho = nxt
-    assert n_projected.sum() > 0
+    on_the_cone(rho)
 
 
 def _count_calls(monkeypatch, names):
@@ -985,10 +981,12 @@ def _position_cases():
 def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
     # B = 1003 is no multiple of a SIMD width, so the first, a middle and the
     # last lane each sit at a different offset in their vector; coarse density
-    # steps from mixed and pure starts clip often, and kets start pure. Each
-    # row equals its solo run bit for bit on every series, and the batch
-    # stepped on a row-major stack equals the batch stepped on lanes (for
-    # kets, always row-major, a rerun)
+    # steps start mixed and pure, which Euler-Maruyama clipped more than B
+    # times, and kets start pure. No density row clips, every stepped state
+    # is Hermitian bit for bit and the final ones lie on the cone. Each row
+    # equals its solo run bit for bit on every series, and the batch stepped
+    # on a row-major stack equals the batch stepped on lanes (for kets,
+    # always row-major, a rerun)
     name, model, target, ctrl, sim = _position_cases()[case]
     n, b = model.n, 1003
     rng = np.random.default_rng(60 + case)
@@ -997,9 +995,22 @@ def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
     else:
         # mixed starts in rows 0..500, pure ones in rows 501..1002
         rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
-    res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    hermitian = []
+    real = integrate._sme_step
+
+    def watched(*args):
+        nxt = real(*args)
+        hermitian.append(np.array_equal(nxt, np.conj(np.swapaxes(nxt, -1, -2))))
+        return nxt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "_sme_step", watched)
+        res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
     if sim.representation == "sme":
-        assert res.n_projected.sum() > b, name
+        assert len(hermitian) == sim.n_steps and all(hermitian), name
+        assert not res.n_projected.any(), name
+        lowest = float(np.min(np.linalg.eigvalsh(res.final_states)))
+        assert lowest >= -1e-14, (name, lowest)
     for i in (0, 501, 1002):
         solo = run_batch(rho0[i], model, target, ctrl, sim, indices=[i], record_states=True)
         for f in fields(BatchResult):
@@ -1016,30 +1027,29 @@ def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
     # the kernels that read the lane stack, fed its row-major copy, agree bit
-    # for bit and hand back arrays in their input's layout
+    # for bit; the step hands lanes back in lanes
     rng = np.random.default_rng(30 + n)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=2.0, ell=0.5)
-    b = 2 * SCREEN_MIN_ROWS + 1
+    b = 2 * ROWS + 1
     lanes = integrate._density_stack(b, n)
     lanes[...] = hermitize(model.to_eigenbasis(
         np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])))
     row_major = np.ascontiguousarray(lanes)
     assert lanes.strides[0] < min(lanes.strides[1:]) and row_major.flags.c_contiguous
     dw = rng.normal(0.0, 0.5, b)
+    split = _split(model, 0.2)
     outputs = []
     for rho in (lanes, row_major):
         hr = _left_product(model.coupling, rho)
         m = moments(rho, model, target, hr)
         u = feedback(rho, model, target, ctrl, m)
-        n_projected = np.zeros(b, dtype=int)
         mean = m[..., dynamics.C1]
-        nxt = _sme_step(rho, mean, u, hr, dw, model, 0.2, n_projected)
-        assert nxt.strides == rho.strides
+        steps = [_sme_step(rho, mean, law, hr, dw, split) for law in (None, u)]
         outputs.append((hr, m, mean_level(rho, model), sme_drift(rho, model, u, hr),
-                        diffusion_term(rho, mean, model), min_eigenvalue(rho),
-                        integrate._below_floor(rho), nxt, n_projected))
-    assert outputs[1][-1].sum() > 0
+                        diffusion_term(rho, mean, model), min_eigenvalue(rho), *steps))
+    for nxt in outputs[0][-2:]:
+        assert nxt.strides[0] < min(nxt.strides[1:])
     for got, want in zip(*outputs):
         assert np.array_equal(got, want)
 
@@ -1062,10 +1072,62 @@ def test_density_steps_run_on_batch_last_lanes_at_every_n(monkeypatch, n):
     monkeypatch.setattr(integrate, "_sme_step", watched)
     sim = SimConfig(dt=0.05, t_final=1.0, seed=n, record_stride=5)
     for kind in ("open_loop", "square_of_sum"):
-        for b in (5, SCREEN_MIN_ROWS + 8):
+        for b in (5, ROWS):
             seen.clear()
             run_batch(np.eye(n) / n, model, target, ControllerSpec(kind=kind), sim,
                       n_trajectories=b)
             assert len(seen) == 2 * sim.n_steps
             for state in seen:
                 assert state.strides[0] < min(state.strides[1:]), (kind, b, state.strides)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_split_on_random_models_is_the_dense_split_and_stays_on_the_cone(n, seed):
+    # on lanes and on a row-major stack alike: one step, open loop and
+    # steered, is the dense split to roundoff; 200 steered steps at dt = 0.2
+    # keep every row exactly Hermitian with its smallest eigenvalue at or
+    # above -1e-14, and the two layouts agree bit for bit
+    rng = np.random.default_rng(seed)
+    model, target = random_model(rng, n)
+    ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
+    b, dt = 6, 0.2
+    lab = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
+    lanes = integrate._density_stack(b, n)
+    lanes[...] = hermitize(model.to_eigenbasis(lab))
+    split = _split(model, dt)
+    finals = []
+    for rho in (lanes, np.ascontiguousarray(lanes)):
+        dw = rng.normal(0.0, np.sqrt(dt), b)
+        u = feedback(rho, model, target, ctrl, moments(rho, model, target))
+        for law in (None, u):
+            want = model.to_eigenbasis(dense_split_step(model.from_eigenbasis(rho), model, law,
+                                                        dt, dw))
+            got = _sme_step(rho, mean_level(rho, model), law, None, dw, split)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        walk = np.random.default_rng(seed)
+        for _ in range(200):
+            hr = _left_product(model.coupling, rho)
+            m = moments(rho, model, target, hr)
+            rho = _sme_step(rho, m[..., dynamics.C1], feedback(rho, model, target, ctrl, m), hr,
+                            walk.normal(0.0, np.sqrt(dt), b), split)
+            on_the_cone(rho)
+        finals.append(rho)
+    assert np.array_equal(finals[0], finals[1])
+
+
+@pytest.mark.parametrize("kernel", ["sme_drift", "diffusion_term"])
+def test_the_step_reads_the_sme_through_both_kernels(monkeypatch, kernel):
+    # the split's tables are read off sme_drift and diffusion_term on
+    # smestab.integrate, so a kernel zeroed there changes every run's states
+    model, target = qutrit(mu=1.0, eta=0.5)
+    rho0 = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+    sim = SimConfig(dt=1e-2, t_final=0.5, seed=9)
+    for ctrl in (ControllerSpec(kind="open_loop"), ControllerSpec(kind="square_of_sum")):
+        plain = run_batch(rho0, model, target, ctrl, sim, n_trajectories=4)
+        real = getattr(integrate, kernel)
+        with monkeypatch.context() as patch:
+            patch.setattr(integrate, kernel, lambda *a: 0.0 * real(*a))
+            zeroed = run_batch(rho0, model, target, ctrl, sim, n_trajectories=4)
+        gap = np.max(np.abs(zeroed.final_states - plain.final_states))
+        assert gap > 1e-2, (ctrl.kind, gap)

@@ -296,6 +296,41 @@ def test_montecarlo_check_argument_validation():
     # seed bounds are keys
     assert check(n_samples=2000.0) == check(n_samples=np.int64(2000))
     assert check(seed=2**64 - 1) != check(seed=0)
+    for bad in (np.nan, np.inf, "1.0", None):
+        with pytest.raises(ValueError, match="u must be"):
+            generator_v_montecarlo_check(rho, model, target, bad, 1.0)
+    for bad in (0.0, -1.0, np.nan, 1e-170, 1e155):
+        with pytest.raises(ValueError, match="weight ell"):
+            generator_v_montecarlo_check(rho, model, target, 1.0, bad)
+    for bad in (2.0 * rho, np.diag([1.5, -0.5]).astype(complex), rho + 0.1j * SX):
+        with pytest.raises(ValueError, match="rho"):
+            generator_v_montecarlo_check(bad, model, target, 1.0, 1.0)
+
+
+def test_certificates_refuse_a_bad_state_control_or_weight():
+    # generator_v returned nan at u = nan, divided by zero at ell = 0, read
+    # ell = -1 as ell = 1 and gave a number for a trace-2 rho; it, trace_term
+    # and closed_loop_generator now refuse what the arbiter refuses, naming it
+    model, target = qubit()
+    rho = bloch(0.1, 0.2, 0.3)
+    law = ControllerSpec(kind="square_of_sum")
+    assert np.isfinite(generator_v(rho, model, target, 1.0, 1.0))
+    assert generator_v(np.stack([rho, rho]), model, target, np.array([1.0, 2.0]), 1.0).shape == (2,)
+    for bad in (np.nan, np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="u must be finite"):
+            generator_v(rho, model, target, bad, 1.0)
+    bad_states = (2.0 * rho, np.diag([1.5, -0.5]).astype(complex), rho + 0.1j * SX)
+    for bad in (0.0, -1.0, np.nan, 1e-170, 1e155):
+        for call in (lambda e: generator_v(rho, model, target, 1.0, e),
+                     lambda e: trace_term(rho, model, target, e)):
+            with pytest.raises(ValueError, match="weight ell"):
+                call(bad)
+    for bad in bad_states:
+        for call in (lambda r: generator_v(r, model, target, 1.0, 1.0),
+                     lambda r: trace_term(r, model, target, 1.0),
+                     lambda r: closed_loop_generator(r, model, target, law)):
+            with pytest.raises(ValueError, match="rho"):
+                call(bad)
 
 
 def test_antithetic_arbiter_holds_the_closed_form_at_every_seed():
