@@ -303,9 +303,12 @@ def _density_stack(b: int, n: int) -> np.ndarray:
     follows the strides: h_b rho, the step's products and the level-axis
     sums are index-order adds (_left_product, integrate._sme_step, sum_last),
     and the purity at a record point and the rotation back to the lab basis
-    run on row-major copies. No density row is decided by an eigenvalue. The
-    ket stack is row-major, and its h_b psi and moment table are stacked
-    matmuls (see moments). A single row is both.
+    run on row-major copies. No density row is decided by an eigenvalue. An
+    open-loop run steps only the diagonal, as contiguous (n, b) population
+    lanes, and integrate._assemble writes the density it builds from them
+    at a record point into this layout. The ket stack is row-major, and its
+    h_b psi and moment table are stacked matmuls (see moments). A single row
+    is both.
     """
     return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
@@ -313,49 +316,46 @@ def _density_stack(b: int, n: int) -> np.ndarray:
 def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
     """<C> = sum_i c_i p_i as adds in index order.
 
-    Bit for bit the C1 row of moments for a density; a ket's table is a BLAS
-    product, whose C1 row may differ from this in the last bit.
+    Bit for bit the C1 row of moments for a density, and the sum that
+    integrate.run_batch reads off an open-loop density's population lanes; a
+    ket's table is a BLAS product, whose C1 row may differ from this in the
+    last bit.
     """
     return sum_last(populations(state) * model.levels)
 
 
-def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None,
-              dt=1.0) -> np.ndarray:
-    """(F + D) dt with H = h_a + u h_b: (drift_table dt) * rho - i u dt [h_b, rho].
+def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None) -> np.ndarray:
+    """F + D with H = h_a + u h_b: drift_table * rho - i u [h_b, rho].
 
-    dt scales the (N, N) table and the per-row scalar -i u dt, never the
-    stack, and at the default dt = 1.0 both are exact, so the result is F + D
-    bit for bit. hr is h_b rho when the caller holds it, else it is formed
-    here. u = None stands for the open-loop law, u = 0 on every row: the
-    control term is not evaluated and the result is (drift_table dt) * rho,
-    equal to the result at zeros. The result is a new array in rho's layout.
+    hr is h_b rho when the caller holds it, else it is formed here. u = None
+    stands for the open-loop law, u = 0 on every row: the control term is not
+    evaluated and the result is drift_table * rho, equal to the result at
+    zeros. The result is a new array in rho's layout.
     """
-    out = (model.drift_table * dt) * rho
+    out = model.drift_table * rho
     if u is None:
         return out
     hr = _left_product(model.coupling, rho) if hr is None else hr
     control = hr - dag(hr)
-    # u dt as an array even for a scalar u, so -1j times it is a numpy value
-    control *= (-1j * np.asarray(dt * np.asarray(u)))[..., None, None]
+    # u as an array even for a scalar u, so -1j times it is a numpy value
+    control *= (-1j * np.asarray(u))[..., None, None]
     out += control
     return out
 
 
-def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec, dw=1.0) -> np.ndarray:
-    """G dW = sqrt(mu eta) dW (c_i + c_j - 2 <C>) rho_ij with mean = <C>; Hermitian.
+def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """G = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with mean = <C>; Hermitian.
 
     It is traceless when mean is <C> / tr(rho), at any trace of rho; at
     mean = 0 on the all-ones matrix it is the Zakai noise table
-    sqrt(mu eta) (c_i + c_j) that integrate._split reads. dw is a scalar or
-    one increment per row. sqrt(mu eta) dW scales the real table
-    c_i + c_j - 2 <C> before its one product with rho, and at the default
-    dw = 1.0 the result is G bit for bit.
+    sqrt(mu eta) (c_i + c_j) that integrate._split reads. sqrt(mu eta)
+    scales the real table c_i + c_j - 2 <C> before its one product with rho.
     """
     # formed in rho's layout: broadcast from (N, N) and (..., 1, 1) alone it comes out row-major
     centered = np.subtract(
         model.level_sums, 2.0 * mean[..., None, None], out=np.empty_like(rho, dtype=float)
     )
-    centered *= (math.sqrt(model.mu * model.eta) * np.asarray(dw))[..., None, None]
+    centered *= math.sqrt(model.mu * model.eta)
     return centered * rho
 
 

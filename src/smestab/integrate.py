@@ -22,10 +22,10 @@ returns (final_states, states) are rotated back to the lab basis.
 Per step the pre-step state is read once. On a steered step or a record
 point, X = h_b state and the moment table built from it (dynamics.moments)
 serve the law, the record point and the control term. A steered step takes
-<C> from the table's C1 row; an open-loop step takes it from mean_level at
-every step, record point or not, as for a ket the two may differ in the last
-bit (see dynamics.mean_level). Open-loop steps get u = None and skip the
-control term. In C's eigenbasis both SME kernels, dynamics.sme_drift and
+<C> from the table's C1 row; an open-loop step takes it from the populations
+at every step, record point or not, as for a ket the two may differ in the
+last bit (see dynamics.mean_level). Open-loop ket steps get u = None and skip
+the control term. In C's eigenbasis both SME kernels, dynamics.sme_drift and
 dynamics.diffusion_term, are Schur multipliers, so run_batch reads their
 tables once per call (_split) and the density step is the split of Rouchon
 and Ralph (PRA 91, 012118, 2015): the control as a congruence K rho K^dag,
@@ -33,12 +33,17 @@ then one Schur product with a constant table and one with the rank-one
 table s s^T of the record, renormalised. Both tables are positive
 semidefinite, so every row stays Hermitian, of unit trace and on the density
 cone by construction: no eigenvalue is computed and no row is clipped, and
-BatchResult.n_projected is always zero. A state vector is renormalized, as
-Euler-Maruyama does not keep its norm; _sse_step multiplies the ket by one
-diagonal factor and adds the control term (see dynamics). Both steps leave
-their input alone and check the trace (the ket norm) with one min/max pair.
-One certificates call derives every certificate series from the recorded
-tables after the loop.
+BatchResult.n_projected is always zero. Open loop the split is a Schur
+product alone, so the N populations set <C>, the record and the next step:
+an open-loop density run steps only its (N, B) population lanes
+(_population_step) and assembles the density in closed form from rho0's
+coherences at its record points (_assemble), with rho0 its base for the
+whole run, so no path depends on the record stride. A state vector is
+renormalized, as Euler-Maruyama does not keep its norm; _sse_step
+multiplies the ket by one diagonal factor and adds the control term (see
+dynamics). Every step leaves its input alone and checks the trace (the ket
+norm) with one min/max pair. One certificates call derives every
+certificate series from the recorded tables after the loop.
 
 One failure rule covers a bad step: a trace (or ket norm) that is not finite
 and positive raises IntegrationError naming the step. For a density this
@@ -264,27 +269,118 @@ def _check_target(model: ModelSpec, target: TargetSpec) -> None:
         raise ValueError("target was built for another c: its entries differ from this model's c")
 
 
+def _mirror(table: np.ndarray) -> np.ndarray:
+    """An (N, N) table made exactly conjugate symmetric from its upper triangle.
+
+    exp does not promise exp(conj z) = conj(exp z) bit for bit, so every
+    table a step multiplies by is mirrored after it is formed.
+    """
+    return np.triu(table) + np.triu(table, 1).conj().T
+
+
 def _split(model: ModelSpec, dt: float) -> tuple:
     """The constant tables of the exact density step at step size dt.
 
     In C's eigenbasis both SME kernels are Schur multipliers, so their tables
     are read off the all-ones matrix J: sme_drift(J) is the drift table
     T_ij = -i (a_i - a_j) - mu (c_i - c_j)^2 / 2 and diffusion_term(J) at
-    <C> = 0 the Zakai noise table S_ij = sqrt(mu eta) (c_i + c_j). Returns
-    phi = exp((T - S S / 2) dt), made exactly conjugate symmetric, its real
-    diagonal, the column h_i = S_ii / 2 = sqrt(mu eta) c_i, the record gain
-    2 sqrt(mu eta) dt, the coupling and dt (see _sme_step).
+    <C> = 0 the Zakai noise table S_ij = sqrt(mu eta) (c_i + c_j). With
+    L = (T - S S / 2) dt, returns phi = exp(L), its real diagonal, the column
+    h_i = S_ii / 2 = sqrt(mu eta) c_i, the record gain 2 sqrt(mu eta) dt, the
+    coupling, dt and the coherence rates kappa = L - (L_ii + L_jj) / 2, which
+    the open-loop closed form reads (see _assemble). phi and kappa are made
+    exactly conjugate symmetric.
     """
     ones = np.ones((model.n, model.n), dtype=complex)
     # kernels called positionally, so wrappers that take *args see every input
     drift = sme_drift(ones, model, None)
     noise = diffusion_term(ones, np.zeros(()), model).real
-    phi = np.exp((drift - 0.5 * noise * noise) * dt)
-    # mirrored, so the table is conjugate symmetric whatever exp does with conjugate arguments
-    phi = np.triu(phi) + np.triu(phi, 1).conj().T
+    log_phi = (drift - 0.5 * noise * noise) * dt
+    phi = _mirror(np.exp(log_phi))
+    diag = log_phi.diagonal().real
+    kappa = _mirror(log_phi - 0.5 * (diag[:, None] + diag[None]))
     h = 0.5 * np.diagonal(noise)[:, None]
     gain = 2.0 * math.sqrt(model.mu * model.eta) * dt
-    return phi[..., None], phi.diagonal().real[:, None], h, gain, model.coupling, dt
+    return phi[..., None], phi.diagonal().real[:, None], h, gain, model.coupling, dt, kappa
+
+
+def _record_scale(before, after, mean, dw, split) -> np.ndarray:
+    """s_i = exp(h_i dY) / sqrt(tr') of the split's record table s s^T, as (N, B) lanes.
+
+    before and after are (N, B) population lanes: before the step's
+    congruence, whose trace sets dY = 2 sqrt(mu eta) <C> / tr dt + dW, and
+    after it, which set the new trace tr' = sum_i phi_ii p_i s_i^2, summed
+    in index order (see _sme_step). A trace that is not finite and positive
+    raises IntegrationError.
+    """
+    _, phi_ii, h, gain, *_ = split
+    dy = mean / sum_last(before.T)
+    dy *= gain
+    dy += dw
+    # s_i of every row, level i one contiguous (B,) lane
+    s = np.exp(h * dy)
+    w = s * s
+    w *= after
+    w *= phi_ii
+    tr = sum_last(w.T)
+    # a nan fails both comparisons
+    if not (tr.min() > 0.0 and tr.max() < np.inf):
+        raise IntegrationError("trace not finite and positive")
+    s *= 1.0 / np.sqrt(tr)
+    return s
+
+
+def _population_step(p, mean, dw, split) -> np.ndarray:
+    """One open-loop split step of (N, B) population lanes, p_i = rho_ii.
+
+    Open loop the split is a Schur product, so the populations alone set <C>,
+    the record and the next populations: p_i' = (p_i phi_ii)(s_i s_i) with s
+    from _record_scale, the diagonal of the full step with the same
+    operations in the same order, so every value read from populations is
+    bit for bit that of the full step. p is left unmodified.
+    """
+    s = _record_scale(p, p, mean, dw, split)
+    nxt = p * split[1]
+    nxt *= s * s
+    return nxt
+
+
+def _coherences(rho: np.ndarray) -> np.ndarray:
+    """coh_ij = rho_ij / (sqrt(p_i) sqrt(p_j)) of a (B, N, N) stack, in rho's layout.
+
+    An entry whose population product is zero (or a population below zero,
+    which validate_density admits to EIG_FLOOR) gets 0, not 0/0: a row of a
+    density whose population is zero is zero. coh is conjugate symmetric
+    bit for bit when rho is.
+    """
+    root = np.sqrt(np.maximum(populations(rho), 0.0))
+    scale = root[:, :, None] * root[:, None, :]
+    return np.divide(rho, scale, out=np.zeros_like(rho), where=scale > 0.0)
+
+
+def _assemble(coh: np.ndarray, p: np.ndarray, k: int, split) -> np.ndarray:
+    """The open-loop density k steps after its base, from the base's coherences.
+
+    k open-loop split steps multiply entry (i, j) by phi_ij^k and the
+    product of the records' s_i s_j, which the populations p (N, B) already
+    carry, so rho_ij(k) = coh_ij exp(k kappa_ij) sqrt(p_i) sqrt(p_j) with
+    coh = _coherences(base), and the diagonal is written as p exactly. coh,
+    exp(k kappa) (mirrored) and sqrt(p) sqrt(p)^T are positive semidefinite,
+    so the row is on the density cone by the Schur product theorem, and
+    each is conjugate symmetric bit for bit, so the row is exactly Hermitian.
+    An underflowed population gives zero coherences. The result is a new
+    (B, N, N) stack in the layout _density_stack gives.
+    """
+    *_, kappa = split
+    b, n = coh.shape[:2]
+    decay = _mirror(np.exp(k * kappa))
+    root = np.sqrt(np.maximum(p.T, 0.0))
+    out = _density_stack(b, n)
+    np.multiply(coh, decay, out=out)
+    out *= root[:, :, None] * root[:, None, :]
+    levels = np.arange(n)
+    out[:, levels, levels] = p.T
+    return out
 
 
 def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
@@ -295,7 +391,9 @@ def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
     _split. Given the record increment dY = 2 sqrt(mu eta) <C> / tr(rho) dt
     + dW of sqrt(mu) C, the linear SME is a geometric Brownian motion per
     entry in C's eigenbasis, so with s_i = exp(h_i dY) the open-loop step
-    rho' = phi * rho * (s s^T) / tr is exact. A steered step first applies
+    rho' = phi * rho * (s s^T) / tr is exact. Open loop it is taken as
+    _population_step on the diagonal and a one-step _assemble from rho,
+    the one open-loop formula run_batch uses. A steered step first applies
     the control as the congruence K rho K^dag, K = I - i u dt h_b, formed as
     rho + (Q + Q^dag) with Q = X G, X = h_b rho and the per-row table
     G = (u dt)^2 h_b / 2 - i u dt I. K rho K^dag, phi and s s^T are positive
@@ -311,42 +409,31 @@ def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
     unmodified. A trace that is not finite and positive raises
     IntegrationError.
     """
-    phi, phi_ii, h, gain, coupling, dt = split
-    if u is not None and hr is None:
+    if u is None:
+        p = populations(rho).T
+        return _assemble(_coherences(rho), _population_step(p, mean, dw, split), 1, split)
+    phi, _, _, _, coupling, dt, _ = split
+    if hr is None:
         hr = _left_product(coupling, rho)
     # (N, N, B) views, in whose C order the batch axis is innermost
     rho = rho.transpose(1, 2, 0)
-    dy = mean / sum_last(rho.diagonal(0, 0, 1).real)
-    dy *= gain
-    dy += dw
-    if u is not None:
-        x = hr.transpose(1, 2, 0)
-        eps = dt * u
-        # K rho K^dag = rho + (Q + Q^dag) with Q = X G, G = (u dt)^2 h_b / 2 - i u dt I
-        g = np.multiply.outer(coupling, 0.5 * eps * eps)
-        # the diagonal lanes of the contiguous (N, N, B) table, as a view
-        g.reshape(len(g) ** 2, -1)[:: len(g) + 1] -= 1j * eps
-        q = x[:, :1] * g[:1]
-        term = np.empty_like(q)
-        for k in range(1, len(g)):
-            q += np.multiply(x[:, k : k + 1], g[k : k + 1], out=term)
-        q += np.conjugate(q.transpose(1, 0, 2), out=term)
-        q += rho
-        rho = q
-    # s_i of every row, level i one contiguous (B,) lane
-    s = np.exp(h * dy)
-    w = s * s
-    w *= rho.diagonal(0, 0, 1).real.T
-    w *= phi_ii
-    tr = sum_last(w.T)
-    # a nan fails both comparisons
-    if not (tr.min() > 0.0 and tr.max() < np.inf):
-        raise IntegrationError("trace not finite and positive")
-    s *= 1.0 / np.sqrt(tr)
-    # a steered step owns the congruence it formed, so it scales that in place
-    nxt = rho * phi if u is None else np.multiply(rho, phi, out=rho)
-    nxt *= s[:, None] * s[None]
-    return nxt.transpose(2, 0, 1)
+    x = hr.transpose(1, 2, 0)
+    eps = dt * u
+    # K rho K^dag = rho + (Q + Q^dag) with Q = X G, G = (u dt)^2 h_b / 2 - i u dt I
+    g = np.multiply.outer(coupling, 0.5 * eps * eps)
+    # the diagonal lanes of the contiguous (N, N, B) table, as a view
+    g.reshape(len(g) ** 2, -1)[:: len(g) + 1] -= 1j * eps
+    q = x[:, :1] * g[:1]
+    term = np.empty_like(q)
+    for k in range(1, len(g)):
+        q += np.multiply(x[:, k : k + 1], g[k : k + 1], out=term)
+    q += np.conjugate(q.transpose(1, 0, 2), out=term)
+    q += rho
+    s = _record_scale(rho.diagonal(0, 0, 1).real.T, q.diagonal(0, 0, 1).real.T, mean, dw, split)
+    # the step owns the congruence it formed, so it scales that in place
+    q *= phi
+    q *= s[:, None] * s[None]
+    return q.transpose(2, 0, 1)
 
 
 def _sse_step(psi, mean, u, hpsi, dw, model, dt) -> np.ndarray:
@@ -487,9 +574,15 @@ def run_batch(
     else:
         state = _density_stack(b, n)
         state[...] = hermitize(rho0)
-        step, consts = _sme_step, (_split(model, sim.dt),)
+        split = _split(model, sim.dt)
+        step, consts = _sme_step, (split,)
     # the open-loop law's zeros are recorded, but the step skips its control term
     steered = ctrl.kind != "open_loop"
+    # an open-loop density run steps only its (N, B) population lanes, and
+    # assembles the density from rho0's coherences at its record points
+    coh = None
+    if sim.representation == "sme" and not steered:
+        coh, pops = _coherences(state), np.ascontiguousarray(populations(state).T)
 
     n_steps = sim.n_steps
     slots = _record_slots(n_steps, sim.record_stride)
@@ -501,12 +594,19 @@ def run_batch(
 
     for k in range(n_steps + 1):
         j = slot_of.get(k)
+        if coh is not None and j is not None:
+            state = _assemble(coh, pops, k, split)
         hx = m = None
         if steered or j is not None:
             hx = _left_product(model.coupling, state)
             m = moments(state, model, target, hx)
         # one source of <C> per law, so the path does not depend on the record points
-        mean = m[..., C1] if steered else mean_level(state, model)
+        if steered:
+            mean = m[..., C1]
+        else:
+            mean = mean_level(state, model) if coh is None else sum_last(pops.T * model.levels)
+        # between record points an open-loop density's state is the last one
+        # assembled, of which the open-loop law reads only the batch size
         u = feedback(state, model, target, ctrl, m)
         if j is not None:
             _record_point(out, j, state, u, window_dy, m)
@@ -518,7 +618,10 @@ def run_batch(
         dw = next(noise)
         window_dy += measurement_increment(mean, model, sim.dt, dw)
         try:
-            state = step(state, mean, u if steered else None, hx, dw, *consts)
+            if coh is None:
+                state = step(state, mean, u if steered else None, hx, dw, *consts)
+            else:
+                pops = _population_step(pops, mean, dw, split)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}; reduce dt") from None
 

@@ -623,7 +623,7 @@ def repaired_sme_step(rho, mean, u, hr, dw, split):
     It forms its own products from the split's tables with matmul, and
     ignores the hr the loop hands it.
     """
-    phi, _, h, gain, coupling, dt = split
+    phi, _, h, gain, coupling, dt, _ = split
     dy = gain * mean / trace(rho).real + dw
     if u is not None:
         k = np.eye(len(coupling)) - 1j * (dt * u)[:, None, None] * coupling
@@ -668,11 +668,43 @@ def _open_loop_cases(b):
     )
 
 
+# BatchResult fields that a density's coherences set; the rest are read from
+# its populations. An open-loop density run assembles its coherences in
+# closed form, the steered step multiplies them step by step: the two agree
+# in exact arithmetic and round differently
+SET_BY_COHERENCES = ("purity", "lb", "states", "final_states")
+
+
+def assert_matches_the_steered_step(got, want, label):
+    """Population fields bit for bit, coherence fields to 1e-12 absolute."""
+    for f in fields(BatchResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in SET_BY_COHERENCES:
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12, err_msg=f"{label} {f.name}")
+        else:
+            assert np.array_equal(a, b), (label, f.name)
+
+
+def run_given_zeros(monkeypatch, rho0, model, target, ctrl, sim, b):
+    """The run with every step taken by the steered _sme_step, handed u = 0.
+
+    A steered law patched to return zeros keeps the open-loop law's ell, so
+    every certificate is the open-loop run's.
+    """
+    steered = ControllerSpec(kind="square_of_sum", ell=ctrl.ell)
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "feedback", lambda rho, *a: np.zeros(rho.shape[0]))
+        return run_batch(rho0, model, target, steered, sim, n_trajectories=b, record_states=True)
+
+
 @pytest.mark.parametrize("case", range(3))
 def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monkeypatch, case):
-    # run_batch hands the open-loop step u = None; the same run with the step
-    # given explicit zeros, whose congruence is the identity, agrees on every
-    # BatchResult field, bit for bit
+    # run_batch skips the open-loop control term: a ket step is handed
+    # u = None, and a density run steps only its populations, never calling
+    # _sme_step. The same run stepped by the steered step given explicit
+    # zeros, whose congruence is the identity, agrees on every BatchResult
+    # field: bit for bit for kets and for every field a density reads from
+    # its populations, to 1e-12 for the fields its coherences set
     b = ROWS
     name, model, target, rho0, sim = _open_loop_cases(b)[case]
     ctrl = ControllerSpec(kind="open_loop")
@@ -688,13 +720,22 @@ def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monke
         assert u is None
         return real(state, mean, np.zeros(state.shape[0]), *rest)
 
-    monkeypatch.setattr(integrate, kernel, watched)
-    got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-    assert len(seen) == sim.n_steps and all(u is None for u in seen)
-    monkeypatch.setattr(integrate, kernel, given_zeros)
-    want = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-    for f in fields(BatchResult):
-        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (name, f.name)
+    if sim.representation == "sse":
+        monkeypatch.setattr(integrate, kernel, watched)
+        got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+        assert len(seen) == sim.n_steps and all(u is None for u in seen)
+        monkeypatch.setattr(integrate, kernel, given_zeros)
+        want = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+        for f in fields(BatchResult):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (name, f.name)
+    else:
+        counts = _count_calls(monkeypatch, ("_sme_step", "_population_step"))
+        got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+        assert counts == {"_sme_step": 0, "_population_step": sim.n_steps}, name
+        monkeypatch.setattr(integrate, kernel, watched)
+        want = run_given_zeros(monkeypatch, rho0, model, target, ctrl, sim, b)
+        assert len(seen) == sim.n_steps and not any(u.any() for u in seen)
+        assert_matches_the_steered_step(got, want, name)
     assert not got.controls.any()
     # a closed-loop law hands the step its controls
     seen.clear()
@@ -702,6 +743,92 @@ def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monke
     run_batch(rho0, model, target, ControllerSpec(kind="square_of_sum"), sim, n_trajectories=b)
     assert len(seen) == sim.n_steps
     assert all(isinstance(u, np.ndarray) and u.shape == (b,) for u in seen)
+
+
+def watch_assembled(monkeypatch) -> list:
+    """Collect every state _assemble hands back to run_batch, in C's eigenbasis."""
+    made, real = [], integrate._assemble
+
+    def watched(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(integrate, "_assemble", watched)
+    return made
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_open_loop_densities_match_the_steered_step_and_assemble_on_the_cone(monkeypatch, n):
+    # a random model from mixed and pure starts, at dt = 1e-3 and at dt = 0.3:
+    # every state the open-loop run assembles is exactly Hermitian in C's
+    # eigenbasis with eigvalsh >= -1e-14, and the run agrees with the
+    # steered step given zeros, bit for bit on the fields read from
+    # populations and to 1e-12 on those the coherences set
+    rng = np.random.default_rng(400 + n)
+    model, target = random_model(rng, n)
+    b = 6
+    rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
+    ctrl = ControllerSpec(kind="open_loop")
+    made = watch_assembled(monkeypatch)
+    for dt, t_final in ((1e-3, 0.5), (0.3, 30.0)):
+        sim = SimConfig(dt=dt, t_final=t_final, seed=n, record_stride=10)
+        made.clear()
+        got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+        assert len(made) == len(got.times)
+        for state in made:
+            on_the_cone(state)
+        want = run_given_zeros(monkeypatch, rho0, model, target, ctrl, sim, b)
+        assert_matches_the_steered_step(got, want, (n, dt))
+
+
+def test_open_loop_densities_stay_finite_and_on_the_cone_where_they_underflow(monkeypatch):
+    # to t = 600 at dt = 0.3 the populations of the levels a path left, and
+    # the coherences they carry, underflow to zero on most random N = 2..8
+    # models: every series stays finite and every assembled state on the cone
+    made = watch_assembled(monkeypatch)
+    zeros = {"populations": 0, "coherences": 0}
+    for n in range(2, 9):
+        rng = np.random.default_rng(500 + n)
+        model, target = random_model(rng, n)
+        rho0 = np.concatenate([ginibre(rng, n, (3,)), random_pure(rng, n, (3,))])
+        sim = SimConfig(dt=0.3, t_final=600.0, seed=n, record_stride=500)
+        made.clear()
+        res = run_batch(rho0, model, target, ControllerSpec(kind="open_loop"), sim,
+                        n_trajectories=6, record_states=True)
+        for f in fields(BatchResult):
+            assert np.all(np.isfinite(getattr(res, f.name))), (n, f.name)
+        for state in made:
+            on_the_cone(state)
+        last = made[-1]
+        zeros["populations"] += int(np.sum(np.diagonal(last, 0, 1, 2) == 0.0))
+        zeros["coherences"] += int(np.sum(last[:, ~np.eye(n, dtype=bool)] == 0.0))
+    assert zeros["populations"] > 0 and zeros["coherences"] > 0, zeros
+
+
+def test_a_zero_population_gives_zero_coherences(monkeypatch):
+    # rho_ij / sqrt(p_i p_j) is 0/0 on a level the start leaves empty, and
+    # nan on one a hair below zero, which validate_density admits: both get
+    # zero coherences, and the run stays finite
+    model, target = qutrit(mu=1.0, eta=0.5)
+    psi = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    empty = np.outer(psi, psi).astype(complex)
+    below = np.array([[0.6, 0.0, 0.1], [0.0, -1e-12, 0.0], [0.1, 0.0, 0.4 + 1e-12]], dtype=complex)
+    rho0 = np.stack([empty, below])
+    # c = diag(1, 0, -1): its eigenbasis reverses the levels, so level 1 stays level 1
+    coh = integrate._coherences(model.to_eigenbasis(rho0))
+    assert not coh[:, 1, [0, 2]].any() and not coh[:, [0, 2], 1].any()
+    assert np.all(np.isfinite(coh))
+    made = watch_assembled(monkeypatch)
+    sim = SimConfig(dt=1e-2, t_final=1.0, seed=3, record_stride=10)
+    res = run_batch(rho0, model, target, ControllerSpec(kind="open_loop"), sim, n_trajectories=2,
+                    record_states=True)
+    for f in fields(BatchResult):
+        assert np.all(np.isfinite(getattr(res, f.name))), f.name
+    for state in made:
+        assert not state[:, 1, [0, 2]].any() and not state[:, [0, 2], 1].any()
+        assert np.array_equal(state, np.conj(np.swapaxes(state, -1, -2)))
+    on_the_cone(made[-1][:1])
+    assert made[-1][1, 1, 1].real < 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -874,16 +1001,20 @@ def _count_calls(monkeypatch, names):
 def test_each_step_reads_its_state_once(monkeypatch, representation):
     # a steered run that records every step builds one moment table and one
     # h_b state product per step and never reads <C> on its own; an open-loop
-    # run builds them only at its record points and reads <C> from mean_level
-    # at every step
+    # run builds them only at its record points. An open-loop ket reads <C>
+    # from mean_level at every step; an open-loop density steps its
+    # population lanes, reads <C> off them and assembles its state only at
+    # its record points
     model, target = qubit(mu=1.0, eta=1.0)
     rho0 = 0.5 * (np.eye(2, dtype=complex) + SX)
-    names = ("moments", "_left_product", "mean_level", "feedback")
+    names = ("moments", "_left_product", "mean_level", "feedback", "_population_step",
+             "_assemble")
     steered = SimConfig(dt=1e-3, t_final=0.05, seed=4, representation=representation)
     counts = _count_calls(monkeypatch, names)
     run_batch(rho0, model, target, ControllerSpec(kind="square_of_sum"), steered, n_trajectories=3)
     n = steered.n_steps
-    assert counts == {"moments": n + 1, "_left_product": n + 1, "mean_level": 0, "feedback": n + 1}
+    assert counts == {"moments": n + 1, "_left_product": n + 1, "mean_level": 0, "feedback": n + 1,
+                      "_population_step": 0, "_assemble": 0}
     open_loop = SimConfig(dt=1e-3, t_final=1.0, seed=4, record_stride=200,
                           representation=representation)
     counts = _count_calls(monkeypatch, names)
@@ -891,8 +1022,11 @@ def test_each_step_reads_its_state_once(monkeypatch, representation):
                     n_trajectories=3)
     n, points = open_loop.n_steps, len(res.times)
     assert points == 6
-    assert counts == {"moments": points, "_left_product": points, "mean_level": n + 1,
-                      "feedback": n + 1}
+    density = representation == "sme"
+    assert counts == {"moments": points, "_left_product": points,
+                      "mean_level": 0 if density else n + 1, "feedback": n + 1,
+                      "_population_step": n if density else 0,
+                      "_assemble": points if density else 0}
 
 
 @pytest.mark.parametrize("n, representation",
@@ -982,8 +1116,9 @@ def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
     # B = 1003 is no multiple of a SIMD width, so the first, a middle and the
     # last lane each sit at a different offset in their vector; coarse density
     # steps start mixed and pure, which Euler-Maruyama clipped more than B
-    # times, and kets start pure. No density row clips, every stepped state
-    # is Hermitian bit for bit and the final ones lie on the cone. Each row
+    # times, and kets start pure. No density row clips, every stepped (or,
+    # open loop, assembled) state is Hermitian bit for bit and the final ones
+    # lie on the cone. Each row
     # equals its solo run bit for bit on every series, and the batch stepped
     # on a row-major stack equals the batch stepped on lanes (for kets,
     # always row-major, a rerun)
@@ -996,7 +1131,9 @@ def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
         # mixed starts in rows 0..500, pure ones in rows 501..1002
         rho0 = np.concatenate([ginibre(rng, n, (b // 2,)), random_pure(rng, n, (b - b // 2,))])
     hermitian = []
-    real = integrate._sme_step
+    # an open-loop density steps its populations and assembles its states
+    kernel = "_assemble" if ctrl.kind == "open_loop" else "_sme_step"
+    real = getattr(integrate, kernel)
 
     def watched(*args):
         nxt = real(*args)
@@ -1004,10 +1141,11 @@ def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
         return nxt
 
     with monkeypatch.context() as patch:
-        patch.setattr(integrate, "_sme_step", watched)
+        patch.setattr(integrate, kernel, watched)
         res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
     if sim.representation == "sme":
-        assert len(hermitian) == sim.n_steps and all(hermitian), name
+        made = len(res.times) if ctrl.kind == "open_loop" else sim.n_steps
+        assert len(hermitian) == made and all(hermitian), name
         assert not res.n_projected.any(), name
         lowest = float(np.min(np.linalg.eigvalsh(res.final_states)))
         assert lowest >= -1e-14, (name, lowest)
@@ -1056,27 +1194,41 @@ def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_density_steps_run_on_batch_last_lanes_at_every_n(monkeypatch, n):
-    # every step of a density batch reads and returns a stack whose batch axis
-    # has the smallest stride, at every N. Without this check a fall back to
-    # a row-major stack would keep every output, and every other test, unchanged
+    # every step of a steered density batch reads and returns a stack whose
+    # batch axis has the smallest stride, at every N, and so does every state
+    # an open-loop batch assembles, whose steps read and return contiguous
+    # (N, B) population lanes. Without this check a fall back to a row-major
+    # stack would keep every output, and every other test, unchanged
     rng = np.random.default_rng(50 + n)
     model, target = random_model(rng, n)
-    real = integrate._sme_step
-    seen = []
+    seen, lanes = [], []
 
-    def watched(state, *rest):
-        nxt = real(state, *rest)
-        seen.extend([state, nxt])
-        return nxt
+    def watch(name, out):
+        real = getattr(integrate, name)
 
-    monkeypatch.setattr(integrate, "_sme_step", watched)
+        def watched(first, *rest):
+            nxt = real(first, *rest)
+            out.extend([first, nxt] if name != "_assemble" else [nxt])
+            return nxt
+
+        monkeypatch.setattr(integrate, name, watched)
+
+    watch("_sme_step", seen)
+    watch("_assemble", seen)
+    watch("_population_step", lanes)
     sim = SimConfig(dt=0.05, t_final=1.0, seed=n, record_stride=5)
     for kind in ("open_loop", "square_of_sum"):
         for b in (5, ROWS):
             seen.clear()
-            run_batch(np.eye(n) / n, model, target, ControllerSpec(kind=kind), sim,
-                      n_trajectories=b)
-            assert len(seen) == 2 * sim.n_steps
+            lanes.clear()
+            res = run_batch(np.eye(n) / n, model, target, ControllerSpec(kind=kind), sim,
+                            n_trajectories=b)
+            if kind == "open_loop":
+                assert len(seen) == len(res.times) and len(lanes) == 2 * sim.n_steps
+                for p in lanes:
+                    assert p.shape == (n, b) and p.flags.c_contiguous, (b, p.strides)
+            else:
+                assert len(seen) == 2 * sim.n_steps and lanes == []
             for state in seen:
                 assert state.strides[0] < min(state.strides[1:]), (kind, b, state.strides)
 
