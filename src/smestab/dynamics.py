@@ -267,7 +267,8 @@ def populations(state: np.ndarray) -> np.ndarray:
     return state.diagonal(0, -2, -1).real
 
 
-def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None) -> np.ndarray:
+def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None,
+            weights=None) -> np.ndarray:
     """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of a state on a last axis of 7.
 
     state is a density (..., N, N) or a ket column (..., N, 1) in C's
@@ -275,10 +276,14 @@ def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None) ->
     table weights the populations p_i and the control rates
     r_i = Im (h_b rho)_ii (Im conj(psi_i) (h_b psi)_i for a ket) by
     target.observables; under -i u [h_b, rho] population i moves at 2 u r_i.
-    For a density that is elementwise products and index-order adds; for a
-    ket it is one stacked matmul of each ket's row [p, r] with
-    target.moment_weights, since kets on batch-last lanes with index-order
-    sums ran sse_n8 (N = 8, B = 100) 1.7x slower (2 cores). Either way no row
+    For a density p and r are read as (N, B) lanes of a (B, N, N) stack,
+    multiplied by weights, target.observables as (N, 7, B) lanes, and summed
+    over levels in index order; run_batch builds weights once per call
+    (see _density_stack), else an (N, 7, 1) form is made here, which
+    broadcasts (an (N, 7) one for a single state). For a ket it is one
+    stacked matmul of each ket's row [p, r] with target.moment_weights,
+    since kets on batch-last lanes with index-order sums ran sse_n8 (N = 8,
+    B = 100) 1.7x slower (2 cores); weights is not read. Either way no row
     depends on the batch around it.
     """
     hx = _left_product(model.coupling, state) if hx is None else hx
@@ -287,9 +292,15 @@ def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None) ->
         p, r = (bra * state[..., 0]).real, (bra * hx[..., 0]).imag
         pr = np.concatenate([p, r], axis=-1)[..., None, :]
         return (pr @ target.moment_weights)[..., 0, :]
-    p, r = populations(state), hx.diagonal(0, -2, -1).imag
-    rows = np.concatenate([p, p, p, p, r, r, r], axis=-1).reshape(*p.shape[:-1], 7, -1)
-    return sum_last(target.observables * rows)
+    # (N, ...) lanes with the batch axes reversed, which the closing .T restores
+    p, r = populations(state).T, hx.diagonal(0, -2, -1).imag.T
+    if weights is None:
+        weights = target.observables.T.reshape(len(p), 7, *[1] * (p.ndim - 1))
+    rows = np.empty((len(p), 7, *p.shape[1:]))
+    rows[:, :K_RHO_D] = p[:, None]
+    rows[:, K_RHO_D:] = r[:, None]
+    rows *= weights
+    return sum_last(rows.T)
 
 
 def _density_stack(b: int, n: int) -> np.ndarray:
@@ -303,12 +314,16 @@ def _density_stack(b: int, n: int) -> np.ndarray:
     follows the strides: h_b rho, the step's products and the level-axis
     sums are index-order adds (_left_product, integrate._sme_step, sum_last),
     and the purity at a record point and the rotation back to the lab basis
-    run on row-major copies. No density row is decided by an eigenvalue. An
-    open-loop run steps only the diagonal, as contiguous (n, b) population
-    lanes, and integrate._assemble writes the density it builds from them
-    at a record point into this layout. The ket stack is row-major, and its
-    h_b psi and moment table are stacked matmuls (see moments). A single row
-    is both.
+    run on row-major copies. No density row is decided by an eigenvalue. A
+    constant table that a steered run multiplies the stack by every step is
+    built once per run at this lane shape, so the product has same-shape
+    operands: phi and h_b as (n, n, b) lanes (integrate._split) and the
+    moment weights as (n, 7, b) lanes (moments), 2 n^2 complex and 7 n real
+    entries per row next to the stack's n^2 complex. An open-loop run steps
+    only the diagonal, as contiguous (n, b) population lanes, and
+    integrate._assemble writes the density it builds from them at a record
+    point into this layout. The ket stack is row-major, and its h_b psi and
+    moment table are stacked matmuls (see moments). A single row is both.
     """
     return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 

@@ -1,18 +1,26 @@
 """Integration of the conditioned dynamics, one or many paths.
 
 One step loop, run_batch, advances trajectories in lockstep. The
-representation picks its step kernel once per call: _sme_step advances a
-(B, N, N) density stack by the exact QND split, _sse_step a (B, N, 1) stack
-of ket columns (eta = 1 only) by Euler-Maruyama. Trajectory index i draws
-its Brownian increments from column i % NOISE_BLOCK of a counter-based
-substream keyed (master_seed, i // NOISE_BLOCK), one per block of
-NOISE_BLOCK consecutive indices (see _brownian_increments). A path still
-depends only on (master_seed, i), so it is bit-identical whether it runs
-alone or inside any batch, and reruns reproduce it exactly.
+representation picks its step kernel once per call: _sme_step takes a
+steered step of a (B, N, N) density stack by the exact QND split (an
+open-loop density run steps its populations instead, see below), _sse_step
+a (B, N, 1) stack of ket columns (eta = 1 only) by Euler-Maruyama.
+Trajectory index i draws its Brownian increments from column
+i % NOISE_BLOCK of a counter-based substream keyed
+(master_seed, i // NOISE_BLOCK), one per block of NOISE_BLOCK consecutive
+indices (see _brownian_increments). A path still depends only on
+(master_seed, i), so it is bit-identical whether it runs alone or inside
+any batch, and reruns reproduce it exactly.
 
 The density stack takes the layout dynamics._density_stack gives it,
 batch-last lanes at every N, which also states the rule that keeps each row
-independent of the batch; the ket stack is row-major at every N.
+independent of the batch; the ket stack is row-major at every N. A steered
+density run builds every constant table its steps and moment tables
+multiply by at the batch's lane shape, once per call: phi and the coupling
+h_b as (N, N, B) lanes (_split) and target.observables as (N, 7, B) weight
+lanes (dynamics.moments), so each per-step product has same-shape operands
+or broadcasts only a per-row (B,) scalar. That is 2 N^2 complex and 7 N
+real entries per trajectory, next to the state stack's N^2 complex.
 
 States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
 initial state in once, feedback, the detector record and the certificates
@@ -278,8 +286,8 @@ def _mirror(table: np.ndarray) -> np.ndarray:
     return np.triu(table) + np.triu(table, 1).conj().T
 
 
-def _split(model: ModelSpec, dt: float) -> tuple:
-    """The constant tables of the exact density step at step size dt.
+def _split(model: ModelSpec, dt: float, b: int = 1) -> tuple:
+    """The constant tables of the exact density step at step size dt, for b rows.
 
     In C's eigenbasis both SME kernels are Schur multipliers, so their tables
     are read off the all-ones matrix J: sme_drift(J) is the drift table
@@ -287,9 +295,12 @@ def _split(model: ModelSpec, dt: float) -> tuple:
     <C> = 0 the Zakai noise table S_ij = sqrt(mu eta) (c_i + c_j). With
     L = (T - S S / 2) dt, returns phi = exp(L), its real diagonal, the column
     h_i = S_ii / 2 = sqrt(mu eta) c_i, the record gain 2 sqrt(mu eta) dt, the
-    coupling, dt and the coherence rates kappa = L - (L_ii + L_jj) / 2, which
-    the open-loop closed form reads (see _assemble). phi and kappa are made
-    exactly conjugate symmetric.
+    coupling h_b, dt and the coherence rates kappa = L - (L_ii + L_jj) / 2,
+    which the open-loop closed form reads (see _assemble). phi and kappa are
+    made exactly conjugate symmetric. phi and the coupling, the two tables
+    a steered step multiplies the whole stack by, come as (N, N, b) lanes,
+    one copy per row, so each of those products has same-shape operands;
+    b = 1 gives (N, N, 1) tables, which broadcast against any batch.
     """
     ones = np.ones((model.n, model.n), dtype=complex)
     # kernels called positionally, so wrappers that take *args see every input
@@ -301,7 +312,9 @@ def _split(model: ModelSpec, dt: float) -> tuple:
     kappa = _mirror(log_phi - 0.5 * (diag[:, None] + diag[None]))
     h = 0.5 * np.diagonal(noise)[:, None]
     gain = 2.0 * math.sqrt(model.mu * model.eta) * dt
-    return phi[..., None], phi.diagonal().real[:, None], h, gain, model.coupling, dt, kappa
+    phi_lanes = np.repeat(phi[..., None], b, axis=-1)
+    coupling_lanes = np.repeat(model.coupling[..., None], b, axis=-1)
+    return phi_lanes, phi.diagonal().real[:, None], h, gain, coupling_lanes, dt, kappa
 
 
 def _record_scale(before, after, mean, dw, split) -> np.ndarray:
@@ -384,48 +397,45 @@ def _assemble(coh: np.ndarray, p: np.ndarray, k: int, split) -> np.ndarray:
 
 
 def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
-    """One exact QND split step of the density SME on a (B, N, N) stack.
+    """One steered exact QND split step of the density SME on a (B, N, N) stack.
 
-    mean is <C> = sum_i c_i rho_ii, u is None (the open-loop law) or one
-    control per row, hr is h_b rho or None, and split holds the tables of
-    _split. Given the record increment dY = 2 sqrt(mu eta) <C> / tr(rho) dt
-    + dW of sqrt(mu) C, the linear SME is a geometric Brownian motion per
-    entry in C's eigenbasis, so with s_i = exp(h_i dY) the open-loop step
-    rho' = phi * rho * (s s^T) / tr is exact. Open loop it is taken as
-    _population_step on the diagonal and a one-step _assemble from rho,
-    the one open-loop formula run_batch uses. A steered step first applies
-    the control as the congruence K rho K^dag, K = I - i u dt h_b, formed as
-    rho + (Q + Q^dag) with Q = X G, X = h_b rho and the per-row table
-    G = (u dt)^2 h_b / 2 - i u dt I. K rho K^dag, phi and s s^T are positive
-    semidefinite, so by the Schur product theorem every row stays on the
-    density cone, and every sum and product rounds entries (i, j) and (j, i)
-    alike, so a Hermitian row stays exactly Hermitian. The new trace
-    sum_i phi_ii rho_ii s_i^2 is read off the diagonal lanes alone and
-    1 / sqrt(trace) folded into s, so the result has unit trace to roundoff
-    at any input trace. The step runs on (N, N, B) views, so on batch-last
-    lanes (see _density_stack) every temporary of the stack's size and the
-    result are lanes too; a row-major stack gives the same values, as every
-    operation is elementwise and every sum index-order. rho is left
-    unmodified. A trace that is not finite and positive raises
+    mean is <C> = sum_i c_i rho_ii, u one control per row, hr is h_b rho or
+    None, and split holds the tables of _split. Given the record increment
+    dY = 2 sqrt(mu eta) <C> / tr(rho) dt + dW of sqrt(mu) C, the linear SME
+    is a geometric Brownian motion per entry in C's eigenbasis, so with
+    s_i = exp(h_i dY) the open-loop step rho' = phi * rho * (s s^T) / tr is
+    exact (run_batch takes it as _population_step and _assemble). The
+    steered step first applies the control as the congruence K rho K^dag,
+    K = I - i u dt h_b, formed as rho + (Q + Q^dag) with Q = X G, X = h_b rho
+    and the per-row table G = (u dt)^2 h_b / 2 - i u dt I, one product of the
+    split's coupling lanes with a (B,) scalar. K rho K^dag, phi and s s^T
+    are positive semidefinite, so by the Schur product theorem every row
+    stays on the density cone, and every sum and product rounds entries
+    (i, j) and (j, i) alike, so a Hermitian row stays exactly Hermitian. The
+    new trace sum_i phi_ii rho_ii s_i^2 is read off the diagonal lanes alone
+    and 1 / sqrt(trace) folded into s, so the result has unit trace to
+    roundoff at any input trace. The step runs on (N, N, B) views, so on
+    batch-last lanes (see _density_stack) every temporary of the stack's
+    size and the result are lanes too; a row-major stack gives the same
+    values, as every operation is elementwise and every sum index-order.
+    rho is left unmodified. A trace that is not finite and positive raises
     IntegrationError.
     """
-    if u is None:
-        p = populations(rho).T
-        return _assemble(_coherences(rho), _population_step(p, mean, dw, split), 1, split)
     phi, _, _, _, coupling, dt, _ = split
+    n = len(coupling)
     if hr is None:
-        hr = _left_product(coupling, rho)
+        hr = _left_product(coupling[..., 0], rho)
     # (N, N, B) views, in whose C order the batch axis is innermost
     rho = rho.transpose(1, 2, 0)
     x = hr.transpose(1, 2, 0)
     eps = dt * u
     # K rho K^dag = rho + (Q + Q^dag) with Q = X G, G = (u dt)^2 h_b / 2 - i u dt I
-    g = np.multiply.outer(coupling, 0.5 * eps * eps)
+    g = coupling * (0.5 * eps * eps)
     # the diagonal lanes of the contiguous (N, N, B) table, as a view
-    g.reshape(len(g) ** 2, -1)[:: len(g) + 1] -= 1j * eps
+    g.reshape(n * n, -1)[:: n + 1] -= 1j * eps
     q = x[:, :1] * g[:1]
     term = np.empty_like(q)
-    for k in range(1, len(g)):
+    for k in range(1, n):
         q += np.multiply(x[:, k : k + 1], g[k : k + 1], out=term)
     q += np.conjugate(q.transpose(1, 0, 2), out=term)
     q += rho
@@ -568,16 +578,20 @@ def run_batch(
     _check_target(model, target)
     rho0 = model.to_eigenbasis(rho0)
     check_representation(model, rho0, sim.representation)
+    # the open-loop law's zeros are recorded, but the step skips its control term
+    steered = ctrl.kind != "open_loop"
     if sim.representation == "sse":
         state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1:], (b, n, 1)).copy()
-        step, consts = _sse_step, (model, sim.dt)
+        step, consts, weights = _sse_step, (model, sim.dt), None
     else:
         state = _density_stack(b, n)
         state[...] = hermitize(rho0)
-        split = _split(model, sim.dt)
+        # the constant tables a steered step and its moment table multiply
+        # by, built once per call at the batch's lane shape
+        lanes = b if steered else 1
+        split = _split(model, sim.dt, lanes)
         step, consts = _sme_step, (split,)
-    # the open-loop law's zeros are recorded, but the step skips its control term
-    steered = ctrl.kind != "open_loop"
+        weights = np.repeat(target.observables.T[..., None], lanes, axis=-1)
     # an open-loop density run steps only its (N, B) population lanes, and
     # assembles the density from rho0's coherences at its record points
     coh = None
@@ -599,7 +613,7 @@ def run_batch(
         hx = m = None
         if steered or j is not None:
             hx = _left_product(model.coupling, state)
-            m = moments(state, model, target, hx)
+            m = moments(state, model, target, hx, weights)
         # one source of <C> per law, so the path does not depend on the record points
         if steered:
             mean = m[..., C1]

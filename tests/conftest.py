@@ -3,7 +3,9 @@ and the dense lab-basis forms of the conditioned equation used as oracles."""
 import numpy as np
 
 from smestab import ModelSpec, TargetSpec
+from smestab.dynamics import populations
 from smestab.hermitian import dag
+from smestab.integrate import _assemble, _coherences, _population_step, _sme_step
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -103,3 +105,16 @@ def dense_split_step(rho, model, u, dt, dw):
     out = phi * frame * (s[..., :, None] * s[..., None, :])
     out = out / np.einsum("...ii", out).real[..., None, None]
     return v @ out @ dag(v)
+
+
+def density_step(rho, mean, u, hr, dw, split):
+    """One exact QND split step of a (B, N, N) stack in C's eigenbasis; u = None is open loop.
+
+    A steered step is integrate._sme_step. An open-loop step is the
+    composition run_batch takes: the population step, then a one-step
+    assembly from rho's coherences; hr is not read.
+    """
+    if u is not None:
+        return _sme_step(rho, mean, u, hr, dw, split)
+    p = populations(rho).T
+    return _assemble(_coherences(rho), _population_step(p, mean, dw, split), 1, split)

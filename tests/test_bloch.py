@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import qubit
+from conftest import density_step, qubit
 from smestab import (
     ControllerSpec,
     SimConfig,
@@ -26,7 +26,7 @@ from smestab.bloch import (
     to_density,
 )
 from smestab.dynamics import mean_level
-from smestab.integrate import _sme_step, _split
+from smestab.integrate import _split
 from smestab.lyapunov import v1
 
 
@@ -112,7 +112,8 @@ def test_split_step_matches_the_matrix_step():
             dw = rng.normal(0.0, np.sqrt(dt))
             rho = model.to_eigenbasis(to_density(b))[None]
             for law in (None, np.array([u])):
-                step = _sme_step(rho, mean_level(rho, model), law, None, np.array([dw]), split)
+                step = density_step(rho, mean_level(rho, model), law, None, np.array([dw]),
+                                    split)
                 want = from_density(model.from_eigenbasis(step[0]))
                 got = bloch_split_step(b, omega, 0.0 if law is None else u, mu, eta, dt, dw)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)

@@ -18,6 +18,7 @@ from conftest import (
     SZ,
     dense_diffusion,
     dense_drift,
+    density_step,
     ginibre,
     qubit,
     qutrit,
@@ -321,7 +322,7 @@ def test_sse_step_consistent_with_density_step():
     # one step of each kernel from the same pure state, control and noise, in
     # C's eigenbasis; the schemes differ at O(dt) through the dW^2 terms
     from smestab import ControllerSpec, feedback
-    from smestab.integrate import _sme_step, _split, _sse_step
+    from smestab.integrate import _split, _sse_step
     from smestab.lyapunov import moments
 
     rng = np.random.default_rng(28)
@@ -334,7 +335,7 @@ def test_sse_step_consistent_with_density_step():
         rho = model.to_eigenbasis(random_pure(rng, 2))[None]
         dw = np.array([rng.normal(0.0, np.sqrt(dt))])
         u = feedback(rho, model, target, ctrl, moments(rho, model, target))
-        r_next = _sme_step(rho, mean_level(rho, model), u, None, dw, split)
+        r_next = density_step(rho, mean_level(rho, model), u, None, dw, split)
         psi = np.linalg.eigh(rho)[1][..., :, -1:]
         psi_next = _sse_step(psi, mean_level(psi, model), u, None, dw, model, dt)
         gap = np.linalg.norm(r_next[0] - psi_next[0] @ psi_next[0].conj().T)

@@ -17,6 +17,7 @@ from conftest import (
     dense_diffusion,
     dense_drift,
     dense_split_step,
+    density_step,
     ginibre,
     qubit,
     qutrit,
@@ -57,7 +58,6 @@ from smestab.integrate import (
     IntegrationError,
     _brownian_increments,
     _record_slots,
-    _sme_step,
     _split,
     _sse_step,
 )
@@ -242,7 +242,7 @@ def test_split_step_agrees_with_the_euler_maruyama_increment_to_first_order():
         u = feedback(rho, model, target, ctrl)
         frame = model.to_eigenbasis(rho)[None]
         rho_next = model.from_eigenbasis(
-            _sme_step(frame, mean_level(frame, model), np.atleast_1d(u), None, dw, split)[0]
+            density_step(frame, mean_level(frame, model), np.atleast_1d(u), None, dw, split)[0]
         )
         raw = rho + dense_drift(rho, model, u) * dt + dense_diffusion(rho, model) * dw[0]
         worst = max(worst, float(np.max(np.abs(rho_next - raw))))
@@ -605,7 +605,7 @@ def test_random_models_stay_exactly_hermitian_and_on_the_cone(n, seed, dt, kind)
 
     def step(rho, dw):
         u = feedback(rho, model, target, ctrl, moments(rho, model, target))
-        return _sme_step(rho, mean_level(rho, model), u, None, dw, split)
+        return density_step(rho, mean_level(rho, model), u, None, dw, split)
 
     for _ in range(400):
         dw = rng.normal(0.0, np.sqrt(dt), b)
@@ -623,7 +623,8 @@ def repaired_sme_step(rho, mean, u, hr, dw, split):
     It forms its own products from the split's tables with matmul, and
     ignores the hr the loop hands it.
     """
-    phi, _, h, gain, coupling, dt, _ = split
+    phi, _, h, gain, coupling_lanes, dt, _ = split
+    coupling = coupling_lanes[..., 0]
     dy = gain * mean / trace(rho).real + dw
     if u is not None:
         k = np.eye(len(coupling)) - 1j * (dt * u)[:, None, None] * coupling
@@ -851,11 +852,11 @@ def test_density_step_leaves_its_input_and_matches_the_dense_split(n):
         got = []
         for shared in (None, hr):
             before = rho.copy()
-            got.append(_sme_step(rho, mean, u, shared, dw, split))
+            got.append(density_step(rho, mean, u, shared, dw, split))
             assert np.array_equal(rho, before)
         assert np.array_equal(got[0], got[1])
         np.testing.assert_allclose(got[0], want, rtol=0.0, atol=1e-14)
-        scaled = _sme_step(1.25 * rho, 1.25 * mean, u, 1.25 * hr, dw, split)
+        scaled = density_step(1.25 * rho, 1.25 * mean, u, 1.25 * hr, dw, split)
         np.testing.assert_allclose(scaled, got[0], rtol=0.0, atol=1e-14)
         assert np.max(np.abs(trace(scaled).real - 1.0)) < 1e-14
 
@@ -876,10 +877,10 @@ def test_open_loop_split_steps_compose_into_one_exact_step(n):
         dw = rng.normal(0.0, np.sqrt(dt), b)
         mean = mean_level(rho, model)
         record += gain * mean / trace(rho).real * dt + dw
-        rho = _sme_step(rho, mean, None, None, dw, split)
+        rho = density_step(rho, mean, None, None, dw, split)
     mean0 = mean_level(rho0, model)
-    once = _sme_step(rho0, mean0, None, None, record - gain * mean0 * (m * dt),
-                     _split(model, m * dt))
+    once = density_step(rho0, mean0, None, None, record - gain * mean0 * (m * dt),
+                        _split(model, m * dt))
     np.testing.assert_allclose(rho, once, rtol=0.0, atol=1e-13)
     # a scheme with a step error would miss: one Euler-Maruyama step of m dt
     euler = rho0 + dense_drift(rho0, model, 0.0) * (m * dt)
@@ -971,7 +972,8 @@ def test_coarse_density_steps_leave_their_input_unmodified():
     for u in (None, rng.normal(size=ROWS)):
         for _ in range(20):
             before = rho.copy()
-            nxt = _sme_step(rho, mean_level(rho, model), u, None, rng.normal(0.0, 0.5, ROWS), split)
+            nxt = density_step(rho, mean_level(rho, model), u, None, rng.normal(0.0, 0.5, ROWS),
+                               split)
             assert np.array_equal(rho, before)
             rho = nxt
     on_the_cone(rho)
@@ -1183,7 +1185,7 @@ def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
         m = moments(rho, model, target, hr)
         u = feedback(rho, model, target, ctrl, m)
         mean = m[..., dynamics.C1]
-        steps = [_sme_step(rho, mean, law, hr, dw, split) for law in (None, u)]
+        steps = [density_step(rho, mean, law, hr, dw, split) for law in (None, u)]
         outputs.append((hr, m, mean_level(rho, model), sme_drift(rho, model, u, hr),
                         diffusion_term(rho, mean, model), min_eigenvalue(rho), *steps))
     for nxt in outputs[0][-2:]:
@@ -1255,14 +1257,14 @@ def test_split_on_random_models_is_the_dense_split_and_stays_on_the_cone(n, seed
         for law in (None, u):
             want = model.to_eigenbasis(dense_split_step(model.from_eigenbasis(rho), model, law,
                                                         dt, dw))
-            got = _sme_step(rho, mean_level(rho, model), law, None, dw, split)
+            got = density_step(rho, mean_level(rho, model), law, None, dw, split)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
         walk = np.random.default_rng(seed)
         for _ in range(200):
             hr = _left_product(model.coupling, rho)
             m = moments(rho, model, target, hr)
-            rho = _sme_step(rho, m[..., dynamics.C1], feedback(rho, model, target, ctrl, m), hr,
-                            walk.normal(0.0, np.sqrt(dt), b), split)
+            rho = density_step(rho, m[..., dynamics.C1], feedback(rho, model, target, ctrl, m),
+                               hr, walk.normal(0.0, np.sqrt(dt), b), split)
             on_the_cone(rho)
         finals.append(rho)
     assert np.array_equal(finals[0], finals[1])

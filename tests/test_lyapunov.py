@@ -22,7 +22,7 @@ from smestab import (
     v2,
 )
 from smestab.hermitian import expectation, trace, variance
-from smestab.dynamics import diffusion_term, sme_drift
+from smestab.dynamics import _density_stack, diffusion_term, sme_drift
 from smestab.integrate import BatchResult
 import smestab.lyapunov as lyapunov
 from smestab.lyapunov import KINDS, certificates, moments, v1, v_tilde
@@ -477,6 +477,15 @@ def test_moment_forms_match_dense_definitions_and_are_row_local(n, batch, seed):
         close(row_local(lambda r, v: certificates(moments(model.to_eigenbasis(r), model, target),
                                                   model, target, v, ell)[name]),
               value)
+    # the same batch on batch-last lanes, read with the (N, 7, B) weight lanes
+    # run_batch builds: bit for bit the row-major batch's table and each row's
+    frame = model.to_eigenbasis(rho)
+    lanes = _density_stack(batch, n)
+    lanes[...] = frame
+    weights = np.repeat(target.observables.T[..., None], batch, axis=-1)
+    on_lanes = row_local(lambda r, _: moments(r, model, target, None,
+                                              weights if r.ndim == 3 else None), lanes)
+    assert np.array_equal(on_lanes, moments(frame, model, target))
 
     # a ket column in C's eigenbasis reads as its density psi psi^dag
     psi = rng.normal(size=(batch, n, 1)) + 1j * rng.normal(size=(batch, n, 1))
