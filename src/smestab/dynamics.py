@@ -24,15 +24,12 @@ G_ij = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with <C> = sum_i c_i rho_ii, and
 only the control term multiplies matrices. sme_drift and diffusion_term are
 the one definition of these coefficients: criterion 3's arbiter reads them,
 and integrate._split reads their tables off the all-ones matrix to build the
-exact density step, so a mis-scaled kernel mis-scales the simulated physics.
-For a ket the drift is
-(-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i, its diagonal read
-from the constant (N, 1) column -i a, and the noise coefficient
-sqrt(mu) (c_i - <C>) psi_i. sse_drift and sse_diffusion form these
-terms as the reference for integrate._sse_step: all of the ket step but the
-control term is diagonal, so it takes the step as f psi - i u dt h_b psi with
-one factor per level, f_i = (1 - i a_i dt) + x_i (sqrt(mu) dW - (mu dt / 2) x_i)
-and x_i = c_i - <C>. The kernels below take states in that
+exact step of both representations, so a mis-scaled kernel mis-scales the
+simulated physics. For a ket the drift is
+(-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i and the noise
+coefficient sqrt(mu) (c_i - <C>) psi_i, which sse_drift and sse_diffusion
+form; the ket step is the density step's rank-one factor at eta = 1 (see
+integrate._sse_step) and reads neither. The kernels below take states in that
 basis: densities (..., N, N) or ket columns (..., N, 1), <C> as an argument, and
 optionally X = h_b state, which the control rates and the control term share
 (integrate.run_batch forms it once per step). ModelSpec holds the basis and
@@ -90,7 +87,7 @@ class ModelSpec:
     off-diagonal part that the commutation tolerance admits is dropped) and
     h_b is coupling. The density kernels read the constant tables
     drift_table, -i (a_i - a_j) - mu (c_i - c_j)^2 / 2, and level_sums,
-    c_i + c_j; the ket kernels read the (N, 1) column ket_phase, -i a_i.
+    c_i + c_j; sse_drift and integrate._split read the (N, 1) column ket_phase, -i a_i.
     """
 
     h_a: np.ndarray
@@ -281,10 +278,8 @@ def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None,
     over levels in index order; run_batch builds weights once per call
     (see _density_stack), else an (N, 7, 1) form is made here, which
     broadcasts (an (N, 7) one for a single state). For a ket it is one
-    stacked matmul of each ket's row [p, r] with target.moment_weights,
-    since kets on batch-last lanes with index-order sums ran sse_n8 (N = 8,
-    B = 100) 1.7x slower (2 cores); weights is not read. Either way no row
-    depends on the batch around it.
+    stacked matmul of each ket's row [p, r] with target.moment_weights, and
+    weights is not read. Either way no row depends on the batch around it.
     """
     hx = _left_product(model.coupling, state) if hx is None else hx
     if state.shape[-1] == 1:
@@ -322,20 +317,15 @@ def _density_stack(b: int, n: int) -> np.ndarray:
     entries per row next to the stack's n^2 complex. An open-loop run steps
     only the diagonal, as contiguous (n, b) population lanes, and
     integrate._assemble writes the density it builds from them at a record
-    point into this layout. The ket stack is row-major, and its h_b psi and
-    moment table are stacked matmuls (see moments). A single row is both.
+    point into this layout, for either representation. The ket stack of a
+    steered run is row-major, and its h_b psi and moment table are stacked
+    matmuls (see moments). A single row is both.
     """
     return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
 
 def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """<C> = sum_i c_i p_i as adds in index order.
-
-    Bit for bit the C1 row of moments for a density, and the sum that
-    integrate.run_batch reads off an open-loop density's population lanes; a
-    ket's table is a BLAS product, whose C1 row may differ from this in the
-    last bit.
-    """
+    """<C> = sum_i c_i p_i as adds in index order, bit for bit moments' C1 row for a density."""
     return sum_last(populations(state) * model.levels)
 
 

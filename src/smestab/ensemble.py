@@ -3,16 +3,14 @@
 Trajectories are integrated in lockstep (see integrate.run_batch) and reduced
 in trajectory-index order, so identical configurations produce byte-identical
 outputs regardless of batch size. A density step is elementwise arithmetic in
-index order at every N and calls no BLAS, so density outputs do not depend
-on the host either, unless a row nears the positivity floor, where LAPACK
-decides the clip; a ket step calls BLAS at every N, whose kernels differ by
-CPU. tests/test_host_independence.py runs a steered qubit, an open-loop
-three-level and a steered spin-3/2 density batch from the shipped configs,
-none of which clips, under every OpenBLAS core type the CPU supports (of
+index order at every N, calls no BLAS or LAPACK and clips no row, so density
+outputs do not depend on the host either; a steered ket step calls BLAS,
+whose kernels differ by CPU. tests/test_host_independence.py runs a steered
+qubit, an open-loop three-level and a steered spin-3/2 density batch from
+the shipped configs under every OpenBLAS core type the CPU supports (of
 Nehalem, Haswell and SkylakeX) and demands bit-identical final states and
-controls. It runs a steered spin-3/2 ket batch there too, whose final states
-and controls differed by at most 1.5e-14 and must agree within 1e-12, with
-the same outcomes; clipping rows are not tested.
+controls, and a steered spin-3/2 ket batch, whose final states and controls
+must agree within 1e-12, with the same outcomes.
 """
 from __future__ import annotations
 
@@ -80,7 +78,7 @@ class EnsembleStats:
     mean_purity: np.ndarray
     mean_fidelity: np.ndarray
     supermartingale_violations: int
-    n_projected: int  # positivity clips, summed over the trajectories
+    n_projected: int  # always 0, as no step clips; the CLI prints it
     n_steps: int  # per trajectory
     # every trajectory counts; acceptance criteria 6 and 7 read it
     n_valid = property(lambda self: self.n_trajectories)

@@ -1,67 +1,54 @@
 """Integration of the conditioned dynamics, one or many paths.
 
-One step loop, run_batch, advances trajectories in lockstep. The
-representation picks its step kernel once per call: _sme_step takes a
-steered step of a (B, N, N) density stack by the exact QND split (an
-open-loop density run steps its populations instead, see below), _sse_step
-a (B, N, 1) stack of ket columns (eta = 1 only) by Euler-Maruyama.
-Trajectory index i draws its Brownian increments from column
-i % NOISE_BLOCK of a counter-based substream keyed
-(master_seed, i // NOISE_BLOCK), one per block of NOISE_BLOCK consecutive
-indices (see _brownian_increments). A path still depends only on
-(master_seed, i), so it is bit-identical whether it runs alone or inside
-any batch, and reruns reproduce it exactly.
-
-The density stack takes the layout dynamics._density_stack gives it,
-batch-last lanes at every N, which also states the rule that keeps each row
-independent of the batch; the ket stack is row-major at every N. A steered
-density run builds every constant table its steps and moment tables
-multiply by at the batch's lane shape, once per call: phi and the coupling
-h_b as (N, N, B) lanes (_split) and target.observables as (N, 7, B) weight
-lanes (dynamics.moments), so each per-step product has same-shape operands
-or broadcasts only a per-row (B,) scalar. That is 2 N^2 complex and 7 N
-real entries per trajectory, next to the state stack's N^2 complex.
+One step loop, run_batch, advances trajectories in lockstep. Trajectory
+index i draws its Brownian increments from column i % NOISE_BLOCK of a
+counter-based substream keyed (master_seed, i // NOISE_BLOCK), one per block
+of NOISE_BLOCK consecutive indices (see _brownian_increments). A path
+depends only on (master_seed, i), so it is bit-identical whether it runs
+alone or inside any batch, and reruns reproduce it exactly.
 
 States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
 initial state in once, feedback, the detector record and the certificates
 read the populations and control rates there, and only the states it
 returns (final_states, states) are rotated back to the lab basis.
 
+Every step is the exact QND split of Rouchon and Ralph (PRA 91, 012118,
+2015), whose constant tables _split reads once per call off the two SME
+kernels, dynamics.sme_drift and dynamics.diffusion_term, which are Schur
+multipliers in C's eigenbasis: the control as a congruence K rho K^dag, then
+one Schur product with a constant table phi and one with the rank-one table
+s s^T of the record, renormalised. Both tables are positive semidefinite, so
+every density row stays Hermitian, of unit trace and on the cone by
+construction, and BatchResult.n_projected is always zero. A steered run
+takes the split on a (B, N, N) density stack (_sme_step), or at eta = 1 on
+a (B, N, 1) ket stack (_sse_step), where phi is rank one and the step is its
+rank-one factor. Open loop the split is a Schur product alone, so the N
+populations set <C>, the record and the next step: an open-loop run of
+either representation steps only its (N, B) population lanes
+(_population_step) and assembles the density from rho0's coherences at its
+record points (_assemble), so no path depends on the record stride.
+
 Per step the pre-step state is read once. On a steered step or a record
 point, X = h_b state and the moment table built from it (dynamics.moments)
-serve the law, the record point and the control term. A steered step takes
-<C> from the table's C1 row; an open-loop step takes it from the populations
-at every step, record point or not, as for a ket the two may differ in the
-last bit (see dynamics.mean_level). Open-loop ket steps get u = None and skip
-the control term. In C's eigenbasis both SME kernels, dynamics.sme_drift and
-dynamics.diffusion_term, are Schur multipliers, so run_batch reads their
-tables once per call (_split) and the density step is the split of Rouchon
-and Ralph (PRA 91, 012118, 2015): the control as a congruence K rho K^dag,
-then one Schur product with a constant table and one with the rank-one
-table s s^T of the record, renormalised. Both tables are positive
-semidefinite, so every row stays Hermitian, of unit trace and on the density
-cone by construction: no eigenvalue is computed and no row is clipped, and
-BatchResult.n_projected is always zero. Open loop the split is a Schur
-product alone, so the N populations set <C>, the record and the next step:
-an open-loop density run steps only its (N, B) population lanes
-(_population_step) and assembles the density in closed form from rho0's
-coherences at its record points (_assemble), with rho0 its base for the
-whole run, so no path depends on the record stride. A state vector is
-renormalized, as Euler-Maruyama does not keep its norm; _sse_step
-multiplies the ket by one diagonal factor and adds the control term (see
-dynamics). Every step leaves its input alone and checks the trace (the ket
-norm) with one min/max pair. One certificates call derives every
-certificate series from the recorded tables after the loop.
+serve the law, the record point and the control term, and a steered step
+takes <C> from the table's C1 row; an open-loop step takes <C> from its
+population lanes. The density stack takes the layout
+dynamics._density_stack gives it, batch-last lanes at every N, and a
+steered density run builds the tables its steps and moment tables multiply
+by at that lane shape once per call; the ket stack is row-major. Every step
+leaves its input alone. One certificates call derives every certificate
+series from the recorded tables after the loop.
 
 One failure rule covers a bad step: a trace (or ket norm) that is not finite
-and positive raises IntegrationError naming the step. For a density this
-takes a non-finite control (a gain whose law overflows), or a dt so large
-that the step's exponentials leave the floating-point range.
+and positive raises IntegrationError naming the step. This takes a
+non-finite control (a gain whose law overflows), or a dt so large that the
+step's exponentials leave the floating-point range.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,13 +60,12 @@ from .dynamics import (
     _left_product,
     density,
     diffusion_term,
-    mean_level,
     measurement_increment,
     moments,
     populations,
     sme_drift,
-    sse_diffusion,  # the reference ket terms: _sse_step forms their factor instead,
-    sse_drift,  # but bench/tracing.py looks both names up here
+    sse_diffusion,  # not called here, but bench/tracing.py looks both names up here
+    sse_drift,
     sum_last,
 )
 from .hermitian import (
@@ -286,21 +272,30 @@ def _mirror(table: np.ndarray) -> np.ndarray:
     return np.triu(table) + np.triu(table, 1).conj().T
 
 
-def _split(model: ModelSpec, dt: float, b: int = 1) -> tuple:
-    """The constant tables of the exact density step at step size dt, for b rows.
+class Split(NamedTuple):
+    """The constant tables of the exact step at one step size (see _split)."""
+
+    phi: np.ndarray  # (N, N, b) lanes of exp(L)
+    phi_ii: np.ndarray  # (N, 1) real diagonal of phi
+    h: np.ndarray  # (N, 1) column sqrt(mu eta) c
+    gain: float  # 2 sqrt(mu eta) dt, the record's gain on <C>
+    coupling: np.ndarray  # (N, N, b) lanes of h_b
+    dt: float
+    kappa: np.ndarray  # (N, N) coherence rates L - (L_ii + L_jj) / 2 (see _assemble)
+    ket: np.ndarray  # (N, 1) column v = exp(-i a dt) sqrt(phi_ii), phi's factor at eta = 1
+
+
+def _split(model: ModelSpec, dt: float, b: int = 1) -> Split:
+    """The constant tables of the exact step at step size dt, for b rows.
 
     In C's eigenbasis both SME kernels are Schur multipliers, so their tables
     are read off the all-ones matrix J: sme_drift(J) is the drift table
     T_ij = -i (a_i - a_j) - mu (c_i - c_j)^2 / 2 and diffusion_term(J) at
     <C> = 0 the Zakai noise table S_ij = sqrt(mu eta) (c_i + c_j). With
-    L = (T - S S / 2) dt, returns phi = exp(L), its real diagonal, the column
-    h_i = S_ii / 2 = sqrt(mu eta) c_i, the record gain 2 sqrt(mu eta) dt, the
-    coupling h_b, dt and the coherence rates kappa = L - (L_ii + L_jj) / 2,
-    which the open-loop closed form reads (see _assemble). phi and kappa are
-    made exactly conjugate symmetric. phi and the coupling, the two tables
-    a steered step multiplies the whole stack by, come as (N, N, b) lanes,
-    one copy per row, so each of those products has same-shape operands;
-    b = 1 gives (N, N, 1) tables, which broadcast against any batch.
+    L = (T - S S / 2) dt, phi = exp(L) and h_i = S_ii / 2. phi and kappa
+    are exactly conjugate symmetric. At eta = 1, phi_ij = v_i conj(v_j) with
+    v the ket column. phi and the coupling come as (N, N, b) lanes, one copy
+    per row; b = 1 gives (N, N, 1) tables, which broadcast against any batch.
     """
     ones = np.ones((model.n, model.n), dtype=complex)
     # kernels called positionally, so wrappers that take *args see every input
@@ -310,11 +305,13 @@ def _split(model: ModelSpec, dt: float, b: int = 1) -> tuple:
     phi = _mirror(np.exp(log_phi))
     diag = log_phi.diagonal().real
     kappa = _mirror(log_phi - 0.5 * (diag[:, None] + diag[None]))
-    h = 0.5 * np.diagonal(noise)[:, None]
-    gain = 2.0 * math.sqrt(model.mu * model.eta) * dt
-    phi_lanes = np.repeat(phi[..., None], b, axis=-1)
-    coupling_lanes = np.repeat(model.coupling[..., None], b, axis=-1)
-    return phi_lanes, phi.diagonal().real[:, None], h, gain, coupling_lanes, dt, kappa
+    phi_ii = phi.diagonal().real[:, None]
+    return Split(
+        phi=np.repeat(phi[..., None], b, axis=-1), phi_ii=phi_ii,
+        h=0.5 * np.diagonal(noise)[:, None], gain=2.0 * math.sqrt(model.mu * model.eta) * dt,
+        coupling=np.repeat(model.coupling[..., None], b, axis=-1), dt=dt, kappa=kappa,
+        ket=np.exp(dt * model.ket_phase) * np.sqrt(phi_ii),
+    )
 
 
 def _record_scale(before, after, mean, dw, split) -> np.ndarray:
@@ -326,15 +323,14 @@ def _record_scale(before, after, mean, dw, split) -> np.ndarray:
     in index order (see _sme_step). A trace that is not finite and positive
     raises IntegrationError.
     """
-    _, phi_ii, h, gain, *_ = split
     dy = mean / sum_last(before.T)
-    dy *= gain
+    dy *= split.gain
     dy += dw
     # s_i of every row, level i one contiguous (B,) lane
-    s = np.exp(h * dy)
+    s = np.exp(split.h * dy)
     w = s * s
     w *= after
-    w *= phi_ii
+    w *= split.phi_ii
     tr = sum_last(w.T)
     # a nan fails both comparisons
     if not (tr.min() > 0.0 and tr.max() < np.inf):
@@ -353,7 +349,7 @@ def _population_step(p, mean, dw, split) -> np.ndarray:
     bit for bit that of the full step. p is left unmodified.
     """
     s = _record_scale(p, p, mean, dw, split)
-    nxt = p * split[1]
+    nxt = p * split.phi_ii
     nxt *= s * s
     return nxt
 
@@ -384,9 +380,8 @@ def _assemble(coh: np.ndarray, p: np.ndarray, k: int, split) -> np.ndarray:
     An underflowed population gives zero coherences. The result is a new
     (B, N, N) stack in the layout _density_stack gives.
     """
-    *_, kappa = split
     b, n = coh.shape[:2]
-    decay = _mirror(np.exp(k * kappa))
+    decay = _mirror(np.exp(k * split.kappa))
     root = np.sqrt(np.maximum(p.T, 0.0))
     out = _density_stack(b, n)
     np.multiply(coh, decay, out=out)
@@ -421,16 +416,15 @@ def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
     rho is left unmodified. A trace that is not finite and positive raises
     IntegrationError.
     """
-    phi, _, _, _, coupling, dt, _ = split
-    n = len(coupling)
+    n = len(split.coupling)
     if hr is None:
-        hr = _left_product(coupling[..., 0], rho)
+        hr = _left_product(split.coupling[..., 0], rho)
     # (N, N, B) views, in whose C order the batch axis is innermost
     rho = rho.transpose(1, 2, 0)
     x = hr.transpose(1, 2, 0)
-    eps = dt * u
+    eps = split.dt * u
     # K rho K^dag = rho + (Q + Q^dag) with Q = X G, G = (u dt)^2 h_b / 2 - i u dt I
-    g = coupling * (0.5 * eps * eps)
+    g = split.coupling * (0.5 * eps * eps)
     # the diagonal lanes of the contiguous (N, N, B) table, as a view
     g.reshape(n * n, -1)[:: n + 1] -= 1j * eps
     q = x[:, :1] * g[:1]
@@ -441,34 +435,26 @@ def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
     q += rho
     s = _record_scale(rho.diagonal(0, 0, 1).real.T, q.diagonal(0, 0, 1).real.T, mean, dw, split)
     # the step owns the congruence it formed, so it scales that in place
-    q *= phi
+    q *= split.phi
     q *= s[:, None] * s[None]
     return q.transpose(2, 0, 1)
 
 
-def _sse_step(psi, mean, u, hpsi, dw, model, dt) -> np.ndarray:
-    """One Euler-Maruyama step of the state-vector equation on a (B, N, 1) stack.
+def _sse_step(psi, mean, u, hpsi, dw, split) -> np.ndarray:
+    """One steered exact QND split step of a (B, N, 1) ket stack, at eta = 1.
 
-    mean is <C> and hpsi is h_b psi or None. Valid at eta = 1 only. In C's
-    eigenbasis every term of psi + sse_drift dt + sse_diffusion dW but the
-    control term is diagonal, so the step is f psi - i u dt h_b psi with one
-    (B, N, 1) factor f = (1 - i a dt) + x (sqrt(mu) dW - (mu dt / 2) x),
-    x = c - <C>, formed in real arithmetic and the constant column added
-    last; u = None skips the control term. psi is left unmodified. The
-    result is divided by its norm, sqrt(sum_i populations), a sum along each
-    row's own level axis of the row-major stack, so it stays pure and no row
-    depends on the batch. A norm that is not finite and positive raises
-    IntegrationError.
+    mean is <C>, u one control per row, hpsi is h_b psi and split holds the
+    tables of _split. At eta = 1 phi is rank one, phi_ij = v_i conj(v_j)
+    with v = split.ket, so the density step on psi psi^dag is the pure state
+    (D K psi)(D K psi)^dag with D = diag(f): psi' = f * (K psi) / norm, with
+    K psi = psi - i u dt h_b psi, f = v exp(h dY) and dY = gain <C> + dW.
+    psi is left unmodified. The norm sqrt(sum_i |psi'_i|^2) is summed along
+    each row's own level axis, so no row depends on the batch. A norm that
+    is not finite and positive raises IntegrationError.
     """
-    x = model.levels[:, None] - mean[:, None, None]
-    f = (0.5 * model.mu * dt) * x
-    np.subtract((math.sqrt(model.mu) * dw)[:, None, None], f, out=f)
-    f *= x
-    nxt = np.add(f, 1.0 + dt * model.ket_phase)
-    nxt *= psi
-    if u is not None:
-        hpsi = _left_product(model.coupling, psi) if hpsi is None else hpsi
-        nxt += (-1j * dt * u)[:, None, None] * hpsi
+    nxt = psi + (-1j * split.dt * u)[:, None, None] * hpsi
+    dy = split.gain * mean + dw
+    nxt *= split.ket * np.exp(split.h * dy[:, None, None])
     norm = np.sqrt(populations(nxt).sum(-1))
     # a nan fails both comparisons
     if not (norm.min() > 0.0 and norm.max() < np.inf):
@@ -564,7 +550,8 @@ def run_batch(
     whole batch or each trajectory may start from its own. indices selects
     each trajectory's noise (default 0..n_trajectories-1); every recorded scalar
     series has shape (B, n_recorded). The "sse" representation needs eta = 1
-    and a rank-one rho0, and advances the leading eigenvector of rho0. A
+    and a rank-one rho0; a steered "sse" run advances the leading eigenvector
+    of rho0, and an open-loop run of either representation its populations. A
     target whose c has other entries than model.c is refused (see _check_target).
     """
     if indices is None:
@@ -578,24 +565,23 @@ def run_batch(
     _check_target(model, target)
     rho0 = model.to_eigenbasis(rho0)
     check_representation(model, rho0, sim.representation)
-    # the open-loop law's zeros are recorded, but the step skips its control term
+    # the open-loop law's zeros are recorded, but no step forms a control term
     steered = ctrl.kind != "open_loop"
-    if sim.representation == "sse":
+    ket = steered and sim.representation == "sse"
+    # the constant tables a steered density step and its moment table
+    # multiply by, built once per call at the batch's lane shape
+    lanes = b if steered and not ket else 1
+    split = _split(model, sim.dt, lanes)
+    weights = np.repeat(target.observables.T[..., None], lanes, axis=-1)
+    if ket:
         state = np.broadcast_to(np.linalg.eigh(rho0)[1][..., :, -1:], (b, n, 1)).copy()
-        step, consts, weights = _sse_step, (model, sim.dt), None
     else:
         state = _density_stack(b, n)
         state[...] = hermitize(rho0)
-        # the constant tables a steered step and its moment table multiply
-        # by, built once per call at the batch's lane shape
-        lanes = b if steered else 1
-        split = _split(model, sim.dt, lanes)
-        step, consts = _sme_step, (split,)
-        weights = np.repeat(target.observables.T[..., None], lanes, axis=-1)
-    # an open-loop density run steps only its (N, B) population lanes, and
-    # assembles the density from rho0's coherences at its record points
-    coh = None
-    if sim.representation == "sme" and not steered:
+    step = _sse_step if ket else _sme_step
+    if not steered:
+        # an open-loop run steps only its (N, B) population lanes, and
+        # assembles the density from rho0's coherences at its record points
         coh, pops = _coherences(state), np.ascontiguousarray(populations(state).T)
 
     n_steps = sim.n_steps
@@ -608,18 +594,15 @@ def run_batch(
 
     for k in range(n_steps + 1):
         j = slot_of.get(k)
-        if coh is not None and j is not None:
+        if not steered and j is not None:
             state = _assemble(coh, pops, k, split)
         hx = m = None
         if steered or j is not None:
             hx = _left_product(model.coupling, state)
             m = moments(state, model, target, hx, weights)
         # one source of <C> per law, so the path does not depend on the record points
-        if steered:
-            mean = m[..., C1]
-        else:
-            mean = mean_level(state, model) if coh is None else sum_last(pops.T * model.levels)
-        # between record points an open-loop density's state is the last one
+        mean = m[..., C1] if steered else sum_last(pops.T * model.levels)
+        # between record points an open-loop run's state is the last one
         # assembled, of which the open-loop law reads only the batch size
         u = feedback(state, model, target, ctrl, m)
         if j is not None:
@@ -632,8 +615,8 @@ def run_batch(
         dw = next(noise)
         window_dy += measurement_increment(mean, model, sim.dt, dw)
         try:
-            if coh is None:
-                state = step(state, mean, u if steered else None, hx, dw, *consts)
+            if steered:
+                state = step(state, mean, u, hx, dw, split)
             else:
                 pops = _population_step(pops, mean, dw, split)
         except IntegrationError as exc:

@@ -38,14 +38,14 @@ import smestab.integrate as integrate
 from smestab.lyapunov import moments
 from smestab.dynamics import (
     _left_product,
+    density,
     diffusion_term,
     mean_level,
     populations,
     sme_drift,
-    sse_diffusion,
-    sse_drift,
 )
 from smestab.hermitian import (
+    dag,
     hermitize,
     min_eigenvalue,
     trace,
@@ -446,19 +446,32 @@ def test_sse_rejects_mixed_initial_state():
 
 
 def test_representations_agree_on_fidelity_paths():
-    # same substreams, same feedback: the two integrators track each other to
-    # O(dt) over a short horizon (measured gap 6.5 dt at this seed)
-    rng = np.random.default_rng(63)
-    model, target = qubit(mu=1.0, eta=1.0)
-    ctrl = ControllerSpec(kind="square_of_sum")
-    rho0 = random_pure(rng, 2)
-    dt = 1e-4
-    runs = {}
-    for rep in ("sme", "sse"):
-        sim = SimConfig(dt=dt, t_final=1e-2, seed=99, representation=rep)
-        runs[rep] = run_batch(rho0, model, target, ctrl, sim, n_trajectories=2)
-    gap = np.max(np.abs(runs["sme"].fidelity - runs["sse"].fidelity))
-    assert gap < 10.0 * dt
+    # at eta = 1 from pure starts the ket step is the density split's rank-one
+    # factor, so on random N = 2..8 models the two representations agree to
+    # roundoff at every record point (measured 3.7e-14 on states, 1.0e-13 on
+    # controls); open loop both take the population path, bit for bit
+    for n in range(2, 9):
+        rng = np.random.default_rng(63 + n)
+        model, target = random_model(rng, n)
+        model = replace(model, eta=1.0)
+        rho0 = random_pure(rng, n, (3,))
+        steered = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0),
+                                 ell=rng.uniform(0.3, 3.0))
+        for ctrl in (ControllerSpec(kind="open_loop"), steered):
+            runs = {}
+            for rep in ("sme", "sse"):
+                sim = SimConfig(dt=1e-3, t_final=1.0, seed=99 + n, record_stride=50,
+                                representation=rep)
+                runs[rep] = run_batch(rho0, model, target, ctrl, sim, n_trajectories=3,
+                                      record_states=True)
+            sme, sse = runs["sme"], runs["sse"]
+            if ctrl.kind == "open_loop":
+                for f in fields(BatchResult):
+                    assert np.array_equal(getattr(sme, f.name), getattr(sse, f.name)), (n, f.name)
+            np.testing.assert_allclose(sse.states, sme.states, rtol=0.0, atol=1e-12,
+                                       err_msg=f"N = {n} {ctrl.kind}")
+            np.testing.assert_allclose(sse.controls, sme.controls, rtol=0.0, atol=1e-11,
+                                       err_msg=f"N = {n} {ctrl.kind}")
 
 
 def test_simulate_matches_batch_rows_and_validity():
@@ -485,17 +498,22 @@ def test_simulate_matches_batch_rows_and_validity():
         np.testing.assert_allclose(t.lyapunov[0].v_tilde, 1.0 + 0.5, atol=1e-12)
 
 
-def dense_sse_step(psi, model, u, dt, dw):
-    """One normalized Euler-Maruyama step of the state-vector equation, lab basis."""
-    c = model.c
-    h = model.h_a + u[:, None, None] * model.h_b
-    cpsi = np.einsum("ij,bj->bi", c, psi)
-    centered = cpsi - np.einsum("bi,bi->b", psi.conj(), cpsi).real[:, None] * psi
-    centered_sq = np.einsum("ij,bj->bi", c, centered) - (
-        np.einsum("bi,bi->b", psi.conj(), cpsi).real[:, None] * centered
-    )
-    drift = -1j * np.einsum("bij,bj->bi", h, psi) - 0.5 * model.mu * centered_sq
-    nxt = psi + drift * dt + np.sqrt(model.mu) * centered * dw[:, None]
+def dense_ket_step(psi, model, u, dt, dw):
+    """One exact QND split step of (B, N) lab-basis kets at eta = 1, from the definitions.
+
+    At eta = 1 the split's table is rank one, phi_ij = v_i conj(v_j) with
+    v_i = exp((-i a_i - mu c_i^2) dt), so dense_split_step on psi psi^dag is
+    the pure state V diag(v_i s_i) K V^dag psi, normalised, with
+    K = I - i u dt V^dag h_b V, s_i = exp(sqrt(mu) c_i dY) and
+    dY = 2 sqrt(mu) <c> dt + dW. Dense matmuls throughout.
+    """
+    v, a, c = model.basis, model.energies, model.levels
+    mean = np.einsum("bi,ij,bj->b", psi.conj(), model.c, psi).real
+    dy = 2.0 * np.sqrt(model.mu) * mean * dt + dw
+    k = np.eye(model.n) - 1j * (u * dt)[:, None, None] * (dag(v) @ model.h_b @ v)
+    d = np.exp((-1j * a - model.mu * c * c) * dt + np.sqrt(model.mu) * c * dy[:, None])
+    frame = d * np.einsum("bij,bj->bi", k, psi @ v.conj())
+    nxt = frame @ v.T
     return nxt / np.linalg.norm(nxt, axis=-1, keepdims=True)
 
 
@@ -508,7 +526,7 @@ def dense_sse_step(psi, model, u, dt, dw):
 def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
     # N = 2..8 runs the density split's index-order sums and the ket
     # kernels' stacked matmuls up to the N = 8 of the state-vector benchmark;
-    # the references are the dense lab-basis schemes
+    # the references are the dense lab-basis forms of the split
     rng = np.random.default_rng(seed)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=rng.uniform(0.3, 3.0), ell=rng.uniform(0.3, 3.0))
@@ -530,7 +548,7 @@ def test_one_step_matches_dense_reference_and_is_row_local(n, batch, seed):
         if rep == "sme":
             ref = dense_split_step(rho0, m, u, dt, dw)
         else:
-            psi = dense_sse_step(np.linalg.eigh(rho0)[1][..., -1], m, u, dt, dw)
+            psi = dense_ket_step(np.linalg.eigh(rho0)[1][..., -1], m, u, dt, dw)
             ref = np.einsum("bi,bj->bij", psi, psi.conj())
         final = res.final_states
         close(final, ref)
@@ -623,14 +641,13 @@ def repaired_sme_step(rho, mean, u, hr, dw, split):
     It forms its own products from the split's tables with matmul, and
     ignores the hr the loop hands it.
     """
-    phi, _, h, gain, coupling_lanes, dt, _ = split
-    coupling = coupling_lanes[..., 0]
-    dy = gain * mean / trace(rho).real + dw
+    coupling = split.coupling[..., 0]
+    dy = split.gain * mean / trace(rho).real + dw
     if u is not None:
-        k = np.eye(len(coupling)) - 1j * (dt * u)[:, None, None] * coupling
+        k = np.eye(len(coupling)) - 1j * (split.dt * u)[:, None, None] * coupling
         rho = k @ rho @ np.conj(np.swapaxes(k, -1, -2))
-    s = np.exp(h[:, 0] * dy[:, None])
-    nxt = phi[..., 0] * rho * (s[:, :, None] * s[:, None, :])
+    s = np.exp(split.h[:, 0] * dy[:, None])
+    nxt = split.phi[..., 0] * rho * (s[:, :, None] * s[:, None, :])
     nxt = hermitize(nxt)
     return nxt / trace(nxt).real[:, None, None]
 
@@ -700,12 +717,13 @@ def run_given_zeros(monkeypatch, rho0, model, target, ctrl, sim, b):
 
 @pytest.mark.parametrize("case", range(3))
 def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monkeypatch, case):
-    # run_batch skips the open-loop control term: a ket step is handed
-    # u = None, and a density run steps only its populations, never calling
-    # _sme_step. The same run stepped by the steered step given explicit
+    # run_batch skips the open-loop control term: a run of either
+    # representation steps only its populations, never calling _sme_step or
+    # _sse_step. The same run stepped by the steered step given explicit
     # zeros, whose congruence is the identity, agrees on every BatchResult
-    # field: bit for bit for kets and for every field a density reads from
-    # its populations, to 1e-12 for the fields its coherences set
+    # field: for a density bit for bit on every field it reads from its
+    # populations and to 1e-12 on the fields its coherences set, for a ket,
+    # whose populations are |psi_i|^2, to 1e-12 on every field
     b = ROWS
     name, model, target, rho0, sim = _open_loop_cases(b)[case]
     ctrl = ControllerSpec(kind="open_loop")
@@ -717,25 +735,17 @@ def test_open_loop_runs_skip_the_control_term_and_match_a_step_given_zeros(monke
         seen.append(u)
         return real(state, mean, u, *rest)
 
-    def given_zeros(state, mean, u, *rest):
-        assert u is None
-        return real(state, mean, np.zeros(state.shape[0]), *rest)
-
+    counts = _count_calls(monkeypatch, ("_sme_step", "_sse_step", "_population_step"))
+    got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
+    assert counts == {"_sme_step": 0, "_sse_step": 0, "_population_step": sim.n_steps}, name
+    monkeypatch.setattr(integrate, kernel, watched)
+    want = run_given_zeros(monkeypatch, rho0, model, target, ctrl, sim, b)
+    assert len(seen) == sim.n_steps and not any(u.any() for u in seen)
     if sim.representation == "sse":
-        monkeypatch.setattr(integrate, kernel, watched)
-        got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-        assert len(seen) == sim.n_steps and all(u is None for u in seen)
-        monkeypatch.setattr(integrate, kernel, given_zeros)
-        want = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
         for f in fields(BatchResult):
-            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (name, f.name)
+            np.testing.assert_allclose(getattr(got, f.name), getattr(want, f.name), rtol=0.0,
+                                       atol=1e-12, err_msg=f"{name} {f.name}")
     else:
-        counts = _count_calls(monkeypatch, ("_sme_step", "_population_step"))
-        got = run_batch(rho0, model, target, ctrl, sim, n_trajectories=b, record_states=True)
-        assert counts == {"_sme_step": 0, "_population_step": sim.n_steps}, name
-        monkeypatch.setattr(integrate, kernel, watched)
-        want = run_given_zeros(monkeypatch, rho0, model, target, ctrl, sim, b)
-        assert len(seen) == sim.n_steps and not any(u.any() for u in seen)
         assert_matches_the_steered_step(got, want, name)
     assert not got.controls.any()
     # a closed-loop law hands the step its controls
@@ -931,9 +941,9 @@ def test_random_steered_runs_keep_unit_trace_and_rows_equal_solo_runs(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
-    # the state-vector twin of the density test above: the step is the plain
-    # expression to roundoff, and bit for bit one diagonal factor times psi
-    # plus the control term, divided by sqrt of its summed populations
+    # the state-vector twin of the density test above: the step is bit for
+    # bit the split's rank-one factor times K psi, divided by sqrt of its
+    # summed populations, and to roundoff the density split of psi psi^dag
     rng = np.random.default_rng(90 + n)
     model, target = random_model(rng, n)
     model = replace(model, eta=1.0)
@@ -942,26 +952,23 @@ def test_ket_step_leaves_its_input_and_matches_the_plain_expression(n):
     dw = rng.normal(0.0, np.sqrt(dt), b)
     psi = rng.normal(size=(b, n, 1)) + 1j * rng.normal(size=(b, n, 1))
     psi /= np.linalg.norm(psi, axis=-2, keepdims=True)
+    rho = density(psi)
     mean = mean_level(psi, model)
     hpsi = _left_product(model.coupling, psi)
-    x = model.levels[:, None] - mean[:, None, None]
-    f = x * (np.sqrt(model.mu) * dw[:, None, None] - (0.5 * model.mu * dt) * x)
-    f = f + (1.0 - 1j * dt * model.energies[:, None])
-    for u in (None, feedback(psi, model, target, ctrl, moments(psi, model, target))):
-        g = sse_diffusion(psi, mean, model)
-        raw = psi + sse_drift(psi, mean, model, u) * dt + g * dw[:, None, None]
-        factored = f * psi
-        if u is not None:
-            factored = factored + (-1j * dt * u)[:, None, None] * hpsi
+    split = _split(model, dt)
+    v = np.exp(-1j * dt * model.energies[:, None]) * np.sqrt(split.phi_ii)
+    f = v * np.exp(np.sqrt(model.mu) * model.levels[:, None]
+                   * (2.0 * np.sqrt(model.mu) * dt * mean + dw)[:, None, None])
+    for u in (np.zeros(b), feedback(psi, model, target, ctrl, moments(psi, model, target))):
+        kpsi = (-1j * dt * u)[:, None, None] * hpsi + psi
+        factored = kpsi * f
         want = factored / np.sqrt(populations(factored).sum(-1))[:, None, None]
-        for shared in (None, hpsi):
-            before = psi.copy()
-            got = _sse_step(psi, mean, u, shared, dw, model, dt)
-            assert np.array_equal(psi, before)
-            assert np.array_equal(got, want)
-            np.testing.assert_allclose(
-                got, raw / np.linalg.norm(raw, axis=-2, keepdims=True), rtol=0.0, atol=1e-15
-            )
+        before = psi.copy()
+        got = _sse_step(psi, mean, u, hpsi, dw, split)
+        assert np.array_equal(psi, before)
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(density(got), density_step(rho, mean, u, None, dw, split),
+                                   rtol=0.0, atol=1e-15)
 
 
 def test_coarse_density_steps_leave_their_input_unmodified():
@@ -988,7 +995,9 @@ def _count_calls(monkeypatch, names):
     counts = dict.fromkeys(names, 0)
     for module in (integrate, dynamics):
         for name in names:
-            if module is integrate or name == "_left_product":
+            # a name integrate does not hold is one run_batch cannot call
+            watched = hasattr(integrate, name) if module is integrate else name == "_left_product"
+            if watched:
                 real = getattr(module, name)
 
                 def counted(*args, _real=real, _name=name, **kwargs):
@@ -1003,10 +1012,9 @@ def _count_calls(monkeypatch, names):
 def test_each_step_reads_its_state_once(monkeypatch, representation):
     # a steered run that records every step builds one moment table and one
     # h_b state product per step and never reads <C> on its own; an open-loop
-    # run builds them only at its record points. An open-loop ket reads <C>
-    # from mean_level at every step; an open-loop density steps its
-    # population lanes, reads <C> off them and assembles its state only at
-    # its record points
+    # run of either representation builds them only at its record points,
+    # steps its population lanes, reads <C> off them and assembles its state
+    # only at its record points
     model, target = qubit(mu=1.0, eta=1.0)
     rho0 = 0.5 * (np.eye(2, dtype=complex) + SX)
     names = ("moments", "_left_product", "mean_level", "feedback", "_population_step",
@@ -1024,19 +1032,15 @@ def test_each_step_reads_its_state_once(monkeypatch, representation):
                     n_trajectories=3)
     n, points = open_loop.n_steps, len(res.times)
     assert points == 6
-    density = representation == "sme"
-    assert counts == {"moments": points, "_left_product": points,
-                      "mean_level": 0 if density else n + 1, "feedback": n + 1,
-                      "_population_step": n if density else 0,
-                      "_assemble": points if density else 0}
+    assert counts == {"moments": points, "_left_product": points, "mean_level": 0,
+                      "feedback": n + 1, "_population_step": n, "_assemble": points}
 
 
 @pytest.mark.parametrize("n, representation",
                          [(4, "sme"), (5, "sme"), (6, "sme"), (2, "sse"), (3, "sse"), (5, "sse")])
 def test_open_loop_paths_do_not_depend_on_the_record_stride(n, representation):
-    # for a ket at every N the moment table's <C> may differ from mean_level's
-    # in the last bit; an open-loop step reads mean_level at every step, so a
-    # record point does not move the path
+    # an open-loop step of either representation reads <C> off its
+    # population lanes at every step, so a record point does not move the path
     rng = np.random.default_rng(40 + n)
     model, target = random_model(rng, n)
     if representation == "sse":
