@@ -1,21 +1,16 @@
 """Structural controllability and regularity diagnostics, in closed form.
 
-The Kalman-like test asks for the real dimension of the iterated commutator
-family {b0, [A, b0], [A, [A, b0]], ...}, with b0 = -i[h_b, rho_d] and A
-either -i h_a or c. Under the standing assumptions ([h_a, c] = 0 and c with a
-simple spectrum) both letters are Schur multipliers in c's eigenbasis: ad_A
-scales entry (i, j) by a number. b0 lives on the target level t's row and
-column, on the levels j that h_b couples to t, so the family's dimension is
-the degree of ad_A's minimal polynomial on b0, a count of distinct multipliers:
+The Kalman-like rank is the real dimension of the iterated commutator family
+{b0, [A, b0], [A, [A, b0]], ...} with b0 = -i[h_b, rho_d] and A = -i h_a or
+c. Under the standing assumptions both letters are Schur multipliers in c's
+eigenbasis, and b0 lives on the target level t's row and column at the
+levels j that h_b joins to t, so the rank counts distinct multipliers:
 
     A = -i h_a:  2 x (distinct nonzero |a_t - a_j|), plus 1 if some a_t = a_j
-    A = c:       2 x (distinct |c_t - c_j|)
+    A = c:       2 x (distinct |c_t - c_j|), as ad_c pairs +-(c_t - c_j)
 
-The c letter maps Hermitian matrices to anti-Hermitian ones, so each
-c_t - c_j contributes the pair of multipliers +-(c_t - c_j). Distinct and
-zero are judged to REGULARITY_TOL, the rule strong_regularity applies to the
-gaps. iterated_commutators is the dense family the count stands for; the
-tests and acceptance criterion 10 use it as an oracle.
+Distinct and zero are judged to REGULARITY_TOL, as strong_regularity judges
+gaps. iterated_commutators is the dense family, an oracle for the tests.
 """
 from __future__ import annotations
 
@@ -80,11 +75,7 @@ def unjoined_levels(model: ModelSpec, target: TargetSpec) -> list[int]:
 
 
 def kalman_like_rank(model: ModelSpec, target: TargetSpec, use: str = "h_a") -> RankReport:
-    """Rank of the iterated commutator family against the N^2 - N requirement.
-
-    use selects A = -i h_a ("h_a") or A = c ("c"); the rank is the count of
-    distinct multipliers in the module docstring.
-    """
+    """Closed-form rank for A = -i h_a ("h_a") or c ("c") against N^2 - N; ValueError on another."""
     t = target.level
     coupled = _joined(model, t)
     if use == "h_a":
@@ -100,11 +91,7 @@ def kalman_like_rank(model: ModelSpec, target: TargetSpec, use: str = "h_a") -> 
 
 
 def strong_regularity(levels: np.ndarray) -> bool:
-    """Distinct levels with pairwise-distinct gaps (transition frequencies), to REGULARITY_TOL.
-
-    levels is a spectrum in any order, e.g. ModelSpec.levels or
-    ModelSpec.energies; nothing is decomposed here.
-    """
+    """Whether a spectrum, in any order, has distinct levels and gaps, to REGULARITY_TOL."""
     w = np.asarray(levels, dtype=float)
     gaps = [abs(x - y) for i, x in enumerate(w) for y in w[:i]]
     return _distinct(w) == len(w) and _distinct(gaps) == len(gaps)

@@ -8,11 +8,7 @@ z = +1 pole diag(1, 0). The conditioned master equation reduces to
     dz =  2 u y dt + 2 sqrt(mu eta) (1 - z^2) dW
 
 with V1 = (1 - z)/2, V2 = 1 - z^2, and the trace term T_ell = y (1 + 4 z/ell^2).
-integrate_bloch steps it by bloch_split_step, the matrix engine's exact QND
-split written in closed form, so a vector stays in the unit ball without
-repair. These forms exist to cross-check the general engine coordinate-free
-path; the matrix engine is normative and the equivalence is pinned to 1e-9
-by tests.
+These forms cross-check the matrix engine, which is normative.
 """
 from __future__ import annotations
 
@@ -116,15 +112,9 @@ def integrate_bloch(
     indices: list[int] | None = None,
     n_trajectories: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep Bloch trajectories on the matrix engine's Brownian increments.
+    """(times, paths (B, n_recorded, 3)) of lockstep bloch_split_step paths on run_batch's noise.
 
-    Index i draws what run_batch draws for it: column i % NOISE_BLOCK of the
-    Philox stream keyed (seed, i // NOISE_BLOCK) (see
-    integrate._brownian_increments).
-
-    Returns (times, paths) with paths of shape (B, n_recorded, 3). Each step is
-    bloch_split_step, the matrix engine's step in closed form, so every
-    vector stays in the unit ball by construction.
+    ValueError on an "sse" sim or a b0 that is not one (3,) vector.
     """
     if indices is None:
         indices = list(range(n_trajectories))
@@ -154,12 +144,10 @@ def integrate_bloch(
 def levelset_table(
     k: float, ell: float, mu: float, eta: float, resolution: int = 201
 ) -> dict[str, np.ndarray]:
-    """Closed-loop L Vt of the square_of_sum law on a (y, z) grid over [-1, 1]^2.
+    """Closed-loop L Vt <= 0 of the square_of_sum law on a (y, z) grid over [-1, 1]^2.
 
-    Returns flat arrays y, z, lv, physical (1 inside the unit disc). The law
-    completes the square, so lv = -(k y (1 + 4 z/ell^2) - (2 sqrt(mu eta)/ell)
-    (1 - z^2))^2 <= 0 everywhere. k and ell are refused as ControllerSpec
-    refuses them, and mu and eta as ModelSpec does for the canonical model.
+    Flat arrays y, z, lv and physical (1 inside the unit disc). ValueError on
+    a resolution below 2, or a k, ell, mu or eta that a run would refuse.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

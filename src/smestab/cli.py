@@ -1,14 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: validate, simulate, ensemble, levelset, rankcheck.
 
-Subcommands: validate, simulate, ensemble, levelset, rankcheck. Exit codes:
-0 success, 2 configuration or validation error, or an output path that
-cannot be created or written (found before any integration, as the output
-directory is created once the inputs are accepted), or inputs too large to
-allocate (MemoryError), 3 numerical failure (a step whose trace is not
-finite and positive, which takes a non-finite control or a dt beyond the
-floating-point range of the step; the message names the step). simulate and
-ensemble print their positivity clip count, which is always 0: the density
-step stays on the cone by construction.
+Exit codes: 0 success; 2 a configuration or validation error, an output path
+that cannot be created or written (the directory is made once the inputs are
+accepted, before any integration) or inputs too large to allocate; 3 a
+numerical failure (integrate's failure rule, naming the step). simulate and
+ensemble print the run's positivity clip count, which is always 0.
 """
 from __future__ import annotations
 

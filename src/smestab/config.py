@@ -26,11 +26,7 @@ class ConfigError(ValueError):
 
 
 def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
-    """Nested [re, im] pairs, row major, to a complex ndarray.
-
-    Each part must be a finite JSON number (see _real); an error names the
-    entry as where[i][j].
-    """
+    """Nested [re, im] pairs, row major, to a complex ndarray; ConfigError names a bad entry."""
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{where}: expected a non-empty nested list")
     rows = []

@@ -1,42 +1,20 @@
-"""Diffusive measurement dynamics for an N-level system, stepped in C's eigenbasis.
+"""The conditioned dynamics of an N-level system, in C's eigenbasis.
 
-Ito form of the conditioned master equation, with control u entering through
-H = h_a + u h_b:
+Ito form, with control u entering through H = h_a + u h_b:
 
-    d rho = (F(H, rho) + D(rho)) dt + G(rho) dW
-    F     = -i [H, rho]
-    D     = mu (C rho C - (C^2 rho + rho C^2)/2)
+    d rho = (F + D) dt + G dW,   F = -i [H, rho],   D = mu (C rho C - (C^2 rho + rho C^2)/2)
     G     = sqrt(mu eta) (C rho + rho C - 2 tr(C rho) rho)
-    dY    = sqrt(eta) tr(C rho) dt + dW   (mis-scaled; see measurement_increment)
+    d psi = (-i H - (mu/2)(C - <C>)^2) psi dt + sqrt(mu) (C - <C>) psi dW   (eta = 1)
 
-and, for unit efficiency on pure states, the equivalent state-vector equation
-
-    d psi = (-i H - (mu/2)(C - <C>)^2) psi dt + sqrt(mu) (C - <C>) psi dW.
-
-The measurement is nondemolition ([h_a, C] = 0) and C has a simple spectrum,
-so in C's eigenbasis V (rho -> V^dag rho V) both h_a = diag(a) and
-C = diag(c). There the drift is the elementwise product
+In ModelSpec's basis h_a = diag(a) and C = diag(c), so only the control
+term multiplies matrices:
 
     (F + D)_ij = (-i (a_i - a_j) - mu (c_i - c_j)^2 / 2) rho_ij - i u [h_b, rho]_ij
+    G_ij       = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij.
 
-with a constant table, the noise coefficient is
-G_ij = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with <C> = sum_i c_i rho_ii, and
-only the control term multiplies matrices. sme_drift and diffusion_term are
-the one definition of these coefficients: criterion 3's arbiter reads them,
-and integrate._split reads their tables off the all-ones matrix to build the
-exact step of both representations, so a mis-scaled kernel mis-scales the
-simulated physics. For a ket the drift is
-(-i a_i - (mu/2)(c_i - <C>)^2) psi_i - i u (h_b psi)_i and the noise
-coefficient sqrt(mu) (c_i - <C>) psi_i, which sse_drift and sse_diffusion
-form; the ket step is the density step's rank-one factor at eta = 1 (see
-integrate._sse_step) and reads neither. The kernels below take states in that
-basis: densities (..., N, N) or ket columns (..., N, 1), <C> as an argument, and
-optionally X = h_b state, which the control rates and the control term share
-(integrate.run_batch forms it once per step). ModelSpec holds the basis and
-the tables; run_batch rotates into the basis once per call and back only for
-the states it returns. The stepped state is laid out and read here alone:
-_density_stack gives the density stack's layout, batch-last lanes at every N,
-and populations, mean_level and moments read a state.
+sme_drift and diffusion_term (sse_drift and sse_diffusion for kets) are the
+one definition of these coefficients. Every kernel takes states in that
+basis, densities (..., N, N) or ket columns (..., N, 1).
 """
 from __future__ import annotations
 
@@ -74,20 +52,11 @@ def _connected(coupling: np.ndarray) -> bool:
 class ModelSpec:
     """Free Hamiltonian h_a, control Hamiltonian h_b, measured observable c.
 
-    Construction enforces the standing assumptions: all three matrices
-    Hermitian and at least 2x2, [h_a, c] = 0 (nondemolition), c with a
-    simple spectrum (every eigenvalue gap above SPECTRAL_GAP_TOL), h_b
-    connecting c's eigenlevels (checked on coupling, the h_b that the kernels
-    read, so in any basis), 0 < mu < inf and 0 < eta <= 1.
-
-    c is decomposed here and nowhere else; the derived fields follow from it.
-    basis holds c's eigenvectors as columns, in ascending eigenvalue order, and
-    levels those eigenvalues; targets, antipodes and collapse outcomes are the
-    projectors onto its columns. In that basis h_a is diag(energies) (the
-    off-diagonal part that the commutation tolerance admits is dropped) and
-    h_b is coupling. The density kernels read the constant tables
-    drift_table, -i (a_i - a_j) - mu (c_i - c_j)^2 / 2, and level_sums,
-    c_i + c_j; sse_drift and integrate._split read the (N, 1) column ket_phase, -i a_i.
+    ValueError unless the three are Hermitian of one square shape, 2x2 or
+    more, [h_a, c] = 0 to COMMUTING_TOL, c's gaps exceed SPECTRAL_GAP_TOL,
+    h_b connects c's eigenlevels (_connected) and 0 < mu, 0 < eta <= 1. basis
+    holds c's eigenvectors as columns and levels its eigenvalues, ascending;
+    in that basis h_a is diag(energies) and h_b is coupling.
     """
 
     h_a: np.ndarray
@@ -99,9 +68,6 @@ class ModelSpec:
     levels: np.ndarray = _derived()
     energies: np.ndarray = _derived()
     coupling: np.ndarray = _derived()
-    drift_table: np.ndarray = _derived()
-    level_sums: np.ndarray = _derived()
-    ket_phase: np.ndarray = _derived()
 
     def __post_init__(self):
         h_a = np.asarray(self.h_a, dtype=complex)
@@ -130,19 +96,10 @@ class ModelSpec:
         coupling = hermitize(dag(v) @ h_b @ v)
         if not _connected(coupling):
             raise ValueError("coupling graph of h_b in c's eigenbasis is disconnected")
-        a = np.diagonal(dag(v) @ h_a @ v).real.copy()
-        gaps = w[:, None] - w[None, :]
-        derived = {
-            "basis": v,
-            "levels": w,
-            "energies": a,
-            "coupling": coupling,
-            "drift_table": -1j * (a[:, None] - a[None, :]) - 0.5 * self.mu * (gaps * gaps),
-            "level_sums": w[:, None] + w[None, :],
-            "ket_phase": -1j * a[:, None],
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "basis", v)
+        object.__setattr__(self, "levels", w)
+        object.__setattr__(self, "energies", np.diagonal(dag(v) @ h_a @ v).real.copy())
+        object.__setattr__(self, "coupling", coupling)
 
     @property
     def n(self) -> int:
@@ -153,10 +110,9 @@ class ModelSpec:
         return dag(self.basis) @ m @ self.basis
 
     def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """V m V^dag: stacked (..., N, N) matrices back in the lab basis.
+        """V m V^dag: stacked (..., N, N) matrices back in the lab basis, each row alone.
 
-        Two einsum calls on a row-major copy of m, whose summation order then
-        does not depend on the batch, so each row is rotated alone.
+        The einsums read a row-major copy, so a row's bits do not depend on the batch.
         """
         vm = np.einsum("ij,...jk->...ik", self.basis, np.ascontiguousarray(m))
         return np.einsum("...ij,kj->...ik", vm, self.basis.conj())
@@ -166,15 +122,11 @@ class ModelSpec:
 class TargetSpec:
     """Rank-one target rho_d, an eigenstate of c, built from its model and rho_d alone.
 
-    rho_d must lie within EIGENSTATE_TOL of the projector onto column level of
-    model.basis. The rest follows from c, held as the model's own array, so
-    run_batch accepts the target on any model whose c has equal entries.
-    antipodal[j] projects onto the j-th other column in ascending eigenvalue
-    order, the index outcomes name. observables is the (7, N) table moments
-    reads: rows RHO_D, C1, C2, C3 weight the populations p_i by x_i = (rho_d)_ii,
-    c_i, c_i^2, c_i^3, and rows K_RHO_D, K_C, K_C2 the control rates r_i by
-    2 x_i for X = rho_d, C, C^2, as <K_X> = <-i[X, h_b]> = 2 sum_i x_i r_i.
-    moment_weights is that table in (2N, 7) block form, the weights of a ket's row [p, r].
+    ValueError unless rho_d is a rank-one density within EIGENSTATE_TOL of
+    the projector onto column level of model.basis. antipodal[j] projects
+    onto the j-th other column. observables (7, N) weights the populations
+    by x_i = (rho_d)_ii, c_i, c_i^2, c_i^3 and the control rates r_i by 2 x_i,
+    as <-i[X, h_b]> = 2 sum_i x_i r_i; moment_weights is its (2N, 7) block form.
     """
 
     model: InitVar[ModelSpec]
@@ -222,8 +174,7 @@ class TargetSpec:
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """h @ x for a constant (N, N) h and stacked (..., N, M) x: one stacked
-    matmul for ket columns, adds in index order for densities (see _density_stack)."""
+    """h @ x for a constant (N, N) h: a matmul on ket columns, index-order adds on densities."""
     if x.shape[-1] == 1:
         return h @ x
     out = h[:, :1] * x[..., :1, :]
@@ -233,12 +184,7 @@ def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def sum_last(x: np.ndarray) -> np.ndarray:
-    """x.sum(-1) as elementwise adds in index order.
-
-    numpy reduces a short last axis row by row, several times slower than
-    these adds on large batches, and picks its summation order from the
-    memory layout; adds in index order keep each row independent of the batch.
-    """
+    """x.sum(-1) as elementwise adds in index order, so no row depends on the batch's layout."""
     out = x[..., 0]
     for k in range(1, x.shape[-1]):
         out = out + x[..., k]
@@ -253,11 +199,7 @@ def density(state: np.ndarray) -> np.ndarray:
 
 
 def populations(state: np.ndarray) -> np.ndarray:
-    """(..., N) populations in C's eigenbasis: rho_ii, or |psi_i|^2 of a ket column.
-
-    A ket's are Re(conj(psi_i) psi_i), one conjugate and one product; the
-    values are elementwise, so no row depends on the batch around it.
-    """
+    """(..., N) populations in C's eigenbasis: rho_ii, or Re(conj(psi_i) psi_i) of a ket column."""
     if state.shape[-1] == 1:
         psi = state[..., 0]
         return (np.conj(psi) * psi).real
@@ -266,20 +208,12 @@ def populations(state: np.ndarray) -> np.ndarray:
 
 def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None,
             weights=None) -> np.ndarray:
-    """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of a state on a last axis of 7.
+    """<rho_d>, <C>, <C^2>, <C^3>, <K_rho_d>, <K_C>, <K_C2> of a state, on a last axis of 7.
 
-    state is a density (..., N, N) or a ket column (..., N, 1) in C's
-    eigenbasis, and hx may hand in h_b state, else it is formed here. The
-    table weights the populations p_i and the control rates
-    r_i = Im (h_b rho)_ii (Im conj(psi_i) (h_b psi)_i for a ket) by
-    target.observables; under -i u [h_b, rho] population i moves at 2 u r_i.
-    For a density p and r are read as (N, B) lanes of a (B, N, N) stack,
-    multiplied by weights, target.observables as (N, 7, B) lanes, and summed
-    over levels in index order; run_batch builds weights once per call
-    (see _density_stack), else an (N, 7, 1) form is made here, which
-    broadcasts (an (N, 7) one for a single state). For a ket it is one
-    stacked matmul of each ket's row [p, r] with target.moment_weights, and
-    weights is not read. Either way no row depends on the batch around it.
+    hx is h_b state if the caller holds it. Populations p_i and rates
+    r_i = Im (h_b rho)_ii are weighted by target.observables: for a density
+    as (N, ...) lanes times weights, its (N, 7, ...) form (made here if None),
+    summed in index order; for a ket by one matmul of [p, r] with moment_weights.
     """
     hx = _left_product(model.coupling, state) if hx is None else hx
     if state.shape[-1] == 1:
@@ -299,27 +233,12 @@ def moments(state: np.ndarray, model: ModelSpec, target: TargetSpec, hx=None,
 
 
 def _density_stack(b: int, n: int) -> np.ndarray:
-    """An empty (b, n, n) density stack in batch-last lanes, at every n.
+    """An empty (b, n, n) density stack in batch-last lanes: the view of (n, n, b) memory.
 
-    It is the batch-last view of (n, n, b) memory: entry (i, j) of every row
-    is one contiguous (b,) lane, so each elementwise kernel loops over the
-    batch rather than over the N^2 entries of one matrix, and every
-    elementwise temporary takes that layout too. No einsum, np.sum, norm,
-    matmul or LAPACK call may read the lane stack, as their summation order
-    follows the strides: h_b rho, the step's products and the level-axis
-    sums are index-order adds (_left_product, integrate._sme_step, sum_last),
-    and the purity at a record point and the rotation back to the lab basis
-    run on row-major copies. No density row is decided by an eigenvalue. A
-    constant table that a steered run multiplies the stack by every step is
-    built once per run at this lane shape, so the product has same-shape
-    operands: phi and h_b as (n, n, b) lanes (integrate._split) and the
-    moment weights as (n, 7, b) lanes (moments), 2 n^2 complex and 7 n real
-    entries per row next to the stack's n^2 complex. An open-loop run steps
-    only the diagonal, as contiguous (n, b) population lanes, and
-    integrate._assemble writes the density it builds from them at a record
-    point into this layout, for either representation. The ket stack of a
-    steered run is row-major, and its h_b psi and moment table are stacked
-    matmuls (see moments). A single row is both.
+    Entry (i, j) of every row is one contiguous (b,) lane. No einsum, np.sum,
+    matmul or LAPACK call may read it, as their summation order follows the
+    strides: sums are index-order adds (_left_product, sum_last) and other
+    reads take row-major copies, so a row is bit for bit the same in any batch.
     """
     return np.empty((n, n, b), dtype=complex).transpose(2, 0, 1)
 
@@ -329,18 +248,14 @@ def mean_level(state: np.ndarray, model: ModelSpec) -> np.ndarray:
     return sum_last(populations(state) * model.levels)
 
 
-def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None) -> np.ndarray:
-    """F + D with H = h_a + u h_b: drift_table * rho - i u [h_b, rho].
-
-    hr is h_b rho when the caller holds it, else it is formed here. u = None
-    stands for the open-loop law, u = 0 on every row: the control term is not
-    evaluated and the result is drift_table * rho, equal to the result at
-    zeros. The result is a new array in rho's layout.
-    """
-    out = model.drift_table * rho
+def sme_drift(rho: np.ndarray, model: ModelSpec, u) -> np.ndarray:
+    """F + D with H = h_a + u h_b, a new array; u = None (open loop) skips the control term."""
+    a, c = model.energies, model.levels
+    gaps = c[:, None] - c[None, :]
+    out = (-1j * (a[:, None] - a[None, :]) - 0.5 * model.mu * (gaps * gaps)) * rho
     if u is None:
         return out
-    hr = _left_product(model.coupling, rho) if hr is None else hr
+    hr = _left_product(model.coupling, rho)
     control = hr - dag(hr)
     # u as an array even for a scalar u, so -1j times it is a numpy value
     control *= (-1j * np.asarray(u))[..., None, None]
@@ -349,53 +264,35 @@ def sme_drift(rho: np.ndarray, model: ModelSpec, u, hr: np.ndarray | None = None
 
 
 def diffusion_term(rho: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """G = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij with mean = <C>; Hermitian.
-
-    It is traceless when mean is <C> / tr(rho), at any trace of rho; at
-    mean = 0 on the all-ones matrix it is the Zakai noise table
-    sqrt(mu eta) (c_i + c_j) that integrate._split reads. sqrt(mu eta)
-    scales the real table c_i + c_j - 2 <C> before its one product with rho.
-    """
-    # formed in rho's layout: broadcast from (N, N) and (..., 1, 1) alone it comes out row-major
-    centered = np.subtract(
-        model.level_sums, 2.0 * mean[..., None, None], out=np.empty_like(rho, dtype=float)
-    )
+    """G = sqrt(mu eta) (c_i + c_j - 2 mean) rho_ij, in rho's layout; traceless at mean = <C>."""
+    c = model.levels
+    # in rho's layout: broadcast from (N, N) and (..., 1, 1) alone it comes out row-major
+    centered = np.subtract(c[:, None] + c[None, :], 2.0 * mean[..., None, None],
+                           out=np.empty_like(rho, dtype=float))
     centered *= math.sqrt(model.mu * model.eta)
     return centered * rho
 
 
 def measurement_increment(mean: np.ndarray, model: ModelSpec, dt: float, dW) -> np.ndarray:
-    """Detector record dY = sqrt(eta) <C> dt + dW, with mean = <C>, as (sqrt(eta) dt) <C> + dW.
+    """Detector record dY = sqrt(eta) <C> dt + dW, with mean = <C>.
 
-    Mis-scaled: the SME here filters the record 2 sqrt(eta mu) <C> dt + dW of
-    sqrt(mu) C, so the two agree only at mu = 1/4. Only records and the CSV dY
-    column are off, as no state, outcome or verdict reads dY; the fix waits
-    for the recapture of bench/reference.json, whose record band reads it.
+    Mis-scaled: the SME filters 2 sqrt(eta mu) <C> dt + dW, the record of
+    sqrt(mu) C, so the two agree only at mu = 1/4. No state or verdict reads dY.
     """
     return (math.sqrt(model.eta) * dt) * mean + dW
 
 
-def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u, hpsi=None) -> np.ndarray:
-    """State-vector drift (-i H - (mu/2)(c - <c>)^2) psi of ket columns, valid at eta = 1.
-
-    The diagonal is ket_phase, -i a, plus the centred levels squared and
-    scaled in place; the result is a new array, which the caller may assemble
-    into. hpsi is h_b psi when the caller holds it, as in sme_drift. u = None
-    stands for the open-loop law: the control term -i u h_b psi is not
-    evaluated and only the diagonal part is returned.
-    """
+def sse_drift(psi: np.ndarray, mean: np.ndarray, model: ModelSpec, u) -> np.ndarray:
+    """(-i H - (mu/2)(c - mean)^2) psi, H = h_a + u h_b, of ket columns at eta = 1; a new array."""
     centered = model.levels[:, None] - mean[..., None, None]
     centered *= centered
     centered *= -0.5 * model.mu
-    out = np.add(centered, model.ket_phase)
+    out = np.add(centered, -1j * model.energies[:, None])
     out *= psi
-    if u is None:
-        return out
-    hpsi = _left_product(model.coupling, psi) if hpsi is None else hpsi
-    out += (-1j * np.asarray(u))[..., None, None] * hpsi
+    out += (-1j * np.asarray(u))[..., None, None] * (model.coupling @ psi)
     return out
 
 
 def sse_diffusion(psi: np.ndarray, mean: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """State-vector noise coefficient sqrt(mu) (c - <c>) psi of ket columns, valid at eta = 1."""
+    """sqrt(mu) (c - mean) psi of ket columns at eta = 1, a new array."""
     return (math.sqrt(model.mu) * (model.levels[:, None] - mean[..., None, None])) * psi

@@ -1,16 +1,7 @@
 """Ensemble reduction: outcome frequencies, mean certificates, CSV emission.
 
-Trajectories are integrated in lockstep (see integrate.run_batch) and reduced
-in trajectory-index order, so identical configurations produce byte-identical
-outputs regardless of batch size. A density step is elementwise arithmetic in
-index order at every N, calls no BLAS or LAPACK and clips no row, so density
-outputs do not depend on the host either; a steered ket step calls BLAS,
-whose kernels differ by CPU. tests/test_host_independence.py runs a steered
-qubit, an open-loop three-level and a steered spin-3/2 density batch from
-the shipped configs under every OpenBLAS core type the CPU supports (of
-Nehalem, Haswell and SkylakeX) and demands bit-identical final states and
-controls, and a steered spin-3/2 ket batch, whose final states and controls
-must agree within 1e-12, with the same outcomes.
+Reduction runs in trajectory-index order, so identical configurations give
+byte-identical outputs at any batch size.
 """
 from __future__ import annotations
 
@@ -33,14 +24,17 @@ from .integrate import (
 from .lyapunov import ControllerSpec
 from .params import as_integer
 
+# the roundoff floor of _count_supermartingale_violations, in ulps
+ROUNDOFF_ULPS = 64
+
 
 class EnsembleError(RuntimeError):
-    """Raised by nothing (a bad step raises IntegrationError); bench/run.py imports it."""
+    """Raised by nothing, as a bad step raises IntegrationError; bench/run.py imports it."""
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleConfig:
-    """Everything needed to reproduce one ensemble run."""
+    """Everything needed to reproduce one ensemble run; ValueError on a bad count or rho0."""
 
     n_trajectories: int
     model: ModelSpec
@@ -65,7 +59,7 @@ class EnsembleConfig:
 
 @dataclass
 class EnsembleStats:
-    """Reduced ensemble observables."""
+    """Reduced ensemble observables; the mean_* curves are at times."""
 
     n_trajectories: int
     outcome_counts: dict[str, int]
@@ -87,28 +81,26 @@ class EnsembleStats:
 
 
 def _count_supermartingale_violations(vt: np.ndarray) -> int:
-    """Mean-increment up-moves of Vt exceeding 3 standard errors.
+    """Record intervals where the mean increment of Vt (B, n_recorded) moves up.
 
-    A one-sided 3-SE test per record interval, which fires with probability
-    0.135% per interval at zero drift. Where L Vt <= 0 holds exactly it fired
-    less often: 200 seeds of configs/qubit.json's model (100 trajectories,
-    100 intervals) under square_of_sum (k = ell = 1) and under the open loop
-    read 0 of 20,000 intervals and 0 of 200 runs per law (95% upper bounds
-    1.5e-4 per interval and 1.5% per run).
+    It must exceed 3 standard errors, a one-sided test that fires with
+    probability 0.135% per interval at zero drift, and ROUNDOFF_ULPS eps
+    max(1, max |Vt| over the two slots): at rest on an eigenstate Vt is 0 (1
+    at an antipode) only to roundoff, a difference of moments of that order,
+    whose increments of a few ulps have a spread smaller still.
     """
     if vt.shape[0] < 2:
         return 0
     inc = np.diff(vt, axis=1)
     mean = inc.mean(axis=0)
     se = inc.std(axis=0, ddof=1) / np.sqrt(vt.shape[0])
-    return int(np.sum(mean > 3.0 * se))
+    scale = np.maximum(1.0, np.abs(vt).max(axis=0))
+    floor = ROUNDOFF_ULPS * np.finfo(float).eps * np.maximum(scale[:-1], scale[1:])
+    return int(np.sum((mean > 3.0 * se) & (mean > floor)))
 
 
 def reduce_batch(res: BatchResult, target: TargetSpec, sim: SimConfig) -> EnsembleStats:
-    """Classify every trajectory and average the certificates.
-
-    sim is not read: outcomes use integrate.CONVERGENCE_FIDELITY.
-    """
+    """Classify every trajectory and average the certificates; sim is not read."""
     b = len(res.indices)
     counts = {label: 0 for label in _outcome_labels(target)}
     for o in _classify(res.final_states, target):
@@ -147,10 +139,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
 
 
 def _write_columns(path: str | Path, header: list[str], columns: list) -> None:
-    """Header row, then row j holds entry j of every column in %.17g.
-
-    The header names need no CSV quoting; rows end in \r\n, as csv.writer's do.
-    """
+    """Header row, then row j holds entry j of every column in %.17g; rows end in \r\n."""
     row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     with open(path, "w", newline="") as fh:

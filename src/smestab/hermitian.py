@@ -1,11 +1,7 @@
-"""Hermitian matrix kernel: traces, moments and the density-cone check.
+"""Hermitian matrix kernel: traces, moments and the density-cone check, never a repair.
 
-Every function accepts stacked operands of shape (..., N, N) and broadcasts
-over the leading axes; a single matrix is the degenerate stack. The density
-cone is checked, never repaired: validate_density refuses a state whose
-smallest eigenvalue (min_eigenvalue: a radical at N = 2, eigvalsh above)
-lies below EIG_FLOOR. The integrator's density step keeps its rows on the
-cone by construction (see integrate._sme_step).
+Every function takes stacked (..., N, N) operands and broadcasts over the
+leading axes; a single matrix is the degenerate stack.
 """
 from __future__ import annotations
 
@@ -64,29 +60,16 @@ def purity(rho: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of stacked Hermitian matrices.
-
-    The 2x2 radical stays exact on degenerate spectra. Larger sizes go
-    through eigvalsh: a trigonometric 3x3 closed form was tried and dropped,
-    its arccos endpoint conditioning costs ~1e-8 absolute accuracy exactly on
-    the near-pure states this check has to resolve against EIG_FLOOR. The
-    radical is elementwise; eigvalsh reads a row-major copy.
-    """
-    m = np.asarray(m)
-    n = m.shape[-1]
-    if n == 2:
-        a = m[..., 0, 0].real
-        d = m[..., 1, 1].real
-        b = m[..., 0, 1]
-        mid = 0.5 * (a + d)
-        rad = np.sqrt((0.5 * (a - d)) ** 2 + (b * b.conj()).real)
-        return mid - rad
-    # on a row-major copy, so the call sees one layout whatever the caller's
+    """Smallest eigenvalue of stacked Hermitian matrices, by eigvalsh on a row-major copy."""
     return np.linalg.eigvalsh(np.ascontiguousarray(m))[..., 0]
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> None:
-    """Density-cone membership check: Hermitian, unit trace, spectrum above the floor."""
+    """Raise ValueError, naming name, unless every matrix of rho is on the density cone.
+
+    On the cone: Hermitian to HERMITICITY_TOL, trace 1 to TRACE_TOL, smallest
+    eigenvalue at least EIG_FLOOR.
+    """
     rho = np.asarray(rho)
     if not is_hermitian(rho):
         raise ValueError(f"{name} is not Hermitian within {HERMITICITY_TOL}")

@@ -1,48 +1,15 @@
-"""Integration of the conditioned dynamics, one or many paths.
+"""Integration of the conditioned dynamics: one lockstep step loop, run_batch.
 
-One step loop, run_batch, advances trajectories in lockstep. Trajectory
-index i draws its Brownian increments from column i % NOISE_BLOCK of a
-counter-based substream keyed (master_seed, i // NOISE_BLOCK), one per block
-of NOISE_BLOCK consecutive indices (see _brownian_increments). A path
-depends only on (master_seed, i), so it is bit-identical whether it runs
-alone or inside any batch, and reruns reproduce it exactly.
-
-States are stepped in C's eigenbasis (see dynamics): run_batch rotates the
-initial state in once, feedback, the detector record and the certificates
-read the populations and control rates there, and only the states it
-returns (final_states, states) are rotated back to the lab basis.
-
-Every step is the exact QND split of Rouchon and Ralph (PRA 91, 012118,
-2015), whose constant tables _split reads once per call off the two SME
-kernels, dynamics.sme_drift and dynamics.diffusion_term, which are Schur
-multipliers in C's eigenbasis: the control as a congruence K rho K^dag, then
-one Schur product with a constant table phi and one with the rank-one table
-s s^T of the record, renormalised. Both tables are positive semidefinite, so
-every density row stays Hermitian, of unit trace and on the cone by
-construction, and BatchResult.n_projected is always zero. A steered run
-takes the split on a (B, N, N) density stack (_sme_step), or at eta = 1 on
-a (B, N, 1) ket stack (_sse_step), where phi is rank one and the step is its
-rank-one factor. Open loop the split is a Schur product alone, so the N
-populations set <C>, the record and the next step: an open-loop run of
-either representation steps only its (N, B) population lanes
-(_population_step) and assembles the density from rho0's coherences at its
-record points (_assemble), so no path depends on the record stride.
-
-Per step the pre-step state is read once. On a steered step or a record
-point, X = h_b state and the moment table built from it (dynamics.moments)
-serve the law, the record point and the control term, and a steered step
-takes <C> from the table's C1 row; an open-loop step takes <C> from its
-population lanes. The density stack takes the layout
-dynamics._density_stack gives it, batch-last lanes at every N, and a
-steered density run builds the tables its steps and moment tables multiply
-by at that lane shape once per call; the ket stack is row-major. Every step
-leaves its input alone. One certificates call derives every certificate
-series from the recorded tables after the loop.
-
-One failure rule covers a bad step: a trace (or ket norm) that is not finite
-and positive raises IntegrationError naming the step. This takes a
-non-finite control (a gain whose law overflows), or a dt so large that the
-step's exponentials leave the floating-point range.
+A path depends only on (seed, trajectory index) (see _brownian_increments),
+so it is bit-identical alone, inside any batch and on rerun. Every step is
+the exact QND split of Rouchon and Ralph (PRA 91, 012118, 2015) in C's
+eigenbasis (see _split): steered, of a density stack (_sme_step) or at
+eta = 1 of a ket stack (_sse_step); open loop, of either representation's
+(N, B) population lanes alone (_population_step), with the density
+assembled at record points (_assemble). Every row stays on the density cone
+by construction, so BatchResult.n_projected is always zero. Failure rule: a
+trace (or ket norm) that is not finite and positive, as from a non-finite
+control or too large a dt, raises IntegrationError naming the step.
 """
 from __future__ import annotations
 
@@ -90,9 +57,9 @@ class IntegrationError(RuntimeError):
 class SimConfig:
     """Step size, horizon, seeding, and recording policy for one integration.
 
-    t_final must be a whole number of steps of dt, to a relative 1e-9. From
-    5e8 steps on that tolerance admits half a step, so such horizons are
-    refused rather than rounded.
+    ValueError unless dt > 0, t_final is a whole number of steps of dt to a
+    relative 1e-9 and under 5e8 of them (where that admits half a step),
+    seed lies in [0, 2**64), record_stride >= 1 and representation is known.
     """
 
     dt: float
@@ -130,10 +97,7 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """One recorded path with its certificate series and final classification.
-
-    states holds the recorded lab-basis densities as one (n_rec, N, N) array.
-    """
+    """One recorded path: its series, lab-basis states (n_recorded, N, N) and outcome."""
 
     times: np.ndarray
     states: np.ndarray
@@ -149,13 +113,10 @@ class Trajectory:
 
 
 class _Substream:
-    """The noise stream of one block of trajectory indices: Philox keyed (seed, block).
+    """The draws of Generator(Philox(key=[seed, block])), bit for bit, through a shared Generator.
 
-    Every substream of a batch draws through one shared Generator. Its Philox
-    state is set to this stream's before each draw and saved after it while
-    steps of the n_steps remain, so the draws are bit for bit those of
-    Generator(Philox(key=[seed, block])), without building (and seeding from
-    OS entropy) one Philox per block.
+    Its Philox state is set before each draw and saved after it, so no
+    Philox is built (and seeded from OS entropy) per block.
     """
 
     def __init__(self, gen: np.random.Generator, seed: int, block: int, n_steps: int):
@@ -188,7 +149,7 @@ def _substream(seed: int, block: int, gen: np.random.Generator, n_steps: int) ->
 
 
 def _noise_key(index) -> int:
-    """A trajectory index as the int it keys, else ValueError (see _brownian_increments)."""
+    """A trajectory index as the int it keys, else ValueError."""
     i = as_integer(index, "trajectory index")
     if not 0 <= i < 2**64:
         raise ValueError(f"trajectory index {i} does not fit in an unsigned 64-bit integer")
@@ -196,12 +157,7 @@ def _noise_key(index) -> int:
 
 
 def _noise_keys(indices) -> np.ndarray:
-    """Trajectory indices as the uint64 keys they stand for, else ValueError.
-
-    A list of plain ints is checked by its one conversion, which overflows on
-    any index outside [0, 2**64); any other list, or that overflow, goes
-    through _noise_key index by index, which names the bad index.
-    """
+    """Trajectory indices as uint64 keys, else ValueError naming the bad index (_noise_key)."""
     if set(map(type, indices)) == {int}:
         try:
             return np.array(indices, dtype=np.uint64)
@@ -211,14 +167,11 @@ def _noise_keys(indices) -> np.ndarray:
 
 
 def _brownian_increments(seed: int, indices: list[int], dt: float, n_steps: int):
-    """Return an iterator over the (B,) Brownian increments of steps 0..n_steps-1.
+    """An iterator over the (B,) Brownian increments of steps 0..n_steps-1.
 
-    Trajectory index i reads column i % NOISE_BLOCK of the substream of block
-    i // NOISE_BLOCK, so one draw serves up to NOISE_BLOCK trajectories and a
-    path depends only on (seed, i), never on the rest of the batch. Each
-    substream draws NOISE_WINDOW steps at a time, so memory stays bounded on
-    long horizons. An index must be an integer in [0, 2**64), the range of
-    the unsigned 64-bit key, else ValueError here, before any key is built.
+    Index i reads column i % NOISE_BLOCK of the Philox substream keyed
+    (seed, i // NOISE_BLOCK), drawn NOISE_WINDOW steps at a time. ValueError
+    on no index, or one that is not an integer in [0, 2**64).
     """
     if len(indices) == 0:
         raise ValueError("no trajectory indices to draw noise for")
@@ -264,11 +217,7 @@ def _check_target(model: ModelSpec, target: TargetSpec) -> None:
 
 
 def _mirror(table: np.ndarray) -> np.ndarray:
-    """An (N, N) table made exactly conjugate symmetric from its upper triangle.
-
-    exp does not promise exp(conj z) = conj(exp z) bit for bit, so every
-    table a step multiplies by is mirrored after it is formed.
-    """
+    """An (N, N) table made exactly conjugate symmetric from its upper triangle (for exp's)."""
     return np.triu(table) + np.triu(table, 1).conj().T
 
 
@@ -286,16 +235,14 @@ class Split(NamedTuple):
 
 
 def _split(model: ModelSpec, dt: float, b: int = 1) -> Split:
-    """The constant tables of the exact step at step size dt, for b rows.
+    """The constant tables of the exact step at step size dt, phi and coupling as (N, N, b) lanes.
 
-    In C's eigenbasis both SME kernels are Schur multipliers, so their tables
-    are read off the all-ones matrix J: sme_drift(J) is the drift table
-    T_ij = -i (a_i - a_j) - mu (c_i - c_j)^2 / 2 and diffusion_term(J) at
-    <C> = 0 the Zakai noise table S_ij = sqrt(mu eta) (c_i + c_j). With
-    L = (T - S S / 2) dt, phi = exp(L) and h_i = S_ii / 2. phi and kappa
-    are exactly conjugate symmetric. At eta = 1, phi_ij = v_i conj(v_j) with
-    v the ket column. phi and the coupling come as (N, N, b) lanes, one copy
-    per row; b = 1 gives (N, N, 1) tables, which broadcast against any batch.
+    Given dY the linear SME is a geometric Brownian motion per entry in C's
+    eigenbasis, so phi * rho * (s s^T), s_i = exp(h_i dY), renormalised, is
+    its exact open-loop step, with phi = exp(L), L = (T - S S / 2) dt and
+    h_i = S_ii / 2. The kernels' tables T = sme_drift(J) (open loop) and
+    S = diffusion_term(J) (<C> = 0) are read off the all-ones J. phi and kappa
+    are exactly conjugate symmetric; at eta = 1 phi_ij = v_i conj(v_j), v = ket.
     """
     ones = np.ones((model.n, model.n), dtype=complex)
     # kernels called positionally, so wrappers that take *args see every input
@@ -310,18 +257,16 @@ def _split(model: ModelSpec, dt: float, b: int = 1) -> Split:
         phi=np.repeat(phi[..., None], b, axis=-1), phi_ii=phi_ii,
         h=0.5 * np.diagonal(noise)[:, None], gain=2.0 * math.sqrt(model.mu * model.eta) * dt,
         coupling=np.repeat(model.coupling[..., None], b, axis=-1), dt=dt, kappa=kappa,
-        ket=np.exp(dt * model.ket_phase) * np.sqrt(phi_ii),
+        ket=np.exp(dt * (-1j * model.energies[:, None])) * np.sqrt(phi_ii),
     )
 
 
 def _record_scale(before, after, mean, dw, split) -> np.ndarray:
-    """s_i = exp(h_i dY) / sqrt(tr') of the split's record table s s^T, as (N, B) lanes.
+    """s_i = exp(h_i dY) / sqrt(tr') of the record table s s^T, as (N, B) lanes.
 
-    before and after are (N, B) population lanes: before the step's
-    congruence, whose trace sets dY = 2 sqrt(mu eta) <C> / tr dt + dW, and
-    after it, which set the new trace tr' = sum_i phi_ii p_i s_i^2, summed
-    in index order (see _sme_step). A trace that is not finite and positive
-    raises IntegrationError.
+    before, the populations before the control, set dY = gain <C> / tr + dW;
+    after, those after it, tr' = sum_i phi_ii p_i s_i^2 in index order. A tr'
+    that is not finite and positive raises IntegrationError.
     """
     dy = mean / sum_last(before.T)
     dy *= split.gain
@@ -340,13 +285,10 @@ def _record_scale(before, after, mean, dw, split) -> np.ndarray:
 
 
 def _population_step(p, mean, dw, split) -> np.ndarray:
-    """One open-loop split step of (N, B) population lanes, p_i = rho_ii.
+    """One open-loop split step of (N, B) population lanes p_i = rho_ii, as new lanes.
 
-    Open loop the split is a Schur product, so the populations alone set <C>,
-    the record and the next populations: p_i' = (p_i phi_ii)(s_i s_i) with s
-    from _record_scale, the diagonal of the full step with the same
-    operations in the same order, so every value read from populations is
-    bit for bit that of the full step. p is left unmodified.
+    p_i' = (p_i phi_ii)(s_i s_i): the full step's diagonal, by the same
+    operations in the same order, which open loop depends on nothing else.
     """
     s = _record_scale(p, p, mean, dw, split)
     nxt = p * split.phi_ii
@@ -355,30 +297,18 @@ def _population_step(p, mean, dw, split) -> np.ndarray:
 
 
 def _coherences(rho: np.ndarray) -> np.ndarray:
-    """coh_ij = rho_ij / (sqrt(p_i) sqrt(p_j)) of a (B, N, N) stack, in rho's layout.
-
-    An entry whose population product is zero (or a population below zero,
-    which validate_density admits to EIG_FLOOR) gets 0, not 0/0: a row of a
-    density whose population is zero is zero. coh is conjugate symmetric
-    bit for bit when rho is.
-    """
+    """coh_ij = rho_ij / (sqrt(p_i) sqrt(p_j)) of a (B, N, N) stack, 0 where a p is not positive."""
     root = np.sqrt(np.maximum(populations(rho), 0.0))
     scale = root[:, :, None] * root[:, None, :]
     return np.divide(rho, scale, out=np.zeros_like(rho), where=scale > 0.0)
 
 
 def _assemble(coh: np.ndarray, p: np.ndarray, k: int, split) -> np.ndarray:
-    """The open-loop density k steps after its base, from the base's coherences.
+    """The open-loop density k steps after its base, a new stack in _density_stack's layout.
 
-    k open-loop split steps multiply entry (i, j) by phi_ij^k and the
-    product of the records' s_i s_j, which the populations p (N, B) already
-    carry, so rho_ij(k) = coh_ij exp(k kappa_ij) sqrt(p_i) sqrt(p_j) with
-    coh = _coherences(base), and the diagonal is written as p exactly. coh,
-    exp(k kappa) (mirrored) and sqrt(p) sqrt(p)^T are positive semidefinite,
-    so the row is on the density cone by the Schur product theorem, and
-    each is conjugate symmetric bit for bit, so the row is exactly Hermitian.
-    An underflowed population gives zero coherences. The result is a new
-    (B, N, N) stack in the layout _density_stack gives.
+    rho_ij(k) = coh_ij exp(k kappa_ij) sqrt(p_i) sqrt(p_j) with
+    coh = _coherences(base) and p the (N, B) populations, diagonal p exactly:
+    three positive semidefinite, exactly conjugate symmetric factors.
     """
     b, n = coh.shape[:2]
     decay = _mirror(np.exp(k * split.kappa))
@@ -392,38 +322,19 @@ def _assemble(coh: np.ndarray, p: np.ndarray, k: int, split) -> np.ndarray:
 
 
 def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
-    """One steered exact QND split step of the density SME on a (B, N, N) stack.
+    """One steered split step of a (B, N, N) density stack, a new stack.
 
-    mean is <C> = sum_i c_i rho_ii, u one control per row, hr is h_b rho or
-    None, and split holds the tables of _split. Given the record increment
-    dY = 2 sqrt(mu eta) <C> / tr(rho) dt + dW of sqrt(mu) C, the linear SME
-    is a geometric Brownian motion per entry in C's eigenbasis, so with
-    s_i = exp(h_i dY) the open-loop step rho' = phi * rho * (s s^T) / tr is
-    exact (run_batch takes it as _population_step and _assemble). The
-    steered step first applies the control as the congruence K rho K^dag,
-    K = I - i u dt h_b, formed as rho + (Q + Q^dag) with Q = X G, X = h_b rho
-    and the per-row table G = (u dt)^2 h_b / 2 - i u dt I, one product of the
-    split's coupling lanes with a (B,) scalar. K rho K^dag, phi and s s^T
-    are positive semidefinite, so by the Schur product theorem every row
-    stays on the density cone, and every sum and product rounds entries
-    (i, j) and (j, i) alike, so a Hermitian row stays exactly Hermitian. The
-    new trace sum_i phi_ii rho_ii s_i^2 is read off the diagonal lanes alone
-    and 1 / sqrt(trace) folded into s, so the result has unit trace to
-    roundoff at any input trace. The step runs on (N, N, B) views, so on
-    batch-last lanes (see _density_stack) every temporary of the stack's
-    size and the result are lanes too; a row-major stack gives the same
-    values, as every operation is elementwise and every sum index-order.
-    rho is left unmodified. A trace that is not finite and positive raises
-    IntegrationError.
+    rho' = phi * (K rho K^dag) * (s s^T), K = I - i u dt h_b, formed as
+    rho + (Q + Q^dag) with Q = hr G, hr = h_b rho, G = (u dt)^2 h_b / 2 - i u dt I.
+    Each row stays on the cone and exactly Hermitian, of trace 1 to roundoff;
+    every operation is elementwise on (N, N, B) views, so any layout gives
+    the same values.
     """
     n = len(split.coupling)
-    if hr is None:
-        hr = _left_product(split.coupling[..., 0], rho)
     # (N, N, B) views, in whose C order the batch axis is innermost
     rho = rho.transpose(1, 2, 0)
     x = hr.transpose(1, 2, 0)
     eps = split.dt * u
-    # K rho K^dag = rho + (Q + Q^dag) with Q = X G, G = (u dt)^2 h_b / 2 - i u dt I
     g = split.coupling * (0.5 * eps * eps)
     # the diagonal lanes of the contiguous (N, N, B) table, as a view
     g.reshape(n * n, -1)[:: n + 1] -= 1j * eps
@@ -441,16 +352,11 @@ def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
 
 
 def _sse_step(psi, mean, u, hpsi, dw, split) -> np.ndarray:
-    """One steered exact QND split step of a (B, N, 1) ket stack, at eta = 1.
+    """One steered split step of a (B, N, 1) ket stack at eta = 1, a new stack.
 
-    mean is <C>, u one control per row, hpsi is h_b psi and split holds the
-    tables of _split. At eta = 1 phi is rank one, phi_ij = v_i conj(v_j)
-    with v = split.ket, so the density step on psi psi^dag is the pure state
-    (D K psi)(D K psi)^dag with D = diag(f): psi' = f * (K psi) / norm, with
-    K psi = psi - i u dt h_b psi, f = v exp(h dY) and dY = gain <C> + dW.
-    psi is left unmodified. The norm sqrt(sum_i |psi'_i|^2) is summed along
-    each row's own level axis, so no row depends on the batch. A norm that
-    is not finite and positive raises IntegrationError.
+    phi is rank one there, so the density step of psi psi^dag is pure:
+    psi' = ket exp(h dY) * (psi - i u dt hpsi) / norm, dY = gain <C> + dW.
+    A norm that is not finite and positive raises IntegrationError.
     """
     nxt = psi + (-1j * split.dt * u)[:, None, None] * hpsi
     dy = split.gain * mean + dw
@@ -466,7 +372,7 @@ def _sse_step(psi, mean, u, hpsi, dw, split) -> np.ndarray:
 
 @dataclass
 class BatchResult:
-    """Recorded series for a lockstep batch, trajectory-major."""
+    """run_batch's series, (B, n_recorded) at times, and lab-basis final (and recorded) states."""
 
     indices: list[int]
     times: np.ndarray
@@ -506,11 +412,7 @@ def _outcome_labels(target: TargetSpec) -> list[str]:
 
 
 def _classify(final: np.ndarray, target: TargetSpec) -> list[str]:
-    """Label each state by the first of [rho_d, *antipodal] it has converged to.
-
-    Converged means a population of at least CONVERGENCE_FIDELITY; a state
-    converged to none of them is "undetermined".
-    """
+    """Label each state by the first of [rho_d, *antipodal] it holds CONVERGENCE_FIDELITY of."""
     pops = np.stack(
         [np.einsum("ij,bji->b", p, final).real for p in [target.rho_d, *target.antipodal]],
         axis=1,
@@ -544,15 +446,12 @@ def run_batch(
     n_trajectories: int = 1,
     record_states: bool = False,
 ) -> BatchResult:
-    """Integrate trajectories in lockstep from a shared or stacked initial state.
+    """Integrate trajectories in lockstep from rho0, broadcast against (B, N, N).
 
-    rho0 is broadcast against (B, N, N), so one state may be shared by the
-    whole batch or each trajectory may start from its own. indices selects
-    each trajectory's noise (default 0..n_trajectories-1); every recorded scalar
-    series has shape (B, n_recorded). The "sse" representation needs eta = 1
-    and a rank-one rho0; a steered "sse" run advances the leading eigenvector
-    of rho0, and an open-loop run of either representation its populations. A
-    target whose c has other entries than model.c is refused (see _check_target).
+    indices selects each trajectory's noise (default 0..n_trajectories-1).
+    An "sse" run needs eta = 1 and a rank-one rho0. ValueError on an empty
+    batch, a bad index, rho0 off the cone, a target for another c or an
+    "sse" run that cannot start; IntegrationError by the failure rule.
     """
     if indices is None:
         indices = list(range(n_trajectories))
@@ -568,8 +467,7 @@ def run_batch(
     # the open-loop law's zeros are recorded, but no step forms a control term
     steered = ctrl.kind != "open_loop"
     ket = steered and sim.representation == "sse"
-    # the constant tables a steered density step and its moment table
-    # multiply by, built once per call at the batch's lane shape
+    # the tables a steered density step and its moment table multiply by, as lanes
     lanes = b if steered and not ket else 1
     split = _split(model, sim.dt, lanes)
     weights = np.repeat(target.observables.T[..., None], lanes, axis=-1)
@@ -580,8 +478,6 @@ def run_batch(
         state[...] = hermitize(rho0)
     step = _sse_step if ket else _sme_step
     if not steered:
-        # an open-loop run steps only its (N, B) population lanes, and
-        # assembles the density from rho0's coherences at its record points
         coh, pops = _coherences(state), np.ascontiguousarray(populations(state).T)
 
     n_steps = sim.n_steps
@@ -644,7 +540,7 @@ def simulate(
     sim: SimConfig,
     trajectory_index: int = 0,
 ) -> Trajectory:
-    """Integrate a single trajectory and record states and certificates."""
+    """run_batch of one trajectory, recording its states, as a Trajectory with its outcome."""
     res = run_batch(
         rho0, model, target, ctrl, sim, indices=[trajectory_index], record_states=True
     )

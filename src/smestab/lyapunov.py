@@ -1,41 +1,14 @@
 """Lyapunov certificates and the measurement-backaction feedback laws.
 
-Distance-to-target and collapse witnesses
+    V1 = tr(rho_d^2) - tr(rho_d rho),   V2 = <C^2> - <C>^2,   Vt = V1 + V2 / ell^2
+    L Vt  = -u T_ell - (4 mu eta / ell^2) V2^2
+    T_ell = tr(-i[h_b, rho] (rho_d + (2 <C> C - C^2) / ell^2))
+          = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2,   K_X = -i[X, h_b]
 
-    V1 = tr(rho_d^2) - tr(rho_d rho)
-    V2 = <C^2> - <C>^2
-    Vt = V1 + V2 / ell^2
-
-with the closed-form generator split along the control direction
-
-    L Vt = -u T_ell - (4 mu eta / ell^2) V2^2
-    T_ell = tr(-i[h_b, rho] (rho_d + (2 <C> C - C^2) / ell^2)).
-
-The square_of_sum law completes L Vt to a negative square:
-
-    u = k^2 T_ell - (4 k sqrt(mu eta) / ell) V2
-    L Vt = -(k T_ell - (2 sqrt(mu eta) / ell) V2)^2.
-
-As tr(-i[h_b, rho] X) = <K_X> with the constant Hermitian K_X = -i[X, h_b],
-laws and certificates read rho only through <O> = Re tr(O rho) for the seven
-rows of TargetSpec.observables (rho_d, C, C^2, C^3, K_rho_d, K_C, K_C2):
-
-    T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2,   linear u = k <K_rho_d>.
-
-All seven are diagonal or h_b-weighted in C's eigenbasis, so each is a fixed
-weighting of the populations p_i = rho_ii and the control rates
-r_i = Im (h_b rho)_ii there: <X> = sum_i x_i p_i and <K_X> = 2 sum_i x_i r_i.
-dynamics.moments builds this table. integrate.run_batch hands it
-X = h_b rho, which its control term reuses, and passes the table to the law;
-record points store it, and one certificates call per run derives every
-certificate series from them. generator_v reads L Vt from certificates too.
-
-v1, v2 and v_tilde keep their direct trace forms: the Monte-Carlo arbiter of
-the generator, generator_v_montecarlo_check, reads only them and the two SME
-kernels, so it shares no code with the closed form it judges. It averages Vt
-over (dW, -dW) pairs of one-step updates, which cancel the O(dW) term of the
-one-step difference exactly, so it sees a missing drift or a noise mis-scaled
-by 5% where the plain difference could not, at any draw seed.
+The square_of_sum law u = k^2 T_ell - (4 k sqrt(mu eta) / ell) V2 completes
+L Vt to -(k T_ell - (2 sqrt(mu eta) / ell) V2)^2. Laws and certificates read
+rho only through the seven moments of dynamics.moments; v1, v2 and v_tilde
+keep their trace forms for the arbiter, generator_v_montecarlo_check.
 """
 from __future__ import annotations
 
@@ -53,7 +26,7 @@ KINDS = ("open_loop", "linear", "sum_of_squares", "square_of_sum", "tuned")
 
 
 def _squared_gain(value, what: str) -> float:
-    """A gain the laws may square: finite and positive with a square in (0, inf), else ValueError."""
+    """A gain the laws may square: positive with a square in (0, inf), else ValueError."""
     x = as_real(value, what)
     if not (x > 0.0 and 0.0 < x * x < np.inf):
         raise ValueError(f"{what} must be positive with a finite nonzero square, got {x}")
@@ -61,10 +34,7 @@ def _squared_gain(value, what: str) -> float:
 
 
 def _certificate_inputs(rho, u, ell) -> float:
-    """Refuse what no certificate is defined at: rho off the cone, a non-finite u, a bad ell.
-
-    Returns ell as ControllerSpec accepts it.
-    """
+    """ell as ControllerSpec accepts it; ValueError on rho off the cone, non-finite u, bad ell."""
     validate_density(rho, name="rho")
     if u is not None and not np.all(np.isfinite(np.asarray(u, dtype=float))):
         raise ValueError(f"u must be finite, got {u!r}")
@@ -73,9 +43,9 @@ def _certificate_inputs(rho, u, ell) -> float:
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Feedback law selector with gain k > 0 and variance weight ell > 0.
+    """Feedback law selector with gain k and variance weight ell, which the laws square.
 
-    Each must be finite with a square in (0, inf), as the laws square both.
+    ValueError on an unknown kind, or a k or ell without a square in (0, inf).
     """
 
     kind: str
@@ -133,10 +103,7 @@ def _l0(var: np.ndarray, model: ModelSpec, ell: float) -> np.ndarray:
 
 
 def trace_term(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float) -> np.ndarray:
-    """T_ell = <K_rho_d> + (2 <C> <K_C> - <K_C2>) / ell^2 of a lab-basis density.
-
-    A rho off the cone or an ell that ControllerSpec refuses raises ValueError.
-    """
+    """T_ell of a lab-basis density; ValueError as in _certificate_inputs."""
     ell = _certificate_inputs(rho, None, ell)
     return _trace_term(moments(model.to_eigenbasis(rho), model, target), ell)
 
@@ -144,11 +111,7 @@ def trace_term(rho: np.ndarray, model: ModelSpec, target: TargetSpec, ell: float
 def generator_v(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, u, ell: float
 ) -> np.ndarray:
-    """Closed-form infinitesimal generator of Vt along the controlled diffusion.
-
-    A rho off the cone, a non-finite u or an ell that ControllerSpec refuses
-    raises ValueError.
-    """
+    """L Vt at control u of a lab-basis density, in closed form; ValueError as in trace_term."""
     ell = _certificate_inputs(rho, u, ell)
     m = moments(model.to_eigenbasis(rho), model, target)
     return certificates(m, model, target, u, ell)["lv"]
@@ -159,10 +122,8 @@ def certificates(
 ) -> dict[str, np.ndarray]:
     """Every recorded certificate at control u, from a (..., 7) table m of moments.
 
-    v1, v2, v_tilde; lv = L Vt at u, split into the drift part l0 and the
-    control derivative lb = -T_ell; third = <C^3> - 3 <C> <C^2> + 2 <C>^3, the
-    drift asymmetry of the collapse; fidelity = tr(rho_d rho). T_ell, V2 and
-    l0 are evaluated once each.
+    v1, v2, v_tilde; lv = L Vt = -u T_ell + l0 and lb = -T_ell;
+    third = <C^3> - 3 <C> <C^2> + 2 <C>^3; fidelity = tr(rho_d rho).
     """
     e1 = m[..., C1]
     var = _variance(m)
@@ -201,10 +162,7 @@ def feedback(
 def closed_loop_generator(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec
 ) -> np.ndarray:
-    """L Vt evaluated at u = feedback(rho); the law and L Vt read one moment table.
-
-    A rho off the cone raises ValueError.
-    """
+    """L Vt at u = feedback(rho), both from one moment table; ValueError on rho off the cone."""
     validate_density(rho, name="rho")
     m = moments(model.to_eigenbasis(rho), model, target)
     return certificates(m, model, target, feedback(rho, model, target, ctrl, m), ctrl.ell)["lv"]
@@ -220,18 +178,14 @@ def generator_v_montecarlo_check(
     dt: float = 1e-5,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Sampled estimate of L Vt at one state, independent of the closed form.
+    """Sampled L Vt at one state and its standard error, independent of the closed form.
 
-    Draws n_samples increments dW ~ N(0, dt) and averages Vt over the pairs of
-    one-step Euler-Maruyama updates rho + (F + D) dt +/- G dW (raw increments,
-    no cone projection); returns ((E[pair] - Vt(rho)) / dt, standard error).
-    Vt is quadratic in rho and the step linear in dW, so a pair cancels the
-    O(dW) term that dominates a plain one-step difference exactly. What is
-    left of the pair's deviation is -(tr C G)^2 (dW^2 / dt - 1) / ell^2, with
-    no 1/sqrt(dt) factor, and the estimate carries the plain estimator's bias
-    -(tr C (F + D))^2 dt / ell^2. The step is linear in dW, so the kick G is
-    rotated to the lab basis once, before it is scaled. A rho off the cone, a
-    non-finite u or an ell that ControllerSpec refuses raises ValueError.
+    Averages Vt over (dW, -dW) pairs of one-step Euler-Maruyama updates
+    rho + (F + D) dt +/- G dW from sme_drift and diffusion_term, n_samples
+    >= 1000 draws of N(0, dt), 0 < dt <= 1e-3, Philox keyed (seed, 0). A pair
+    cancels the O(dW) term exactly, leaving -(tr C G)^2 (dW^2 / dt - 1) / ell^2
+    and the bias -(tr C (F + D))^2 dt / ell^2. ValueError on rho off the cone,
+    a non-finite u, a bad ell, or n_samples, dt or seed out of range.
     """
     u = as_real(u, "u")
     ell = _certificate_inputs(rho, u, ell)

@@ -3,7 +3,7 @@ and the dense lab-basis forms of the conditioned equation used as oracles."""
 import numpy as np
 
 from smestab import ModelSpec, TargetSpec
-from smestab.dynamics import populations
+from smestab.dynamics import _left_product, populations, sme_drift
 from smestab.hermitian import dag
 from smestab.integrate import _assemble, _coherences, _population_step, _sme_step
 
@@ -66,6 +66,11 @@ def random_model(rng, n):
     return model, TargetSpec.for_model(model, rho_d)
 
 
+def drift_table(model):
+    """The drift's constant (N, N) table, read off the all-ones J as integrate._split reads it."""
+    return sme_drift(np.ones((model.n, model.n), dtype=complex), model, None)
+
+
 def dense_drift(rho, model, u):
     """-i [h_a + u h_b, rho] + mu D[c] rho in the lab basis, from the definition."""
     u = np.asarray(u)[..., None, None]
@@ -110,11 +115,13 @@ def dense_split_step(rho, model, u, dt, dw):
 def density_step(rho, mean, u, hr, dw, split):
     """One exact QND split step of a (B, N, N) stack in C's eigenbasis; u = None is open loop.
 
-    A steered step is integrate._sme_step. An open-loop step is the
-    composition run_batch takes: the population step, then a one-step
-    assembly from rho's coherences; hr is not read.
+    A steered step is integrate._sme_step, with h_b rho formed here from
+    split.coupling when hr is None. An open-loop step is the composition
+    run_batch takes: the population step, then a one-step assembly from
+    rho's coherences; hr is not read.
     """
     if u is not None:
+        hr = _left_product(split.coupling[..., 0], rho) if hr is None else hr
         return _sme_step(rho, mean, u, hr, dw, split)
     p = populations(rho).T
     return _assemble(_coherences(rho), _population_step(p, mean, dw, split), 1, split)

@@ -1,5 +1,7 @@
 """Ensemble reduction, outcome counting, and CSV emission."""
 import csv
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,10 @@ from smestab.ensemble import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from smestab.integrate import BatchResult
+from smestab.config import load_config
+from smestab.integrate import BatchResult, run_batch
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def synthetic_batch(final_states, n_steps=1000, n_rec=5):
@@ -101,6 +106,31 @@ def test_supermartingale_counter():
     vt_up[:, 3:] += 0.5  # one coherent up-move across the ensemble
     assert _count_supermartingale_violations(vt_up) == 1
     assert _count_supermartingale_violations(vt[:1]) == 0
+    # an ensemble at rest on an eigenstate: Vt is 0 or 1 to roundoff, and a
+    # coherent up-move of a few ulps is roundoff, not drift
+    for level in (0.0, 1.0):
+        at_rest = level + rng.normal(0.0, 1e-17, size=(10, 6))
+        at_rest[:, 3:] += 4.0 * np.spacing(max(level, 1.0))
+        assert _count_supermartingale_violations(at_rest) == 0
+    # a coherent up-move of 1e-11 under 1e-13 noise is far above the floor
+    small = rng.normal(0.0, 1e-13, size=(100, 6))
+    small[:, 3:] += 1e-11
+    assert _count_supermartingale_violations(small) == 1
+
+
+@pytest.mark.parametrize("name", ["qubit", "three_level"])
+def test_an_ensemble_at_rest_on_an_eigenstate_counts_no_violation(name):
+    # started at the target or at an antipode a path stays there under its
+    # config's law, so Vt is constant to roundoff, and no interval may count.
+    # One batch holds both ensembles of 10 paths: indices 0..9 twice, the
+    # first ten from the target; each row is what it would be alone
+    cfg = load_config(CONFIGS / f"{name}.json")
+    rho0 = np.stack([cfg.target.rho_d] * 10 + [cfg.target.antipodal[0]] * 10)
+    for seed in range(10):
+        sim = replace(cfg.sim, t_final=1.0, record_stride=10, seed=seed)
+        res = run_batch(rho0, cfg.model, cfg.target, cfg.controller, sim, list(range(10)) * 2)
+        for start in (res.v_tilde[:10], res.v_tilde[10:]):
+            assert _count_supermartingale_violations(start) == 0, (seed, start[0, 0])
 
 
 def test_run_ensemble_smoke():

@@ -92,14 +92,6 @@ def test_born_probabilities_resolve_identity():
     np.testing.assert_allclose(sum(probs), 1.0, atol=1e-12)
 
 
-def test_min_eigenvalue_qubit_radical_matches_eigvalsh():
-    rng = np.random.default_rng(9)
-    m = hermitize(rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2)))
-    np.testing.assert_allclose(
-        min_eigenvalue(m), np.linalg.eigvalsh(m)[..., 0], rtol=0, atol=1e-13
-    )
-
-
 def test_min_eigenvalue_exact_on_degenerate_projectors():
     # regression: an arccos-based 3x3 closed form returned -5.7e-9 here, below
     # the validity floor, spuriously rejecting exact density matrices

@@ -1190,7 +1190,7 @@ def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
         u = feedback(rho, model, target, ctrl, m)
         mean = m[..., dynamics.C1]
         steps = [density_step(rho, mean, law, hr, dw, split) for law in (None, u)]
-        outputs.append((hr, m, mean_level(rho, model), sme_drift(rho, model, u, hr),
+        outputs.append((hr, m, mean_level(rho, model), sme_drift(rho, model, u),
                         diffusion_term(rho, mean, model), min_eigenvalue(rho), *steps))
     for nxt in outputs[0][-2:]:
         assert nxt.strides[0] < min(nxt.strides[1:])
