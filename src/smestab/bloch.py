@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import ModelSpec
 from .integrate import SimConfig, _brownian_increments, _record_slots
 from .lyapunov import ControllerSpec
+from .params import as_integer
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -147,8 +148,10 @@ def levelset_table(
     """Closed-loop L Vt <= 0 of the square_of_sum law on a (y, z) grid over [-1, 1]^2.
 
     Flat arrays y, z, lv and physical (1 inside the unit disc). ValueError on
-    a resolution below 2, or a k, ell, mu or eta that a run would refuse.
+    a resolution that is not an integer of at least 2, or a k, ell, mu or eta
+    that a run would refuse.
     """
+    resolution = as_integer(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     ControllerSpec("square_of_sum", k, ell)

@@ -12,8 +12,10 @@ term multiplies matrices:
     (F + D)_ij = (-i (a_i - a_j) - mu (c_i - c_j)^2 / 2) rho_ij - i u [h_b, rho]_ij
     G_ij       = sqrt(mu eta) (c_i + c_j - 2 <C>) rho_ij.
 
-sme_drift and diffusion_term (sse_drift and sse_diffusion for kets) are the
-one definition of these coefficients. Every kernel takes states in that
+sme_drift and diffusion_term are the one definition of these coefficients:
+integrate._split reads its tables off them, and every step, ket or density,
+reads those tables. No step calls sse_drift or sse_diffusion, the ket's
+forms; only tests and tracing reach them. Every kernel takes states in that
 basis, densities (..., N, N) or ket columns (..., N, 1).
 """
 from __future__ import annotations
@@ -174,12 +176,16 @@ class TargetSpec:
 
 
 def _left_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """h @ x for a constant (N, N) h: a matmul on ket columns, index-order adds on densities."""
+    """h @ x, h (N, N) or stacked: a matmul on ket columns, index-order adds on densities.
+
+    The one product of density stacks: each entry is sum_k h_ik x_kj, added
+    in k order by elementwise operations, so no row depends on the batch.
+    """
     if x.shape[-1] == 1:
         return h @ x
-    out = h[:, :1] * x[..., :1, :]
-    for k in range(1, h.shape[0]):
-        out += h[:, k : k + 1] * x[..., k : k + 1, :]
+    out = h[..., :, :1] * x[..., :1, :]
+    for k in range(1, x.shape[-2]):
+        out += h[..., :, k : k + 1] * x[..., k : k + 1, :]
     return out
 
 

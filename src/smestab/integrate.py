@@ -327,28 +327,23 @@ def _sme_step(rho, mean, u, hr, dw, split) -> np.ndarray:
     rho' = phi * (K rho K^dag) * (s s^T), K = I - i u dt h_b, formed as
     rho + (Q + Q^dag) with Q = hr G, hr = h_b rho, G = (u dt)^2 h_b / 2 - i u dt I.
     Each row stays on the cone and exactly Hermitian, of trace 1 to roundoff;
-    every operation is elementwise on (N, N, B) views, so any layout gives
-    the same values.
+    Q is _left_product's and every other operation is elementwise on the
+    stack's own view, so any layout gives the same values.
     """
     n = len(split.coupling)
-    # (N, N, B) views, in whose C order the batch axis is innermost
-    rho = rho.transpose(1, 2, 0)
-    x = hr.transpose(1, 2, 0)
     eps = split.dt * u
     g = split.coupling * (0.5 * eps * eps)
-    # the diagonal lanes of the contiguous (N, N, B) table, as a view
+    # the diagonal lanes of the contiguous (N, N, B) table, as a view: on a
+    # transposed table the reshape would copy, and the write would be lost
     g.reshape(n * n, -1)[:: n + 1] -= 1j * eps
-    q = x[:, :1] * g[:1]
-    term = np.empty_like(q)
-    for k in range(1, n):
-        q += np.multiply(x[:, k : k + 1], g[k : k + 1], out=term)
-    q += np.conjugate(q.transpose(1, 0, 2), out=term)
+    q = _left_product(hr, g.transpose(2, 0, 1))
+    q += np.conj(q.swapaxes(-1, -2))
     q += rho
-    s = _record_scale(rho.diagonal(0, 0, 1).real.T, q.diagonal(0, 0, 1).real.T, mean, dw, split)
+    s = _record_scale(populations(rho).T, populations(q).T, mean, dw, split)
     # the step owns the congruence it formed, so it scales that in place
-    q *= split.phi
-    q *= s[:, None] * s[None]
-    return q.transpose(2, 0, 1)
+    q *= split.phi.transpose(2, 0, 1)
+    q *= (s[:, None] * s[None]).transpose(2, 0, 1)
+    return q
 
 
 def _sse_step(psi, mean, u, hpsi, dw, split) -> np.ndarray:
@@ -361,6 +356,7 @@ def _sse_step(psi, mean, u, hpsi, dw, split) -> np.ndarray:
     nxt = psi + (-1j * split.dt * u)[:, None, None] * hpsi
     dy = split.gain * mean + dw
     nxt *= split.ket * np.exp(split.h * dy[:, None, None])
+    # its own sum, not _record_scale's: index-order adds over N lanes cost more at N = 8, B = 100
     norm = np.sqrt(populations(nxt).sum(-1))
     # a nan fails both comparisons
     if not (norm.min() > 0.0 and norm.max() < np.inf):
@@ -450,11 +446,12 @@ def run_batch(
 
     indices selects each trajectory's noise (default 0..n_trajectories-1).
     An "sse" run needs eta = 1 and a rank-one rho0. ValueError on an empty
-    batch, a bad index, rho0 off the cone, a target for another c or an
-    "sse" run that cannot start; IntegrationError by the failure rule.
+    batch, an n_trajectories that is not an integer, a bad index, rho0 off
+    the cone, a target for another c or an "sse" run that cannot start;
+    IntegrationError by the failure rule.
     """
     if indices is None:
-        indices = list(range(n_trajectories))
+        indices = list(range(as_integer(n_trajectories, "n_trajectories")))
     b = len(indices)
     if b == 0:
         raise ValueError("run_batch needs at least one trajectory")

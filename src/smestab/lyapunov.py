@@ -145,7 +145,11 @@ def certificates(
 def feedback(
     rho: np.ndarray, model: ModelSpec, target: TargetSpec, ctrl: ControllerSpec, m=None
 ) -> np.ndarray:
-    """Control value of the selected law at a lab-basis density, or at the moments m if given."""
+    """Control value of the selected law at a lab-basis density rho, or at the moments m if given.
+
+    With m given, rho is read only for its batch shape: run_batch passes its
+    eigenbasis state, which the m = None path would rotate a second time.
+    """
     if ctrl.kind == "open_loop":
         return np.zeros(np.asarray(rho).shape[:-2])
     m = moments(model.to_eigenbasis(rho), model, target) if m is None else m

@@ -186,3 +186,8 @@ def test_levelset_table_structure():
     poles = (np.abs(tab["y"]) < 1e-12) & (np.abs(np.abs(tab["z"]) - 1.0) < 1e-12)
     assert poles.sum() == 2
     np.testing.assert_array_equal(tab["lv"][poles], 0.0)
+    # the resolution follows the package's integer rule
+    for resolution in (True, 2.5):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            levelset_table(1.0, 1.0, 1.0, 0.5, resolution=resolution)
+    assert levelset_table(1.0, 1.0, 1.0, 0.5, resolution=3.0)["lv"].shape == (9,)

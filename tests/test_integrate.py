@@ -126,6 +126,11 @@ def test_run_batch_refuses_an_empty_batch_and_a_state_off_the_cone():
         run_batch(RHO_D2, model, target, ctrl, sim, indices=[])
     with pytest.raises(ValueError, match="at least one trajectory"):
         run_batch(RHO_D2, model, target, ctrl, sim, n_trajectories=0)
+    # the count follows the package's integer rule, as EnsembleConfig's does
+    for count in (True, 2.5):
+        with pytest.raises(ValueError, match="n_trajectories must be an integer"):
+            run_batch(RHO_D2, model, target, ctrl, sim, n_trajectories=count)
+    assert run_batch(RHO_D2, model, target, ctrl, sim, n_trajectories=3.0).indices == [0, 1, 2]
     half = np.eye(2, dtype=complex) / 2
     negative = np.diag([1.2, -0.2]).astype(complex)
     skew = half + np.array([[0.0, 0.1], [0.0, 0.0]])
@@ -986,11 +991,13 @@ def test_coarse_density_steps_leave_their_input_unmodified():
     on_the_cone(rho)
 
 
-def _count_calls(monkeypatch, names):
+def _count_calls(monkeypatch, names, coupling=None):
     """Count the calls run_batch makes to names on smestab.integrate.
 
-    h_b state is counted wherever it is formed: the step kernels and moments
-    form it in dynamics when they are not handed the loop's.
+    h_b state is counted wherever it is formed: moments forms it in dynamics
+    when it is not handed the loop's. Given coupling, a _left_product call
+    counts only if that is its left operand, so the steered density step's
+    own product, (h_b rho) G, is not an h_b state product.
     """
     counts = dict.fromkeys(names, 0)
     for module in (integrate, dynamics):
@@ -1001,7 +1008,8 @@ def _count_calls(monkeypatch, names):
                 real = getattr(module, name)
 
                 def counted(*args, _real=real, _name=name, **kwargs):
-                    counts[_name] += 1
+                    if _name != "_left_product" or coupling is None or args[0] is coupling:
+                        counts[_name] += 1
                     return _real(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
@@ -1020,14 +1028,14 @@ def test_each_step_reads_its_state_once(monkeypatch, representation):
     names = ("moments", "_left_product", "mean_level", "feedback", "_population_step",
              "_assemble")
     steered = SimConfig(dt=1e-3, t_final=0.05, seed=4, representation=representation)
-    counts = _count_calls(monkeypatch, names)
+    counts = _count_calls(monkeypatch, names, model.coupling)
     run_batch(rho0, model, target, ControllerSpec(kind="square_of_sum"), steered, n_trajectories=3)
     n = steered.n_steps
     assert counts == {"moments": n + 1, "_left_product": n + 1, "mean_level": 0, "feedback": n + 1,
                       "_population_step": 0, "_assemble": 0}
     open_loop = SimConfig(dt=1e-3, t_final=1.0, seed=4, record_stride=200,
                           representation=representation)
-    counts = _count_calls(monkeypatch, names)
+    counts = _count_calls(monkeypatch, names, model.coupling)
     res = run_batch(rho0, model, target, ControllerSpec(kind="open_loop"), open_loop,
                     n_trajectories=3)
     n, points = open_loop.n_steps, len(res.times)
@@ -1171,7 +1179,8 @@ def test_rows_equal_solo_runs_at_every_batch_position(monkeypatch, case):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
     # the kernels that read the lane stack, fed its row-major copy, agree bit
-    # for bit; the step hands lanes back in lanes
+    # for bit; the step hands lanes back in lanes; the product of two stacks
+    # gives each row what that row alone gives
     rng = np.random.default_rng(30 + n)
     model, target = random_model(rng, n)
     ctrl = ControllerSpec(kind="square_of_sum", k=2.0, ell=0.5)
@@ -1191,11 +1200,15 @@ def test_step_kernels_give_lanes_and_a_row_major_copy_the_same_rows(n):
         mean = m[..., dynamics.C1]
         steps = [density_step(rho, mean, law, hr, dw, split) for law in (None, u)]
         outputs.append((hr, m, mean_level(rho, model), sme_drift(rho, model, u),
-                        diffusion_term(rho, mean, model), min_eigenvalue(rho), *steps))
+                        diffusion_term(rho, mean, model), min_eigenvalue(rho),
+                        _left_product(hr, rho), *steps))
     for nxt in outputs[0][-2:]:
         assert nxt.strides[0] < min(nxt.strides[1:])
     for got, want in zip(*outputs):
         assert np.array_equal(got, want)
+    stacked = outputs[0][-3]
+    for i in range(b):
+        assert np.array_equal(_left_product(hr[i], lanes[i]), stacked[i]), i
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
