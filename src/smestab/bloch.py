@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import ModelSpec
+from .hermitian import validate_density
 from .integrate import SimConfig, _brownian_increments, _record_slots
 from .lyapunov import ControllerSpec
-from .params import as_integer
+from .params import as_integer, as_real
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -115,15 +116,19 @@ def integrate_bloch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, paths (B, n_recorded, 3)) of lockstep bloch_split_step paths on run_batch's noise.
 
-    ValueError on an "sse" sim or a b0 that is not one (3,) vector.
+    ValueError where run_batch would refuse the qubit run: an "sse" sim, an
+    n_trajectories that is not an integer, an omega, mu or eta that ModelSpec
+    refuses, or a b0 that is not one (3,) vector in the Bloch ball.
     """
     if indices is None:
-        indices = list(range(n_trajectories))
+        indices = list(range(as_integer(n_trajectories, "n_trajectories")))
     if sim.representation != "sme":
         raise ValueError("integrate_bloch implements the density representation only")
+    ModelSpec(h_a=as_real(omega, "omega") * SIGMA_Z, h_b=SIGMA_X, c=SIGMA_Z, mu=mu, eta=eta)
     b0 = np.asarray(b0, dtype=float)
     if b0.shape != (3,):
         raise ValueError("b0 must be a single Bloch vector of shape (3,)")
+    validate_density(to_density(b0), name="b0")
     n_steps = sim.n_steps
     slots = _record_slots(n_steps, sim.record_stride)
     slot_of = {int(k): j for j, k in enumerate(slots)}

@@ -3,8 +3,7 @@
 Exit codes: 0 success; 2 a configuration or validation error, an output path
 that cannot be created or written (the directory is made once the inputs are
 accepted, before any integration) or inputs too large to allocate; 3 a
-numerical failure (integrate's failure rule, naming the step). simulate and
-ensemble print the run's positivity clip count, which is always 0.
+numerical failure (integrate's failure rule, naming the step).
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from .analysis import kalman_like_rank, strong_regularity, unjoined_levels
 from .bloch import levelset_table
-from .config import ConfigError, load_config
+from .config import load_config
 from .ensemble import (
     run_ensemble,
     write_levelset_csv,
@@ -109,7 +108,7 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {path}")
     print(
         f"outcome={traj.outcome} final_fidelity={traj.fidelity_target[-1]:.6f} "
-        f"steps={traj.n_steps} projected={traj.n_projected}"
+        f"steps={traj.n_steps}"
     )
     return EXIT_OK
 
@@ -127,8 +126,7 @@ def _cmd_ensemble(args) -> int:
         f"trajectories={stats.n_trajectories} "
         f"target_frequency={stats.target_frequency:.4f} "
         f"(stderr {stats.target_frequency_stderr:.4f}) "
-        f"supermartingale_violations={stats.supermartingale_violations} "
-        f"projected={stats.n_projected}/{stats.n_trajectories * stats.n_steps}"
+        f"supermartingale_violations={stats.supermartingale_violations}"
     )
     return EXIT_OK
 
@@ -176,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError, MemoryError) as exc:  # numpy's names the array's shape
+    except (ValueError, MemoryError) as exc:  # numpy's names the array's shape
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # its message names the path

@@ -72,8 +72,6 @@ class EnsembleStats:
     mean_purity: np.ndarray
     mean_fidelity: np.ndarray
     supermartingale_violations: int
-    n_projected: int  # always 0, as no step clips; the CLI prints it
-    n_steps: int  # per trajectory
     # every trajectory counts; acceptance criteria 6 and 7 read it
     n_valid = property(lambda self: self.n_trajectories)
     # always empty, as no trajectory is excluded; bench/workloads.py reads it
@@ -119,8 +117,6 @@ def reduce_batch(res: BatchResult, target: TargetSpec, sim: SimConfig) -> Ensemb
         mean_purity=res.purity.mean(axis=0),
         mean_fidelity=res.fidelity.mean(axis=0),
         supermartingale_violations=_count_supermartingale_violations(res.v_tilde),
-        n_projected=int(res.n_projected.sum()),
-        n_steps=res.n_steps,
     )
 
 

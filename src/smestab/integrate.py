@@ -7,9 +7,9 @@ eigenbasis (see _split): steered, of a density stack (_sme_step) or at
 eta = 1 of a ket stack (_sse_step); open loop, of either representation's
 (N, B) population lanes alone (_population_step), with the density
 assembled at record points (_assemble). Every row stays on the density cone
-by construction, so BatchResult.n_projected is always zero. Failure rule: a
-trace (or ket norm) that is not finite and positive, as from a non-finite
-control or too large a dt, raises IntegrationError naming the step.
+by construction, so no step repairs one. Failure rule: a trace (or ket norm)
+that is not finite and positive, as from a non-finite control or too large a
+dt, raises IntegrationError naming the step.
 """
 from __future__ import annotations
 
@@ -108,7 +108,6 @@ class Trajectory:
     fidelity_target: np.ndarray
     purity: np.ndarray
     n_steps: int
-    n_projected: int
     trajectory_index: int = 0
 
 
@@ -385,10 +384,10 @@ class BatchResult:
     purity: np.ndarray
     final_states: np.ndarray
     n_steps: int
-    n_projected: np.ndarray
     states: np.ndarray | None = field(default=None, repr=False)
-    # always zeros, as a bad step raises; bench/tracing.py reads it
-    n_rejected = property(lambda self: np.zeros(len(self.indices), dtype=int))
+    # always zeros, as no step repairs a row and a bad step raises; bench/tracing.py
+    # and acceptance criterion 2 read them
+    n_projected = n_rejected = property(lambda self: np.zeros(len(self.indices), dtype=int))
 
 
 def _record_slots(n_steps: int, stride: int) -> np.ndarray:
@@ -522,8 +521,6 @@ def run_batch(
         times=slots * sim.dt,
         final_states=model.from_eigenbasis(density(state)),
         n_steps=n_steps,
-        # no step clips: the field stays for the callers that report it
-        n_projected=np.zeros(b, dtype=int),
         states=None if states is None else model.from_eigenbasis(states),
         **out,
     )
@@ -542,7 +539,7 @@ def simulate(
         rho0, model, target, ctrl, sim, indices=[trajectory_index], record_states=True
     )
     # in LyapunovReport field order
-    series = (res.v1, res.v2, res.v_tilde, res.lv, res.l0, res.lb, res.third)
+    series = (res.v1, res.v2, res.v_tilde, res.lv)
     rows = np.stack([c[0] for c in series], axis=1).tolist()
     return Trajectory(
         times=res.times,
@@ -554,6 +551,5 @@ def simulate(
         fidelity_target=res.fidelity[0],
         purity=res.purity[0],
         n_steps=res.n_steps,
-        n_projected=int(res.n_projected[0]),
-        trajectory_index=trajectory_index,
+        trajectory_index=res.indices[0],
     )

@@ -67,9 +67,6 @@ class LyapunovReport:
     v2: float
     v_tilde: float
     lv_closed_loop: float
-    l0_v: float
-    lb_v: float
-    third_moment: float
 
 
 def v1(rho: np.ndarray, target: TargetSpec) -> np.ndarray:

@@ -135,6 +135,19 @@ def test_reduced_integrator_refuses_what_it_cannot_run():
             integrate_bloch(bad, 1.0, ctrl, 1.0, 0.5, sim)
     with pytest.raises(ValueError, match="no trajectory indices"):
         integrate_bloch(b0, 1.0, ctrl, 1.0, 0.5, sim, indices=[])
+    # the count, the rates and the start follow the rules run_batch applies to the same run
+    for count in (True, 2.5):
+        with pytest.raises(ValueError, match="n_trajectories must be an integer"):
+            integrate_bloch(b0, 1.0, ctrl, 1.0, 0.5, sim, n_trajectories=count)
+    assert integrate_bloch(b0, 1.0, ctrl, 1.0, 0.5, sim, n_trajectories=3.0)[1].shape[0] == 3
+    for mu, eta, message in ((0.0, 0.5, "mu must be positive"), (-1.0, 0.5, "mu must be positive"),
+                             (1.0, 1.5, "eta must lie in")):
+        with pytest.raises(ValueError, match=message):
+            integrate_bloch(b0, 1.0, ctrl, mu, eta, sim)
+    with pytest.raises(ValueError, match="omega must be a finite number"):
+        integrate_bloch(b0, np.inf, ctrl, 1.0, 0.5, sim)
+    with pytest.raises(ValueError, match="b0 has an eigenvalue below"):
+        integrate_bloch(np.ones(3), 1.0, ctrl, 1.0, 0.5, sim)
 
 
 def test_reduced_integrator_matches_matrix_engine():

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smestab import ControllerSpec
 from smestab.cli import main
-from smestab.config import ConfigError, config_from_dict, load_config, parse_matrix
+from smestab.config import config_from_dict, load_config, parse_matrix
 from smestab.hermitian import validate_density
 from smestab.integrate import run_batch
 
@@ -64,19 +66,19 @@ def test_parse_matrix_accepts_re_im_pairs():
 
 
 def test_parse_matrix_rejects_malformed_input():
-    with pytest.raises(ConfigError, match="non-empty"):
+    with pytest.raises(ValueError, match="non-empty"):
         parse_matrix([])
-    with pytest.raises(ConfigError, match="pair"):
+    with pytest.raises(ValueError, match="pair"):
         parse_matrix([[1.0, 2.0]])
-    with pytest.raises(ConfigError, match="pair"):
+    with pytest.raises(ValueError, match="pair"):
         parse_matrix([[[1, 0, 0]]])
-    with pytest.raises(ConfigError, match="ragged"):
+    with pytest.raises(ValueError, match="ragged"):
         parse_matrix([[[1, 0], [0, 0]], [[1, 0]]])
     # booleans and non-finite parts are refused, and the entry is named
     for bad in (True, False, float("nan"), float("inf"), -float("inf"), "1", None, 10**400):
-        with pytest.raises(ConfigError, match=r"^model\.c\[1\]\[0\] re must be a finite number"):
+        with pytest.raises(ValueError, match=r"^model\.c\[1\]\[0\] re must be a finite number"):
             parse_matrix([[[1, 0], [0, 0]], [[bad, 0], [1, 0]]], "model.c")
-        with pytest.raises(ConfigError, match=r"^rho0\[0\]\[1\] im must be a finite number"):
+        with pytest.raises(ValueError, match=r"^rho0\[0\]\[1\] im must be a finite number"):
             parse_matrix([[[1, 0], [0, bad]], [[0, 0], [1, 0]]], "rho0")
 
 
@@ -88,7 +90,7 @@ def test_json_booleans_and_non_finite_literals_in_a_matrix_are_config_errors(tmp
             '"h_b": [[[0, 0], [1, 0]]', f'"h_b": [[[0, 0], [{token}, 0]]'
         )
         assert token in text
-        with pytest.raises(ConfigError, match=rf"{re.escape(entry)} must be a finite number"):
+        with pytest.raises(ValueError, match=rf"{re.escape(entry)} must be a finite number"):
             config_from_dict(json.loads(text))
         path = tmp_path / "run.json"
         path.write_text(text)
@@ -143,13 +145,13 @@ def test_the_matrices_fix_n_and_a_leftover_n_key_is_not_read(tmp_path, capsys):
 def test_config_missing_section_and_wrapped_errors():
     doc = qubit_doc()
     del doc["target"]
-    with pytest.raises(ConfigError, match="target"):
+    with pytest.raises(ValueError, match="target"):
         config_from_dict(doc)
     doc = qubit_doc()
     doc["model"]["mu"] = -1.0
-    with pytest.raises(ConfigError, match="mu"):
+    with pytest.raises(ValueError, match="mu"):
         config_from_dict(doc)
-    with pytest.raises(ConfigError, match="2x2 or more"):
+    with pytest.raises(ValueError, match="2x2 or more"):
         config_from_dict(one_level_doc())
     bad_integers = (
         ("sim", "record_stride", 2.5),
@@ -162,7 +164,7 @@ def test_config_missing_section_and_wrapped_errors():
     for section, key, value in bad_integers:
         doc = qubit_doc()
         doc[section][key] = value
-        with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+        with pytest.raises(ValueError, match=f"{section}.{key} must be an integer"):
             config_from_dict(doc)
     bad_reals = (
         ("sim", "dt", True),
@@ -175,11 +177,11 @@ def test_config_missing_section_and_wrapped_errors():
     for section, key, value in bad_reals:
         doc = qubit_doc()
         doc[section][key] = value
-        with pytest.raises(ConfigError, match=f"{section}.{key} must be a finite number"):
+        with pytest.raises(ValueError, match=f"{section}.{key} must be a finite number"):
             config_from_dict(doc)
     # NaN is what json reads from a bare NaN token
     doc = json.loads(json.dumps(qubit_doc()).replace('"mu": 1.0', '"mu": NaN'))
-    with pytest.raises(ConfigError, match="model.mu must be a finite number"):
+    with pytest.raises(ValueError, match="model.mu must be a finite number"):
         config_from_dict(doc)
 
 
@@ -192,7 +194,7 @@ def test_integer_keys_get_one_verdict_through_the_config_and_the_dataclasses(sec
     doc[section][key] = value
     try:
         loaded = config_from_dict(doc)
-    except ConfigError as exc:
+    except ValueError as exc:
         assert f"{section}.{key} must be an integer" in str(exc)
         loaded = None
     base = config_from_dict(qubit_doc())
@@ -228,7 +230,7 @@ def test_real_keys_get_one_verdict_through_the_config_and_the_dataclasses(sectio
     doc[section][key] = value
     try:
         loaded = getattr(config_from_dict(doc), section)
-    except ConfigError as exc:
+    except ValueError as exc:
         assert f"{section}.{key} must be a finite number" in str(exc)
         loaded = None
     try:
@@ -287,12 +289,59 @@ def test_load_config(tmp_path):
     path = write_doc(tmp_path, qubit_doc())
     cfg = load_config(path)
     assert cfg.sim.seed == 42
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="cannot read .*absent.json"):
         load_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="bad.json is not valid JSON"):
         load_config(bad)
+    bad.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError, match="bad.json is not valid JSON"):
+        load_config(bad)
+    bad.write_text("[]")
+    with pytest.raises(ValueError, match="bad.json: top level must be an object"):
+        load_config(bad)
+
+
+def _leaves(doc, at=()):
+    """(path, value) of every entry of a parsed JSON document that is no object or array."""
+    if not isinstance(doc, (dict, list)):
+        return [(at, doc)]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [leaf for key, value in items for leaf in _leaves(value, (*at, key))]
+
+
+def _json_type(value):
+    return {bool: "boolean", int: "number", float: "number", str: "string", type(None): "null",
+            list: "array", dict: "object"}[type(value)]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_shipped_config_with_a_leaf_of_another_type_is_valid_or_exits_2(tmp_path_factory, data):
+    # every fault is a ValueError naming its key, so validate loads the
+    # mutant or exits 2 and never raises; each key is drawn as often as
+    # each other, a matrix entry as often as a scalar
+    doc = json.loads(data.draw(st.sampled_from(SHIPPED_CONFIGS)).read_text())
+    keys = {at: tuple(k for k in at if isinstance(k, str)) for at, _ in _leaves(doc)}
+    key = data.draw(st.sampled_from(sorted(set(keys.values()))))
+    at, old = data.draw(st.sampled_from([leaf for leaf in _leaves(doc) if keys[leaf[0]] == key]))
+    new = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = new
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) in (0, 2), (at, new)
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -397,13 +446,13 @@ def test_cli_ensemble_writes_summary(tmp_path, capsys):
 
 
 def test_cli_exits_3_naming_the_step_whose_trace_is_not_positive(tmp_path, capsys):
-    # k = 1e10 steps fine and clips nothing; at k = 1.3e154 the law k^2 T_ell
-    # overflows to inf from a coherent start, and both commands exit 3 naming
-    # step 0
+    # k = 1e10 steps fine; at k = 1.3e154 the law k^2 T_ell overflows to inf
+    # from a coherent start, and both commands exit 3 naming step 0
     doc = qubit_doc(rho0=[[[0.9, 0], [0, -0.3]], [[0, 0.3], [0.1, 0]]])
     doc["controller"]["k"] = 1e10
     path = write_doc(tmp_path, doc)
-    for command, pattern in (("simulate", r" projected=0$"), ("ensemble", r" projected=0/\d+$")):
+    for command, pattern in (("simulate", r" steps=\d+$"),
+                             ("ensemble", r" supermartingale_violations=\d+$")):
         assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
         out, err = capsys.readouterr()
         assert re.search(pattern, out, re.M) and err == "", (out, err)
@@ -532,7 +581,7 @@ def test_cli_missing_config_is_a_usage_error(tmp_path, capsys):
 
 def test_a_non_object_ensemble_section_is_a_config_error(tmp_path, capsys):
     for section in ([{"n_trajectories": 5}], 5, "many", None):
-        with pytest.raises(ConfigError, match="section 'ensemble' must be an object"):
+        with pytest.raises(ValueError, match="section 'ensemble' must be an object"):
             config_from_dict(qubit_doc(ensemble=section))
     path = write_doc(tmp_path, qubit_doc(ensemble=[{"n_trajectories": 5}]))
     out = ["--out", str(tmp_path / "out")]
@@ -545,7 +594,7 @@ def test_a_non_object_ensemble_section_is_a_config_error(tmp_path, capsys):
 def test_output_dir_must_be_a_string_or_null(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for value in (5, True, ["out"], {"dir": "out"}):
-        with pytest.raises(ConfigError, match="output_dir must be a string or null"):
+        with pytest.raises(ValueError, match="output_dir must be a string or null"):
             config_from_dict(qubit_doc(output_dir=value))
         path = write_doc(tmp_path, qubit_doc(output_dir=value))
         for command in ("validate", "simulate", "ensemble"):

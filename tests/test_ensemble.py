@@ -50,7 +50,6 @@ def synthetic_batch(final_states, n_steps=1000, n_rec=5):
         purity=np.ones((b, n_rec)),
         final_states=np.stack(final_states),
         n_steps=n_steps,
-        n_projected=np.zeros(b, dtype=int),
     )
 
 

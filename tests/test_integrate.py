@@ -485,9 +485,10 @@ def test_simulate_matches_batch_rows_and_validity():
     sim = SimConfig(dt=1e-3, t_final=0.5, seed=21, record_stride=50)
     rho0 = np.eye(2, dtype=complex) / 2
     res = run_batch(rho0, model, target, ctrl, sim, n_trajectories=3, record_states=True)
-    for i in range(3):
+    # a numpy index comes back as the int that keyed its noise
+    for i in (0, 1, np.int64(2)):
         t = simulate(rho0, model, target, ctrl, sim, trajectory_index=i)
-        assert t.trajectory_index == i
+        assert type(t.trajectory_index) is int and t.trajectory_index == i
         assert np.array_equal(t.times, res.times)
         assert np.array_equal(np.asarray(t.states), res.states[i])
         pairs = (

@@ -383,14 +383,19 @@ def test_arbiter_sees_a_missing_drift_and_a_mis_scaled_noise(monkeypatch):
 
 
 def test_lyapunov_report_fields():
-    # the certificates simulate() records equal the closed forms at its states
+    # the certificates simulate() records, and run_batch's l0, lb and third
+    # rows of the same path, equal the closed forms at its states
     rng = np.random.default_rng(52)
     model, target = qutrit(mu=1.0, eta=0.5)
     ctrl = ControllerSpec(kind="square_of_sum", k=1.0, ell=2.0)
     sim = SimConfig(dt=1e-3, t_final=0.05, seed=52, record_stride=10)
-    traj = simulate(ginibre(rng, 3), model, target, ctrl, sim)
+    rho0 = ginibre(rng, 3)
+    traj = simulate(rho0, model, target, ctrl, sim)
+    res = run_batch(rho0, model, target, ctrl, sim, indices=[0], record_states=True)
     assert len(traj.lyapunov) == len(traj.states) == 6
-    for rho, rep in zip(traj.states, traj.lyapunov):
+    assert np.array_equal(res.states[0], traj.states)
+    rows = zip(traj.states, traj.lyapunov, res.l0[0], res.lb[0], res.third[0])
+    for rho, rep, l0_v, lb_v, third_moment in rows:
         np.testing.assert_allclose(rep.v1, v1(rho, target), atol=1e-14)
         np.testing.assert_allclose(rep.v2, v2(rho, model), atol=1e-14)
         np.testing.assert_allclose(rep.v_tilde, v_tilde(rho, model, target, 2.0), atol=1e-14)
@@ -398,12 +403,12 @@ def test_lyapunov_report_fields():
             rep.lv_closed_loop, closed_loop_generator(rho, model, target, ctrl), atol=1e-14
         )
         l0 = -4.0 * model.mu * model.eta * v2(rho, model) ** 2 / 2.0**2
-        np.testing.assert_allclose(rep.l0_v, l0, atol=1e-14)
-        np.testing.assert_allclose(rep.lb_v, -trace_term(rho, model, target, 2.0), atol=1e-14)
+        np.testing.assert_allclose(l0_v, l0, atol=1e-14)
+        np.testing.assert_allclose(lb_v, -trace_term(rho, model, target, 2.0), atol=1e-14)
         c = model.c
         m1, m2, m3 = expectation(c, rho), expectation(c @ c, rho), expectation(c @ c @ c, rho)
         third = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-        np.testing.assert_allclose(rep.third_moment, third, atol=1e-14)
+        np.testing.assert_allclose(third_moment, third, atol=1e-14)
 
 
 def dense_trace_term(rho, model, target, ell):
